@@ -1,0 +1,7 @@
+"""Import the benchmark's modules and the program from this checkout."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
