@@ -54,6 +54,7 @@ class RandomForestClassifier:
         self.oob_score = oob_score
         self.random_state = random_state
         self.trees_: list[DecisionTreeClassifier] = []
+        self._tree_columns: list[np.ndarray] = []
         self.classes_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
         #: Out-of-bag class probabilities per training row (rows never
@@ -72,7 +73,7 @@ class RandomForestClassifier:
         n = len(features)
         self.trees_ = []
         importances = np.zeros(features.shape[1])
-        class_index = {c: i for i, c in enumerate(self.classes_)}
+        self._tree_columns = []
         oob_sum = np.zeros((n, len(self.classes_)))
         oob_count = np.zeros(n)
         for _ in range(self.n_estimators):
@@ -88,15 +89,16 @@ class RandomForestClassifier:
                 random_state=int(rng.integers(0, 2 ** 31 - 1)))
             tree.fit(features[rows], target[rows])
             self.trees_.append(tree)
-            importances += self._aligned_importances(tree, features.shape[1])
+            # Forest column of each tree class (a bootstrap may miss some).
+            columns = np.searchsorted(self.classes_, tree.classes_)
+            self._tree_columns.append(columns)
+            importances += tree.feature_importances_
             if self.oob_score and self.bootstrap:
                 out_mask = np.ones(n, dtype=bool)
                 out_mask[rows] = False
                 if out_mask.any():
-                    probabilities = tree.predict_proba(features[out_mask])
-                    for tree_col, cls in enumerate(tree.classes_):
-                        oob_sum[out_mask, class_index[cls]] \
-                            += probabilities[:, tree_col]
+                    oob_sum[np.ix_(out_mask, columns)] += \
+                        tree.predict_proba(features[out_mask])
                     oob_count[out_mask] += 1
         total = importances.sum()
         self.feature_importances_ = (importances / total if total > 0
@@ -111,13 +113,6 @@ class RandomForestClassifier:
             self.oob_decision_function_ = oob
         return self
 
-    def _aligned_importances(self, tree: DecisionTreeClassifier,
-                             n_features: int) -> np.ndarray:
-        importances = tree.feature_importances_
-        if importances is None:
-            return np.zeros(n_features)
-        return importances
-
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Averaged class probabilities, columns aligned to classes_.
 
@@ -128,12 +123,9 @@ class RandomForestClassifier:
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
         features = np.asarray(features, dtype=float)
-        class_index = {c: i for i, c in enumerate(self.classes_)}
         total = np.zeros((len(features), len(self.classes_)))
-        for tree in self.trees_:
-            probabilities = tree.predict_proba(features)
-            for tree_col, cls in enumerate(tree.classes_):
-                total[:, class_index[cls]] += probabilities[:, tree_col]
+        for tree, columns in zip(self.trees_, self._tree_columns):
+            total[:, columns] += tree.predict_proba(features)
         return total / self.n_estimators
 
     def predict(self, features: np.ndarray) -> np.ndarray:

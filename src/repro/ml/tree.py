@@ -2,9 +2,10 @@
 
 A from-scratch replacement for the scikit-learn trees the paper uses via
 its Random Forest / GBDT experiments (Section 5.2.2); scikit-learn is not
-available in this environment. Split search is vectorized with numpy:
-per candidate feature, sort the node's rows once and evaluate the
-impurity of every threshold from prefix sums.
+available in this environment. Split search is batched with numpy: a
+node sorts all its candidate columns at once and scores every threshold
+of every column from prefix sums. Trees grow iteratively in preorder
+into flat node arrays; prediction routes all rows level by level.
 
 Supports ``max_features`` (random feature subsampling per node) so the
 forest in :mod:`repro.ml.forest` is a proper Random Forest.
@@ -12,34 +13,29 @@ forest in :mod:`repro.ml.forest` is a proper Random Forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
+def _gini(class_counts: np.ndarray,
+          sizes: np.ndarray | float) -> np.ndarray:
+    """Gini impurity of class counts (last axis) that sum to ``sizes``.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: np.ndarray | float = 0.0
-    n_samples: int = 0
-    impurity: float = 0.0
-
-
-def _gini(class_counts: np.ndarray) -> np.ndarray:
-    """Gini impurity for rows of class counts (vectorized)."""
-    totals = class_counts.sum(axis=-1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1)
-    proportions = class_counts / safe
-    return 1.0 - (proportions ** 2).sum(axis=-1)
+    Two classes add their two squares directly: a two-term sum is the
+    same in either order, and numpy's length-2 reduction is slow.
+    """
+    squares = (class_counts / np.expand_dims(sizes, -1)) ** 2
+    if squares.shape[-1] == 2:
+        return 1.0 - (squares[..., 0] + squares[..., 1])
+    return 1.0 - squares.sum(axis=-1)
 
 
 class _BaseTree:
-    """Shared recursive builder; subclasses define leaf values/impurity."""
+    """Shared iterative builder; subclasses define leaf values/impurity."""
+
+    #: How a node sorts its candidate columns. The regressor's float
+    #: prefix sums depend on the order of tied values, so it sorts
+    #: stably; class counts at a value change do not.
+    _sort_kind = "stable"
 
     def __init__(self, max_depth: int | None = None,
                  min_samples_split: int = 2,
@@ -55,19 +51,31 @@ class _BaseTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._nodes: list[_Node] = []
         self._n_features = 0
         self.feature_importances_: np.ndarray | None = None
+        #: Node arrays, indexed by node id in preorder (root = 0). Leaves
+        #: have ``feature_ == -1`` and children ``-1``.
+        self.feature_ = self.threshold_ = self.left_ = self.right_ = None
+        self.value_: np.ndarray | None = None
 
     # ---- subclass hooks ------------------------------------------------
+
+    def _prepare_target(self, target: np.ndarray) -> np.ndarray:
+        """Return the target in the encoding the other hooks consume."""
+        return np.asarray(target, dtype=float)
 
     def _node_stats(self, y: np.ndarray):
         """Return (value, impurity) summarizing the target at a node."""
         raise NotImplementedError
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        """Return (gain, threshold) for the best split on one column."""
+    def _position_gains(self, ys: np.ndarray, lo: int,
+                        hi: int) -> np.ndarray:
+        """(k, hi - lo) gains of a split after each sorted position, from
+        the (k, n) target sorted along each candidate column."""
+        raise NotImplementedError
+
+    def _accepted(self, gains: np.ndarray) -> np.ndarray:
+        """Each candidate's best gain, or -1.0 where it may not split."""
         raise NotImplementedError
 
     # ---- fitting -------------------------------------------------------
@@ -83,19 +91,12 @@ class _BaseTree:
         if len(features) == 0:
             raise ValueError("cannot fit on empty data")
         self._n_features = features.shape[1]
-        self._nodes = []
         self._rng = np.random.default_rng(self.random_state)
-        importance = np.zeros(self._n_features)
-        self._prepare_target(target)
-        self._grow(features, self._encoded_target, depth=0,
-                   importance=importance)
+        importance = self._grow(features, self._prepare_target(target))
         total = importance.sum()
         self.feature_importances_ = (importance / total if total > 0
                                      else importance)
         return self
-
-    def _prepare_target(self, target: np.ndarray) -> None:
-        self._encoded_target = np.asarray(target, dtype=float)
 
     def _n_candidate_features(self) -> int:
         spec = self.max_features
@@ -110,87 +111,119 @@ class _BaseTree:
             return max(1, int(spec * d))
         return max(1, min(int(spec), d))
 
-    def _grow(self, features: np.ndarray, target: np.ndarray, depth: int,
-              importance: np.ndarray) -> int:
-        value, impurity = self._node_stats(target)
-        node = _Node(value=value, n_samples=len(target), impurity=impurity)
-        index = len(self._nodes)
-        self._nodes.append(node)
+    def _candidate_splits(self, block: np.ndarray, y: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Best (gain, threshold) of each row of a (k, n) column block.
 
-        if (impurity <= 1e-12
-                or len(target) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)):
-            return index
+        Valid split positions lie after sorted index ``i`` (left =
+        ``[0..i]``) where the value changes and both sides keep
+        ``min_samples_leaf`` rows; the first best position wins.
+        """
+        k, n = block.shape
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf
+        if hi <= lo:
+            return np.full(k, -1.0), np.zeros(k)
+        order = np.argsort(block, axis=1, kind=self._sort_kind)
+        xs = np.take_along_axis(block, order, axis=1)
+        gains = self._position_gains(y[order], lo, hi)
+        gains[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = -np.inf
+        best = np.argmax(gains, axis=1)
+        columns = np.arange(k)
+        position = best + lo
+        thresholds = (xs[columns, position]
+                      + xs[columns, position + 1]) / 2.0
+        return self._accepted(gains[columns, best]), thresholds
 
+    def _grow(self, features: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Grow the node arrays in preorder; return raw importances."""
+        columns = np.ascontiguousarray(features.T)
+        d = self._n_features
         k = self._n_candidate_features()
-        if k < self._n_features:
-            candidates = self._rng.choice(self._n_features, size=k,
-                                          replace=False)
-        else:
-            candidates = np.arange(self._n_features)
+        importance = np.zeros(d)
+        feature, threshold, right, value = [], [], [], []
+        # (rows, depth, node whose right child this is or -1). The left
+        # child is pushed last, so it is grown first and gets id + 1.
+        stack = [(np.arange(len(target)), 0, -1)]
+        while stack:
+            rows, depth, right_of = stack.pop()
+            y = target[rows]
+            node_value, impurity = self._node_stats(y)
+            index = len(feature)
+            if right_of >= 0:
+                right[right_of] = index
+            feature.append(-1)
+            threshold.append(0.0)
+            right.append(-1)
+            value.append(node_value)
+            if (impurity <= 1e-12
+                    or len(rows) < self.min_samples_split
+                    or (self.max_depth is not None
+                        and depth >= self.max_depth)):
+                continue
+            if k < d:
+                candidates = self._rng.choice(d, size=k, replace=False)
+            else:
+                candidates = np.arange(d)
+            block = columns[np.ix_(candidates, rows)]
+            gains, thresholds = self._candidate_splits(block, y)
+            # The first candidate in draw order beating the best by 1e-15.
+            best_gain, best = -1.0, -1
+            for position, gain in enumerate(gains.tolist()):
+                if gain > best_gain + 1e-15:
+                    best_gain, best = gain, position
+            if best < 0:
+                continue
+            mask = block[best] <= thresholds[best]
+            if mask.all() or not mask.any():
+                continue
+            feature[index] = int(candidates[best])
+            threshold[index] = float(thresholds[best])
+            importance[feature[index]] += best_gain * len(rows)
+            stack.append((rows[~mask], depth + 1, index))
+            stack.append((rows[mask], depth + 1, -1))
 
-        best_gain, best_feature, best_threshold = -1.0, -1, 0.0
-        for feature_idx in candidates:
-            gain, threshold = self._best_split(
-                features[:, feature_idx], target, self.min_samples_leaf)
-            if gain > best_gain + 1e-15:
-                best_gain, best_feature, best_threshold = (
-                    gain, int(feature_idx), threshold)
-        if best_feature < 0 or best_gain < 0:
-            return index
-
-        mask = features[:, best_feature] <= best_threshold
-        if mask.all() or not mask.any():
-            return index
-        node.feature = best_feature
-        node.threshold = best_threshold
-        importance[best_feature] += best_gain * len(target)
-        node.left = self._grow(features[mask], target[mask], depth + 1,
-                               importance)
-        node.right = self._grow(features[~mask], target[~mask], depth + 1,
-                                importance)
-        return index
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold)
+        self.left_ = np.where(self.feature_ >= 0,
+                              np.arange(1, len(feature) + 1), -1)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.array(value, dtype=float)
+        return importance
 
     # ---- inference -----------------------------------------------------
 
-    def _leaf_values(self, features: np.ndarray) -> np.ndarray:
+    def _leaves(self, features: np.ndarray) -> np.ndarray:
+        """Leaf node id of every row, routed one tree level at a time."""
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self._n_features:
             raise ValueError(
                 f"expected (n, {self._n_features}) features")
-        out = [None] * len(features)
-        # Iterative routing, one node at a time, vectorized by partition.
-        stack = [(0, np.arange(len(features)))]
-        while stack:
-            node_index, rows = stack.pop()
-            node = self._nodes[node_index]
-            if node.feature < 0:
-                for r in rows:
-                    out[r] = node.value
-                continue
-            mask = features[rows, node.feature] <= node.threshold
-            left_rows = rows[mask]
-            right_rows = rows[~mask]
-            if left_rows.size:
-                stack.append((node.left, left_rows))
-            if right_rows.size:
-                stack.append((node.right, right_rows))
-        return np.asarray(out)
+        node = np.zeros(len(features), dtype=np.intp)
+        active = np.arange(len(features))
+        while active.size:
+            active = active[self.feature_[node[active]] >= 0]
+            at = node[active]
+            go_left = (features[active, self.feature_[at]]
+                       <= self.threshold_[at])
+            node[active] = np.where(go_left, self.left_[at],
+                                    self.right_[at])
+        return node
 
     @property
     def node_count(self) -> int:
         """Number of nodes in the grown tree."""
-        return len(self._nodes)
+        return 0 if self.feature_ is None else len(self.feature_)
 
     @property
     def depth(self) -> int:
         """Maximum depth of the grown tree."""
-        def _depth(index: int) -> int:
-            node = self._nodes[index]
-            if node.feature < 0:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-        return _depth(0) if self._nodes else 0
+        if self.feature_ is None:
+            return 0
+        level, depth = np.zeros(1, dtype=np.intp), 0
+        while (level := level[self.feature_[level] >= 0]).size:
+            level = np.concatenate([self.left_[level], self.right_[level]])
+            depth += 1
+        return depth
 
 
 class DecisionTreeClassifier(_BaseTree):
@@ -203,56 +236,38 @@ class DecisionTreeClassifier(_BaseTree):
         [0, 0, 1, 1]
     """
 
-    def _prepare_target(self, target: np.ndarray) -> None:
+    _sort_kind = "quicksort"
+
+    def _prepare_target(self, target: np.ndarray) -> np.ndarray:
         self.classes_, encoded = np.unique(target, return_inverse=True)
-        self._encoded_target = encoded
+        return encoded
 
     def _node_stats(self, y: np.ndarray):
         counts = np.bincount(y, minlength=len(self.classes_)).astype(float)
         total = counts.sum()
-        value = counts / total if total else counts
-        return value, float(_gini(counts))
+        return counts / total, float(_gini(counts, total))
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        order = np.argsort(x_col, kind="stable")
-        xs = x_col[order]
-        ys = y[order]
-        n = len(ys)
-        n_classes = len(self.classes_)
-        one_hot = np.zeros((n, n_classes))
-        one_hot[np.arange(n), ys] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
-        # Valid split positions: after index i (left = [0..i]), where the
-        # value changes and both sides satisfy min_samples_leaf.
-        positions = np.arange(min_leaf - 1, n - min_leaf)
-        if positions.size == 0:
-            return -1.0, 0.0
-        valid = xs[positions] < xs[positions + 1]
-        positions = positions[valid]
-        if positions.size == 0:
-            return -1.0, 0.0
-        left_counts = prefix[positions]
-        right_counts = total - left_counts
-        left_sizes = positions + 1
+    def _position_gains(self, ys: np.ndarray, lo: int,
+                        hi: int) -> np.ndarray:
+        n = ys.shape[1]
+        prefix = np.stack([np.cumsum(ys == c, axis=1)
+                           for c in range(len(self.classes_))], axis=-1)
+        total = prefix[0, -1]
+        left_counts = prefix[:, lo:hi]
+        left_sizes = np.arange(lo + 1, hi + 1)
         right_sizes = n - left_sizes
-        parent_impurity = float(_gini(total))
-        child = (left_sizes * _gini(left_counts)
-                 + right_sizes * _gini(right_counts)) / n
-        gains = parent_impurity - child
-        best = int(np.argmax(gains))
-        if gains[best] < 0:
-            return -1.0, 0.0
+        child = (left_sizes * _gini(left_counts, left_sizes)
+                 + right_sizes * _gini(total - left_counts, right_sizes)) / n
+        return float(_gini(total, n)) - child
+
+    def _accepted(self, gains: np.ndarray) -> np.ndarray:
         # Zero-gain splits are allowed (ties still shrink the node), so
         # parity-style targets like XOR remain learnable.
-        pos = positions[best]
-        threshold = (xs[pos] + xs[pos + 1]) / 2.0
-        return float(max(gains[best], 0.0)), float(threshold)
+        return np.where(gains < 0, -1.0, gains)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Class-probability estimates (leaf class frequencies)."""
-        return np.vstack(self._leaf_values(features))
+        return self.value_[self._leaves(features)]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted class labels."""
@@ -266,39 +281,26 @@ class DecisionTreeRegressor(_BaseTree):
     def _node_stats(self, y: np.ndarray):
         return float(y.mean()), float(y.var())
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        order = np.argsort(x_col, kind="stable")
-        xs = x_col[order]
-        ys = y[order]
-        n = len(ys)
-        prefix_sum = np.cumsum(ys)
-        prefix_sq = np.cumsum(ys ** 2)
-        positions = np.arange(min_leaf - 1, n - min_leaf)
-        if positions.size == 0:
-            return -1.0, 0.0
-        valid = xs[positions] < xs[positions + 1]
-        positions = positions[valid]
-        if positions.size == 0:
-            return -1.0, 0.0
-        left_n = positions + 1
+    def _position_gains(self, ys: np.ndarray, lo: int,
+                        hi: int) -> np.ndarray:
+        n = ys.shape[1]
+        prefix_sum = np.cumsum(ys, axis=1)
+        prefix_sq = np.cumsum(ys ** 2, axis=1)
+        left_n = np.arange(lo + 1, hi + 1)
         right_n = n - left_n
-        left_sum = prefix_sum[positions]
-        right_sum = prefix_sum[-1] - left_sum
-        left_sq = prefix_sq[positions]
-        right_sq = prefix_sq[-1] - left_sq
+        left_sum = prefix_sum[:, lo:hi]
+        right_sum = prefix_sum[:, -1:] - left_sum
+        left_sq = prefix_sq[:, lo:hi]
+        right_sq = prefix_sq[:, -1:] - left_sq
         left_var = left_sq / left_n - (left_sum / left_n) ** 2
         right_var = right_sq / right_n - (right_sum / right_n) ** 2
-        parent_var = float(ys.var())
+        parent_var = ys.var(axis=1, keepdims=True)
         child = (left_n * left_var + right_n * right_var) / n
-        gains = parent_var - child
-        best = int(np.argmax(gains))
-        if gains[best] <= 1e-15:
-            return -1.0, 0.0
-        pos = positions[best]
-        threshold = (xs[pos] + xs[pos + 1]) / 2.0
-        return float(gains[best]), float(threshold)
+        return parent_var - child
+
+    def _accepted(self, gains: np.ndarray) -> np.ndarray:
+        return np.where(gains <= 1e-15, -1.0, gains)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted regression values."""
-        return self._leaf_values(features).astype(float)
+        return self.value_[self._leaves(features)]

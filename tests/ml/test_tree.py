@@ -126,3 +126,37 @@ class TestRegressor:
         predictions = tree.predict(x)
         assert predictions.min() >= y.min() - 1e-9
         assert predictions.max() <= y.max() + 1e-9
+
+
+class TestUnboundedDepth:
+    """Trees deeper than Python's recursion limit grow and predict."""
+
+    @staticmethod
+    def _chain_task():
+        # 3,800 rows of one class, then 1,200 alternating rows: an
+        # unbounded tree peels the alternating block one row per level.
+        x = np.arange(5000.0).reshape(-1, 1)
+        y = np.where(np.arange(5000) < 3800, 0, np.arange(5000) % 2)
+        return x, y
+
+    @pytest.mark.parametrize("model", [DecisionTreeClassifier,
+                                       DecisionTreeRegressor])
+    def test_5000_rows(self, model):
+        x, y = self._chain_task()
+        target = y if model is DecisionTreeClassifier else y.astype(float)
+        tree = model().fit(x, target)
+        assert tree.depth > 1000
+        assert tree.node_count == 2 * tree.depth + 1
+        assert (tree.predict(x) == target).all()
+
+    def test_node_arrays_are_preorder(self, rng):
+        x = rng.normal(size=(300, 3))
+        y = rng.integers(0, 3, size=300)
+        tree = DecisionTreeClassifier(max_depth=6, random_state=0).fit(x, y)
+        inner = np.flatnonzero(tree.feature_ >= 0)
+        assert (tree.left_[inner] == inner + 1).all()
+        assert (tree.right_[inner] > tree.left_[inner]).all()
+        leaves = tree.feature_ < 0
+        assert (tree.left_[leaves] == -1).all()
+        assert (tree.right_[leaves] == -1).all()
+        assert tree.value_.shape == (tree.node_count, 3)
