@@ -169,7 +169,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                  if fleet.resumed_shards else "")
               + ("" if fleet.used_processes
                  or fleet.workers - fleet.resumed_shards <= 1
-                 else " (process pool unavailable; ran in-process)"))
+                 else " (process spawn unavailable; ran in-process)"))
         print("phases: " + ", ".join(
             f"{name} {seconds:.2f}s"
             for name, seconds in fleet.phase_breakdown().items()))

@@ -28,8 +28,8 @@ class WorkerCrashError(RuntimeError):
     """An injected (or simulated-organic) fleet worker crash.
 
     Raised out of ``run_shard`` in ``mode="raise"``; in ``mode="kill"``
-    the worker process dies outright and the driver observes a broken
-    pool instead.
+    the worker process dies outright and the driver observes a dead
+    worker with no result instead.
     """
 
     def __init__(self, shard_index: int, message: str) -> None:

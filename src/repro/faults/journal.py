@@ -10,7 +10,7 @@ A fleet run with an output path ``corpus.db`` journals under
     shard-0002.spans.jsonl   the shard's trace spans (when tracing is on)
     shard-0002.folded        the shard's folded-stack profile (when profiling)
     shard-0002.status.json   live heartbeat (:mod:`repro.obs.fleetwatch`)
-    attempts/                per-attempt scratch dirs (supervised runs)
+    attempts/                per-attempt scratch dirs (worker processes)
     supervision.jsonl        supervision event log (supervised runs)
     degradation.json         the DegradationReport of a partial run
 

@@ -18,10 +18,11 @@ Fleet runs are crash-safe: with a shard journal
 (:mod:`repro.faults.journal`) a killed or crashing worker degrades the
 run to a partial-but-valid merged store plus structured
 :class:`ShardFailure` records, and ``resume=True`` re-simulates only
-the failed shards. With ``supervise=True`` the
-:class:`~repro.fleet.supervisor.FleetSupervisor` goes further and
-recovers *in-run*: crashed or hung workers are rescheduled, stragglers
-hedged, and poison shards quarantined behind a structured
+the failed shards. Every multi-shard run executes through the
+:class:`~repro.fleet.supervisor.FleetSupervisor`; with
+``supervise=True`` it goes further and recovers *in-run*: crashed
+or hung workers are rescheduled, stragglers hedged, and poison shards
+quarantined behind a structured
 :class:`~repro.fleet.supervisor.DegradationReport`.
 """
 

@@ -35,18 +35,26 @@ loop *inside* the run:
   attempts and fails fast with a diagnosis instead of thrashing
   through ``shards × max_attempts`` doomed re-runs.
 
-Supervised attempts run as dedicated ``multiprocessing.Process``
-workers (not a ``ProcessPoolExecutor``): a pool cannot terminate one
-hung member, which is precisely the recovery a supervisor exists to
-perform. Each attempt gets a private scratch directory under
-``<journal>/attempts/`` for its payload and heartbeat; the winning
-attempt's files are promoted into the canonical journal names so
-``--resume`` and ``fleet-status`` see exactly the layout an
-unsupervised run produces. When process spawn is unavailable (sandbox,
-``in_process=True``) the supervisor degrades to inline attempts:
-reschedule and quarantine semantics are identical, while stall
-detection and hedging — which require a concurrently observable
-worker — are naturally inert.
+The supervisor is also the fleet's only multi-shard executor. With no
+policy (``policy=None``) it runs *unsupervised*: one attempt per shard,
+a failed shard is journaled ``failed`` and reported as a plain
+:class:`~repro.fleet.workers.ShardFailure`, and there is no stall
+detection, hedging, quarantine, ``supervision.jsonl`` or
+``degradation.json`` — recovery is left to ``--resume``.
+
+Attempts run as dedicated ``multiprocessing.Process`` workers, not a
+process pool: a pool cannot terminate one hung member, which is
+precisely the recovery a supervisor exists to perform, nor say which
+member died. With a journal, each attempt gets a private
+scratch directory under ``<journal>/attempts/`` for its payload and
+heartbeat; the winning attempt's files are promoted into the
+canonical journal names so ``--resume`` and ``fleet-status`` see one
+layout however the shard ran. Without a journal, attempts get no
+scratch directory, heartbeat or payload. When process spawn is
+unavailable (sandbox, ``in_process=True``) the supervisor degrades to
+inline attempts: reschedule and quarantine semantics are identical,
+while stall detection and hedging — which require a concurrently
+observable worker — are naturally inert.
 """
 
 from __future__ import annotations
@@ -60,13 +68,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..corpus.config import CorpusConfig
-from ..faults.injector import WorkerCrashError, WorkerHangError
 from ..faults.journal import ShardJournal
-from ..faults.plan import FaultKind, FaultPlan
+from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.fleetwatch import DEFAULT_STALL_AFTER, read_status_file
 from ..obs.logging import get_logger
-from ..obs.tracing import TraceContext
+from .workers import ShardFailure, classify_failure, run_shard
 
 __all__ = [
     "DegradationReport",
@@ -167,13 +174,6 @@ class DegradationReport:
         """Whether the run is partial (any shard quarantined)."""
         return bool(self.quarantined)
 
-    @property
-    def recovered_shards(self) -> int:
-        """Shards that completed only thanks to supervision."""
-        return sum(count for attempts, count
-                   in self.attempts_histogram.items() if attempts > 1) \
-            - len(self.quarantined)
-
     def to_dict(self) -> dict:
         """JSON shape persisted as ``degradation.json``."""
         out = asdict(self)
@@ -242,7 +242,7 @@ def render_degradation(report: DegradationReport) -> str:
 def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
                   retry_policy, attempt_dir, armed, trace_ctx, profile,
                   attempt) -> None:
-    """Worker-process entry point for one supervised attempt.
+    """Worker-process entry point for one shard attempt.
 
     Sends exactly one message on ``conn``: ``("done", shard, attempt,
     ShardResult)`` or ``("failed", shard, attempt, kind, message)``.
@@ -250,22 +250,14 @@ def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
     injected hang sleeps forever without sending — the supervisor
     reads both from process state, not the pipe.
     """
-    from .workers import run_shard
-
     try:
         result = run_shard(
             spec, config, telemetry, exec_cache, fault_plan,
             retry_policy, attempt_dir, armed, trace_ctx=trace_ctx,
             serialize=True, profile=profile, attempt=attempt)
-    except WorkerHangError as exc:
-        _send(conn, ("failed", spec.shard_index, attempt,
-                     "worker_hang", str(exc)))
-    except WorkerCrashError as exc:
-        _send(conn, ("failed", spec.shard_index, attempt,
-                     "worker_crash", str(exc)))
     except Exception as exc:  # one attempt lost, never the supervisor
-        _send(conn, ("failed", spec.shard_index, attempt, "error",
-                     f"{type(exc).__name__}: {exc}"))
+        _send(conn, ("failed", spec.shard_index, attempt,
+                     *classify_failure(exc)))
     else:
         _send(conn, ("done", spec.shard_index, attempt, result))
     finally:
@@ -287,7 +279,7 @@ class _Attempt:
     attempt: int
     process: object
     conn: object
-    directory: Path
+    directory: Path | None
     started: float
     hedge: bool = False
 
@@ -304,7 +296,7 @@ class _ShardState:
     attempts_used: int = 0
     live: list = field(default_factory=list)
     done: bool = False
-    quarantined: bool = False
+    given_up: bool = False  # quarantined, or failed when unsupervised
     last_kind: str = ""
     last_message: str = ""
     last_failed_attempt: int = 0
@@ -312,14 +304,17 @@ class _ShardState:
 
 
 class FleetSupervisor:
-    """Coordinator-side supervision loop for one fleet run.
+    """Coordinator-side executor for the shards of one fleet run.
 
     Constructed by :func:`~repro.fleet.workers.generate_corpus_fleet`
-    when ``supervise=True``; :meth:`run` replaces the plain pool loop
-    for the shards that still need simulating.
+    for every run with more than one shard to simulate (or with
+    ``supervise=True``); :meth:`run` simulates the shards that still
+    need it. ``policy=None`` runs them unsupervised (one attempt each,
+    no supervision records); ``journal=None`` runs them without scratch
+    directories, heartbeats or payloads.
     """
 
-    def __init__(self, config: CorpusConfig, journal: ShardJournal,
+    def __init__(self, config: CorpusConfig, journal: ShardJournal | None,
                  policy: SupervisorPolicy | None = None, *,
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
@@ -328,7 +323,8 @@ class FleetSupervisor:
                  in_process: bool = False) -> None:
         self.config = config
         self.journal = journal
-        self.policy = policy or SupervisorPolicy()
+        self.supervised = policy is not None
+        self.policy = policy or SupervisorPolicy(max_attempts=1)
         self.telemetry = telemetry
         self.exec_cache = exec_cache
         self.fault_plan = fault_plan
@@ -342,6 +338,7 @@ class FleetSupervisor:
         self.failures: dict[int, object] = {}
         self._state: dict[int, _ShardState] = {}
         self._report: DegradationReport | None = None
+        self._journal_dir = journal.directory if journal else None
 
     # ------------------------------------------------------------ public
 
@@ -357,9 +354,10 @@ class FleetSupervisor:
         shards into the report so its accounting partitions the whole
         plan, not just the re-run slice.
 
-        Returns ``(results, failures, report)`` — the same shapes the
-        unsupervised pool loop produces, plus the
-        :class:`DegradationReport`.
+        Returns ``(results, failures, report)``: completed
+        :class:`~repro.fleet.workers.ShardResult` and
+        :class:`~repro.fleet.workers.ShardFailure` by shard index, plus
+        the :class:`DegradationReport` (``None`` when unsupervised).
         """
         self._state = {spec.shard_index: _ShardState(spec=spec)
                        for spec in to_run}
@@ -374,7 +372,7 @@ class FleetSupervisor:
         self._armed_first = dict(armed)
         if not to_run:
             return self.results, self.failures, self._finalize()
-        self.journal.record_event(
+        self._event(
             "supervision_started", shards=len(to_run),
             max_attempts=self.policy.max_attempts,
             stall_after=self.policy.stall_after,
@@ -385,11 +383,6 @@ class FleetSupervisor:
         else:
             self._run_processes(to_run)
         return self.results, self.failures, self._finalize()
-
-    @property
-    def report(self) -> DegradationReport | None:
-        """The degradation report (available after :meth:`run`)."""
-        return self._report
 
     # ------------------------------------------------------ process mode
 
@@ -404,7 +397,7 @@ class FleetSupervisor:
         except OSError as exc:
             # The sandbox denied processes. Terminate anything that did
             # start, then degrade every unresolved shard to inline.
-            _log.warning("supervisor_pool_unavailable",
+            _log.warning("fleet_spawn_unavailable",
                          reason=type(exc).__name__, fallback="inline")
             for state in self._state.values():
                 for attempt in state.live:
@@ -412,35 +405,41 @@ class FleetSupervisor:
                 state.live.clear()
             self._cleanup_attempt_dirs()
             self._run_inline([s.spec for s in self._state.values()
-                              if not s.done and not s.quarantined])
+                              if not s.done and not s.given_up])
             return
         if launched_any:
             self.used_processes = True
         while any(state.live for state in self._state.values()):
             progressed = self._poll()
-            now = time.time()
-            self._check_stalls(now)
-            self._maybe_hedge(now)
+            if self.supervised:
+                now = time.time()
+                self._check_stalls(now)
+                self._maybe_hedge(now)
             if not progressed:
                 time.sleep(self.policy.poll_interval)
         self._cleanup_attempt_dirs()
 
     def _launch(self, spec, attempt: int, armed: bool,
                 hedge: bool = False) -> None:
-        attempt_dir = (self.journal.directory / "attempts"
-                       / f"shard-{spec.shard_index:04d}-a{attempt}")
-        attempt_dir.mkdir(parents=True, exist_ok=True)
+        attempt_dir = None
+        if self._journal_dir is not None:
+            attempt_dir = (self._journal_dir / "attempts"
+                           / f"shard-{spec.shard_index:04d}-a{attempt}")
+            attempt_dir.mkdir(parents=True, exist_ok=True)
         recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(
             target=_attempt_main,
             args=(send_conn, spec, self.config, self.telemetry,
                   self.exec_cache, self.fault_plan, self.retry_policy,
-                  str(attempt_dir), armed,
+                  attempt_dir, armed,
                   self.trace_ctx_for(spec, attempt), self.profile,
                   attempt),
             daemon=True)
         try:
             process.start()
+        except BaseException:
+            recv_conn.close()
+            raise
         finally:
             send_conn.close()  # Parent keeps only the read end.
         state = self._state[spec.shard_index]
@@ -448,7 +447,7 @@ class FleetSupervisor:
         state.live.append(_Attempt(
             spec=spec, attempt=attempt, process=process, conn=recv_conn,
             directory=attempt_dir, started=time.time(), hedge=hedge))
-        self.journal.record_event(
+        self._event(
             "attempt_started", shard=spec.shard_index, attempt=attempt,
             hedge=hedge, armed=armed, pid=process.pid)
 
@@ -495,8 +494,7 @@ class FleetSupervisor:
             state.live.remove(attempt)
             self._attempt_failed(state, attempt, failure_kind,
                                  failure_message,
-                                 crashed=failure_kind in (
-                                     "worker_crash", "worker_hang"))
+                                 crashed=failure_kind != "error")
 
     def _handle_dead(self, state: _ShardState, attempt: _Attempt) -> None:
         """A process died without delivering a result (kill / OOM)."""
@@ -519,7 +517,7 @@ class FleetSupervisor:
                 if now - last <= self.policy.stall_after:
                     continue
                 self._report.stalls_detected += 1
-                self.journal.record_event(
+                self._event(
                     "stall_detected", shard=attempt.shard_index,
                     attempt=attempt.attempt,
                     silent_seconds=round(now - last, 3))
@@ -547,7 +545,7 @@ class FleetSupervisor:
             return
         threshold = self.policy.hedge_after * statistics.median(durations)
         for state in self._state.values():
-            if state.done or state.quarantined or len(state.live) != 1:
+            if state.done or state.given_up or len(state.live) != 1:
                 continue
             attempt = state.live[0]
             if now - attempt.started <= threshold:
@@ -557,7 +555,7 @@ class FleetSupervisor:
                 continue
             hedge_attempt = state.attempts_used + 1
             self._report.hedges += 1
-            self.journal.record_event(
+            self._event(
                 "hedged", shard=state.spec.shard_index,
                 straggler_attempt=attempt.attempt,
                 hedge_attempt=hedge_attempt,
@@ -575,49 +573,39 @@ class FleetSupervisor:
 
         Stall detection and hedging need a concurrently observable
         worker, so they are inert here — an injected hang degrades to
-        :class:`WorkerHangError` inside ``run_shard`` (inline shards
-        must never hang the driver) and lands in the same
-        ``worker_hang`` reschedule path. The while loop *is* the
-        rescheduler: ``_attempt_failed`` only decides reschedule vs
-        quarantine, and a shard left neither done nor quarantined is
-        re-attempted.
+        :class:`~repro.faults.injector.WorkerHangError` inside
+        ``run_shard`` (inline shards must never hang the driver) and
+        lands in the same ``worker_hang`` failure path. The while loop
+        *is* the rescheduler: ``_attempt_failed`` only decides
+        reschedule vs give-up, and a shard left neither done nor given
+        up is re-attempted.
         """
-        from .workers import run_shard
-
         self._inline = True
         for spec in to_run:
             state = self._state[spec.shard_index]
             armed = self._armed_first.get(spec.shard_index, True)
-            while not state.done and not state.quarantined:
+            while not state.done and not state.given_up:
                 attempt = state.attempts_used + 1
                 state.attempts_used = attempt
-                self.journal.record_event(
+                self._event(
                     "attempt_started", shard=spec.shard_index,
                     attempt=attempt, hedge=False, armed=armed,
                     pid=os.getpid())
-                started = time.time()
                 shim = _Attempt(spec=spec, attempt=attempt,
                                 process=None, conn=None,
-                                directory=self.journal.directory,
-                                started=started)
+                                directory=self._journal_dir,
+                                started=time.time())
                 try:
                     result = run_shard(
                         spec, self.config, self.telemetry,
                         self.exec_cache, self.fault_plan,
-                        self.retry_policy, self.journal.directory,
-                        armed,
+                        self.retry_policy, self._journal_dir, armed,
                         trace_ctx=self.trace_ctx_for(spec, attempt),
                         profile=self.profile, attempt=attempt)
-                except WorkerHangError as exc:
-                    self._attempt_failed(state, shim, "worker_hang",
-                                         str(exc), crashed=True)
-                except WorkerCrashError as exc:
-                    self._attempt_failed(state, shim, "worker_crash",
-                                         str(exc), crashed=True)
                 except Exception as exc:
-                    self._attempt_failed(
-                        state, shim, "error",
-                        f"{type(exc).__name__}: {exc}")
+                    kind, message = classify_failure(exc)
+                    self._attempt_failed(state, shim, kind, message,
+                                         crashed=kind != "error")
                 else:
                     self._complete(state, shim, result, promote=False)
                 # A rescheduled attempt runs disarmed unless the fault
@@ -631,7 +619,7 @@ class FleetSupervisor:
         if state.done:
             # A sibling (hedge) already won; this copy's work is moot.
             self._report.lost_cpu_seconds += result.elapsed_seconds
-            self.journal.record_event(
+            self._event(
                 "hedge_lost", shard=attempt.shard_index,
                 attempt=attempt.attempt, outcome="finished_second")
             return
@@ -640,14 +628,15 @@ class FleetSupervisor:
         result.transfer_seconds = max(
             0.0, time.time() - result.finished_unix)
         self.results[attempt.shard_index] = result
-        if promote:
-            self._promote(attempt)
         rescheduled_from = state.last_failed_attempt \
             if attempt.attempt > 1 else 0
-        self.journal.record_done(attempt.shard_index,
-                                 attempt=attempt.attempt,
-                                 rescheduled_from=rescheduled_from)
-        self.journal.record_event(
+        if self.journal is not None:
+            if promote:
+                self._promote(attempt)
+            self.journal.record_done(attempt.shard_index,
+                                     attempt=attempt.attempt,
+                                     rescheduled_from=rescheduled_from)
+        self._event(
             "attempt_completed", shard=attempt.shard_index,
             attempt=attempt.attempt, hedge=attempt.hedge,
             elapsed=round(result.elapsed_seconds, 3),
@@ -662,7 +651,7 @@ class FleetSupervisor:
         for sibling in list(state.live):
             self._report.lost_cpu_seconds += \
                 time.time() - sibling.started
-            self.journal.record_event(
+            self._event(
                 "hedge_lost", shard=sibling.shard_index,
                 attempt=sibling.attempt, outcome="terminated")
             self._reap(sibling, terminate=True)
@@ -681,20 +670,29 @@ class FleetSupervisor:
         state.last_kind = kind
         state.last_message = message
         state.last_failed_attempt = attempt.attempt
-        self.journal.record_failure(
-            attempt.shard_index, kind, message, crashed=crashed,
-            attempt=attempt.attempt, rescheduled_from=rescheduled_from)
-        self.journal.record_event(
+        if self.journal is not None:
+            self.journal.record_failure(
+                attempt.shard_index, kind, message, crashed=crashed,
+                attempt=attempt.attempt,
+                rescheduled_from=rescheduled_from)
+        self._event(
             "attempt_failed", shard=attempt.shard_index,
             attempt=attempt.attempt, failure_kind=kind, message=message)
-        _log.warning("supervised_attempt_failed",
-                     shard=attempt.shard_index, attempt=attempt.attempt,
-                     kind=kind, reason=message)
         if state.live:
             # A hedge copy is still running — it may yet deliver, and
             # its own failure will re-enter this path with the live
             # list empty.
             return
+        if not self.supervised:
+            self._give_up(state, ShardFailure(
+                attempt.shard_index, state.spec.start, state.spec.stop,
+                kind, message))
+            _log.warning("fleet_shard_failed", shard=attempt.shard_index,
+                         kind=kind, reason=message)
+            return
+        _log.warning("supervised_attempt_failed",
+                     shard=attempt.shard_index, attempt=attempt.attempt,
+                     kind=kind, reason=message)
         if state.attempts_used >= self.policy.max_attempts:
             self._quarantine(state, reason="max_attempts")
         elif not self._spend_budget():
@@ -705,41 +703,42 @@ class FleetSupervisor:
     def _reschedule(self, state: _ShardState) -> None:
         next_attempt = state.attempts_used + 1
         self._report.reschedules += 1
-        self.journal.record_event(
+        self._event(
             "rescheduled", shard=state.spec.shard_index,
             attempt=next_attempt,
             rescheduled_from=state.last_failed_attempt,
             failure_kind=state.last_kind)
         if self._inline:
             # The inline while-loop re-attempts any shard left neither
-            # done nor quarantined; launching here would double-run it.
+            # done nor given up; launching here would double-run it.
             return
         # The injected worker fault fired once already; only a
         # ``repeat`` spec (systemically broken shard) re-arms it.
         self._launch(state.spec, attempt=next_attempt,
                      armed=self._repeat_fault(state.spec.shard_index))
 
-    def _quarantine(self, state: _ShardState, reason: str) -> None:
-        from .workers import ShardFailure
+    def _give_up(self, state: _ShardState, failure: ShardFailure) -> None:
+        state.given_up = True
+        self.failures[failure.shard_index] = failure
 
-        state.quarantined = True
+    def _quarantine(self, state: _ShardState, reason: str) -> None:
         spec = state.spec
         if reason == "fault_budget":
             self._report.budget_exhausted = True
         self.journal.record_quarantine(
             spec.shard_index, state.last_kind, state.last_message,
             attempt=state.attempts_used)
-        self.journal.record_event(
+        self._event(
             "quarantined", shard=spec.shard_index,
             attempts=state.attempts_used, reason=reason,
             failure_kind=state.last_kind)
         _log.warning("shard_quarantined", shard=spec.shard_index,
                      attempts=state.attempts_used, reason=reason,
                      kind=state.last_kind)
-        self.failures[spec.shard_index] = ShardFailure(
+        self._give_up(state, ShardFailure(
             spec.shard_index, spec.start, spec.stop, state.last_kind,
             f"quarantined after {state.attempts_used} attempt(s) "
-            f"({reason}): {state.last_message}")
+            f"({reason}): {state.last_message}"))
         self._report.quarantined.append(QuarantinedShard(
             shard_index=spec.shard_index, start=spec.start,
             stop=spec.stop, attempts=state.attempts_used,
@@ -762,6 +761,11 @@ class FleetSupervisor:
 
     # ---------------------------------------------------------- plumbing
 
+    def _event(self, event: str, **data) -> None:
+        """Journal a supervision event (supervised runs only)."""
+        if self.supervised:
+            self.journal.record_event(event, **data)
+
     def _reap(self, attempt: _Attempt, terminate: bool = False) -> None:
         if attempt.process is not None:
             if terminate and attempt.process.is_alive():
@@ -779,24 +783,26 @@ class FleetSupervisor:
     def _promote(self, attempt: _Attempt) -> None:
         """Move the winning attempt's files to canonical journal names.
 
-        After promotion the journal looks exactly like an unsupervised
-        run wrote it — ``--resume`` and ``fleet-status`` need no
-        supervision awareness to read it.
+        After promotion the journal looks exactly like an inline run
+        wrote it — ``--resume`` and ``fleet-status`` need no attempt
+        awareness to read it.
         """
         stem = f"shard-{attempt.shard_index:04d}"
         for suffix in (".db", ".pkl", ".spans.jsonl", ".folded",
                        ".status.json"):
             source = attempt.directory / (stem + suffix)
             if source.exists():
-                os.replace(source, self.journal.directory
-                           / (stem + suffix))
+                os.replace(source, self._journal_dir / (stem + suffix))
         shutil.rmtree(attempt.directory, ignore_errors=True)
 
     def _cleanup_attempt_dirs(self) -> None:
-        shutil.rmtree(self.journal.directory / "attempts",
-                      ignore_errors=True)
+        if self._journal_dir is not None:
+            shutil.rmtree(self._journal_dir / "attempts",
+                          ignore_errors=True)
 
-    def _finalize(self) -> DegradationReport:
+    def _finalize(self) -> DegradationReport | None:
+        if not self.supervised:
+            return None
         report = self._report
         for state in self._state.values():
             report.attempts_histogram[state.attempts_used] = \
@@ -805,7 +811,7 @@ class FleetSupervisor:
             # Partial run: the journal outlives the run, so the report
             # does too (fleet-status renders it post-mortem).
             self.journal.write_degradation(report.to_dict())
-        self.journal.record_event(
+        self._event(
             "supervision_finished", merged=report.merged_pipelines,
             lost=report.lost_pipelines, reschedules=report.reschedules,
             hedges=report.hedges, quarantined=len(report.quarantined),

@@ -35,10 +35,16 @@ Worker discipline:
   ``fleet.run`` span — one causally ordered cross-process timeline.
 * Workers return a :class:`~repro.fleet.merge.StoreSnapshot`, not a
   ``MetadataStore`` — the store object is not picklable (its bound
-  instruments hold locks). On the process-pool path the worker pickles
-  the snapshot itself (``serialize=True``) so serialize time and byte
-  size are measured where they happen; inline shards skip the
-  round-trip entirely.
+  instruments hold locks). A worker process pickles the snapshot
+  itself (``serialize=True``) so serialize time and byte size are
+  measured where they happen; inline shards skip the round-trip
+  entirely.
+
+Executors: a run with exactly one shard to simulate and no supervision
+calls :func:`run_shard` directly — the sequential baseline. Every other
+run goes through :class:`~repro.fleet.supervisor.FleetSupervisor`,
+the one code path that starts worker processes (or, where spawn is
+unavailable, runs their shards inline).
 
 Crash safety (:mod:`repro.faults`): a worker that raises — or is
 killed outright — loses only its own shard. The driver records a
@@ -51,7 +57,6 @@ and converges on the exact store a fault-free run produces.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import json
 import multiprocessing
@@ -88,6 +93,7 @@ __all__ = [
     "ShardFailure",
     "ShardResult",
     "ShardSpec",
+    "classify_failure",
     "generate_corpus_fleet",
     "pipeline_rng",
     "plan_shards",
@@ -151,7 +157,7 @@ class ShardResult:
 
     The shard's rows travel either as a live :class:`StoreSnapshot`
     (``snapshot_direct``, inline/resume paths) or as a pickle blob the
-    worker serialized itself (``snapshot_blob``, process-pool path —
+    worker serialized itself (``snapshot_blob``, worker-process path —
     measured as the ``serialize`` phase). :attr:`snapshot` presents one
     view over both.
     """
@@ -189,13 +195,27 @@ class ShardFailure:
     shard_index: int
     start: int
     stop: int
-    kind: str  # worker_crash | worker_killed | error
+    kind: str  # worker_crash | worker_hang | worker_killed | error
     message: str
 
     @property
     def n_pipelines(self) -> int:
         """Pipelines missing from the merged store because of this."""
         return self.stop - self.start
+
+
+def classify_failure(exc: Exception) -> tuple[str, str]:
+    """``(kind, message)`` of the exception that lost a shard attempt.
+
+    :class:`WorkerHangError` subclasses :class:`WorkerCrashError`, so it
+    is matched first. Any other exception is a worker bug (``error``);
+    only that kind is not counted as a crash in the journal.
+    """
+    if isinstance(exc, WorkerHangError):
+        return "worker_hang", str(exc)
+    if isinstance(exc, WorkerCrashError):
+        return "worker_crash", str(exc)
+    return "error", f"{type(exc).__name__}: {exc}"
 
 
 def _maybe_worker_fault(fault: FaultSpec | None, spec: ShardSpec,
@@ -241,9 +261,9 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
               attempt: int = 1) -> ShardResult:
     """Simulate one shard into a private store (worker entry point).
 
-    Runs in a worker process (or inline for workers=1): installs a
-    fresh registry, simulates pipelines ``[spec.start, spec.stop)``
-    each on its derived rng, and returns a picklable snapshot.
+    Runs in a worker process (or inline): installs a fresh registry,
+    simulates pipelines ``[spec.start, spec.stop)`` each on its derived
+    rng, and returns a picklable snapshot.
 
     With a ``fault_plan``, each pipeline gets its plan-derived fault
     injector (seeded by global index — shard-invariant), and a
@@ -256,9 +276,9 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     heartbeats progress into ``shard-NNNN.status.json`` for
     ``repro fleet-status``. With a ``trace_ctx``, a fresh worker
     tracer records the shard's spans for driver-side adoption; with
-    ``serialize=True`` (the process-pool path) the snapshot is pickled
-    here, under measurement, instead of implicitly by the pool. With
-    ``profile=True``, a :class:`~repro.obs.profiling.StackSampler`
+    ``serialize=True`` (the worker-process path) the snapshot is pickled
+    here, under measurement, instead of implicitly by the result pipe.
+    With ``profile=True``, a :class:`~repro.obs.profiling.StackSampler`
     samples this thread for the shard's whole lifetime; the folded
     stacks ship home in :attr:`ShardResult.profile` (and land in the
     journal as ``shard-NNNN.folded``) for coordinator-side merging.
@@ -556,7 +576,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     Args:
         config: Corpus configuration (default ``CorpusConfig()``).
         workers: Shard count; ``> 1`` simulates shards in worker
-            processes (falling back to in-process on pool failure).
+            processes (falling back to in-process when spawn fails).
         exec_cache: Enable the content-addressed execution cache.
         telemetry: Persist provenance telemetry rows, as in
             :func:`repro.corpus.generate_corpus`.
@@ -580,11 +600,11 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             ``report.profile_folded`` (and journaled per shard). A
             resumed shard contributes its journaled profile, if any —
             the flag is not part of the journal fingerprint.
-        supervise: Run shards under the in-run
-            :class:`~repro.fleet.supervisor.FleetSupervisor` —
+        supervise: Give the
+            :class:`~repro.fleet.supervisor.FleetSupervisor` a policy —
             crashed / hung / straggling workers are rescheduled,
             hedged, or quarantined *during* the run instead of
-            aborting it. Requires a ``journal_dir``.
+            failing their shard. Requires a ``journal_dir``.
         max_attempts: Supervised attempts per shard before it is
             quarantined for this run.
         stall_after: Seconds without a heartbeat before a supervised
@@ -687,49 +707,45 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                                 root_span_id=run_span.span_id,
                                 worker=worker)
 
-        def record_done(spec: ShardSpec, result: ShardResult) -> None:
-            results[spec.shard_index] = result
-            if journal is not None:
-                journal.record_done(spec.shard_index)
-
-        def record_failure(spec: ShardSpec, kind: str, message: str,
-                           crashed: bool = False) -> None:
-            failures[spec.shard_index] = ShardFailure(
-                spec.shard_index, spec.start, spec.stop, kind, message)
-            if journal is not None:
-                journal.record_failure(spec.shard_index, kind, message,
-                                       crashed=crashed)
-            _log.warning("fleet_shard_failed", shard=spec.shard_index,
-                         kind=kind, reason=message)
-
-        def run_inline(spec: ShardSpec) -> None:
-            try:
-                record_done(spec, run_shard(
-                    spec, config, telemetry, exec_cache, fault_plan,
-                    retry_policy, payload_dir,
-                    allow_crash[spec.shard_index],
-                    trace_ctx=trace_ctx_for(spec), profile=profile))
-            except WorkerCrashError as exc:
-                record_failure(spec, "worker_crash", str(exc),
-                               crashed=True)
-            except Exception as exc:  # A worker bug loses one shard only.
-                record_failure(spec, "error",
-                               f"{type(exc).__name__}: {exc}")
-
         used_processes = False
         degradation = None
         with _timed_phase(phases, "simulate", shards=len(to_run)):
-            if to_run and supervise:
+            if len(to_run) == 1 and not supervise:
+                # The sequential baseline: one shard, simulated here.
+                spec = to_run[0]
+                try:
+                    result = run_shard(
+                        spec, config, telemetry, exec_cache, fault_plan,
+                        retry_policy, payload_dir,
+                        allow_crash[spec.shard_index],
+                        trace_ctx=trace_ctx_for(spec), profile=profile)
+                except Exception as exc:  # A worker bug loses one shard.
+                    kind, message = classify_failure(exc)
+                    failures[spec.shard_index] = ShardFailure(
+                        spec.shard_index, spec.start, spec.stop, kind,
+                        message)
+                    if journal is not None:
+                        journal.record_failure(spec.shard_index, kind,
+                                               message,
+                                               crashed=kind != "error")
+                    _log.warning("fleet_shard_failed",
+                                 shard=spec.shard_index, kind=kind,
+                                 reason=message)
+                else:
+                    results[spec.shard_index] = result
+                    if journal is not None:
+                        journal.record_done(spec.shard_index)
+            elif to_run:
                 from .supervisor import FleetSupervisor, SupervisorPolicy
 
+                policy = SupervisorPolicy(
+                    max_attempts=max_attempts,
+                    stall_after=stall_after
+                    if stall_after is not None else DEFAULT_STALL_AFTER,
+                    hedge_after=hedge_after,
+                    fault_budget=fault_budget) if supervise else None
                 supervisor = FleetSupervisor(
-                    config, journal,
-                    SupervisorPolicy(
-                        max_attempts=max_attempts,
-                        stall_after=stall_after
-                        if stall_after is not None else DEFAULT_STALL_AFTER,
-                        hedge_after=hedge_after,
-                        fault_budget=fault_budget),
+                    config, journal, policy,
                     telemetry=telemetry, exec_cache=exec_cache,
                     fault_plan=fault_plan, retry_policy=retry_policy,
                     trace_ctx_for=trace_ctx_for, profile=profile,
@@ -743,78 +759,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 results.update(sup_results)
                 failures.update(sup_failures)
                 used_processes = supervisor.used_processes
-            elif to_run and (len(shards) == 1 or in_process
-                             or len(to_run) == 1):
-                for spec in to_run:
-                    run_inline(spec)
-            elif to_run:
-                pool_casualties: list[ShardSpec] = []
-                try:
-                    with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=len(to_run)) as pool:
-                        futures = {
-                            pool.submit(
-                                run_shard, spec, config, telemetry,
-                                exec_cache, fault_plan, retry_policy,
-                                payload_dir,
-                                allow_crash[spec.shard_index],
-                                trace_ctx=trace_ctx_for(spec),
-                                serialize=True, profile=profile): spec
-                            for spec in to_run
-                        }
-                        for future in concurrent.futures.as_completed(
-                                futures):
-                            spec = futures[future]
-                            try:
-                                result = future.result()
-                                # Receipt time minus the worker's return
-                                # stamp ≈ time the shard spent queued +
-                                # crossing the process boundary.
-                                result.transfer_seconds = max(
-                                    0.0,
-                                    time.time() - result.finished_unix)
-                                record_done(spec, result)
-                                used_processes = True
-                            except WorkerCrashError as exc:
-                                record_failure(spec, "worker_crash",
-                                               str(exc), crashed=True)
-                                used_processes = True
-                            except (concurrent.futures.process
-                                    .BrokenProcessPool):
-                                pool_casualties.append(spec)
-                            except Exception as exc:
-                                record_failure(
-                                    spec, "error",
-                                    f"{type(exc).__name__}: {exc}")
-                                used_processes = True
-                except (OSError, pickle.PicklingError,
-                        concurrent.futures.process
-                        .BrokenProcessPool) as exc:
-                    _log.warning("fleet_pool_unavailable",
-                                 reason=type(exc).__name__,
-                                 fallback="in_process")
-                    pool_casualties = [
-                        spec for spec in to_run
-                        if spec.shard_index not in results
-                        and spec.shard_index not in failures]
-                # A broken pool can't say which worker died. A shard
-                # whose plan called for a kill-mode crash is the culprit
-                # — record it as crashed; the rest are innocent victims
-                # of the shared pool (or the sandbox denied processes
-                # entirely) and re-run inline.
-                for spec in pool_casualties:
-                    crash = (fault_plan.worker_crash(spec.shard_index)
-                             if fault_plan is not None else None)
-                    if crash is not None and crash.mode == "kill" \
-                            and allow_crash[spec.shard_index]:
-                        used_processes = True
-                        record_failure(
-                            spec, "worker_killed",
-                            f"worker for shard {spec.shard_index} "
-                            f"killed after {crash.after_pipelines} "
-                            "pipeline(s)", crashed=True)
-                    else:
-                        run_inline(spec)
 
         store = MetadataStore()
         if telemetry:

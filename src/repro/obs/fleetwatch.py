@@ -225,7 +225,7 @@ def collect_fleet_status(journal_dir: str | Path,
     itself declared in the manifest's ``meta`` — so ``fleet-status``
     and the run's own supervisor agree on what counts as stalled —
     falling back to :data:`DEFAULT_STALL_AFTER` for older journals.
-    A supervised run's live heartbeats are found under
+    Worker processes' live heartbeats are found under
     ``attempts/shard-NNNN-aK/`` (the freshest attempt wins); promoted
     winners land on the canonical path, which takes precedence.
     """
@@ -321,8 +321,8 @@ def collect_fleet_status(journal_dir: str | Path,
 def _freshest_beat(journal_dir: Path, shard_index: int) -> dict | None:
     """The shard's most recent heartbeat, canonical or per-attempt.
 
-    A supervised run heartbeats into private attempt directories until
-    the winning attempt is promoted; an unsupervised run writes the
+    A worker process heartbeats into its private attempt directory
+    until the winning attempt is promoted; an inline shard writes the
     canonical path directly. The canonical file wins when present
     (it is the promoted, final state); otherwise the freshest attempt
     beat represents the shard.
