@@ -140,18 +140,21 @@ class Graphlet:
     def span_sequence_with_ids(self) -> tuple[list[int], list[SpanDigest]]:
         """(artifact ids, digests) of the input spans, ingestion order.
 
-        The ids key the corpus-wide span-pair similarity cache; the
-        digest list is cached on the graphlet (property reconstruction is
-        the hot path of the similarity analyses).
+        The ids key the corpus-wide span-pair similarity cache. Digests
+        come from the client's per-artifact memo, so a span shared by
+        many graphlet windows is decoded once; the pair of lists is also
+        cached on the graphlet.
         """
         cached = getattr(self, "_span_seq_cache", None)
         if cached is not None:
             return cached
-        spans = [self.store.get_artifact(a)
+        from ..query import as_client
+        client = as_client(self.store)
+        spans = [client.get_artifact(a)
                  for a in self.input_span_artifact_ids()]
         spans.sort(key=lambda a: (a.get("span_id", 0), a.id))
         result = ([a.id for a in spans],
-                  [SpanDigest.from_properties(a.properties) for a in spans])
+                  [client.span_digest(a.id) for a in spans])
         self._span_seq_cache = result
         return result
 

@@ -16,7 +16,10 @@ indexes stay current incrementally, and exposes
 * batched :meth:`get_many` / :meth:`neighbors_many` calls;
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
   ``(context_id, index version)`` so repeated segmentation of an
-  unchanged pipeline is a dictionary hit.
+  unchanged pipeline is a dictionary hit;
+* a span-digest memo (:meth:`span_digest`): each DataSpan artifact's
+  similarity digest is decoded once per index version, however many
+  graphlet windows contain it.
 
 Use :func:`as_client` at API boundaries: it passes clients through
 untouched and lazily attaches (and caches) a client on a raw store, so
@@ -42,6 +45,7 @@ from .indexes import IndexSet
 
 if TYPE_CHECKING:
     from ..graphlets.graphlet import Graphlet
+    from ..similarity.feature_metric import SpanDigest
 
 #: Attribute under which :func:`as_client` caches the default client on
 #: a raw store instance.
@@ -76,6 +80,8 @@ class MetadataClient:
         self._segment_cache_size = segment_cache_size
         self.segment_cache_hits = 0
         self.segment_cache_misses = 0
+        self._digests: dict[int, SpanDigest] = {}
+        self._digests_version = -1
         store.subscribe(self.indexes.apply)
         self.indexes.build(store)
 
@@ -359,6 +365,25 @@ class MetadataClient:
         """Graphlets of every Pipeline context, via the cached segmenter."""
         return {context.id: self.segment_pipeline(context.id)
                 for context in self.contexts("Pipeline")}
+
+    # ------------------------------------------------- span digests
+
+    def span_digest(self, artifact_id: int) -> SpanDigest:
+        """The similarity digest of one DataSpan artifact, decoded once.
+
+        The memo is dropped whenever the index version moves, like the
+        segmentation cache, so a digest never outlives a store write.
+        """
+        if self._digests_version != self.indexes.version:
+            self._digests.clear()
+            self._digests_version = self.indexes.version
+        digest = self._digests.get(artifact_id)
+        if digest is None:
+            from ..similarity.feature_metric import SpanDigest
+            digest = SpanDigest.from_properties(
+                self.get_artifact(artifact_id).properties)
+            self._digests[artifact_id] = digest
+        return digest
 
 
 def as_client(store_or_client) -> MetadataClient:

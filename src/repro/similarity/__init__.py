@@ -3,10 +3,8 @@
 from .feature_metric import (
     ALPHA,
     BETA,
-    FeatureDigest,
     SpanDigest,
     digest_span,
-    feature_similarity,
     span_similarity,
     span_similarity_exact,
 )
@@ -22,13 +20,11 @@ __all__ = [
     "ALPHA",
     "BETA",
     "DEFAULT_HASHER",
-    "FeatureDigest",
     "S2JSDHasher",
     "SpanPairCache",
     "SpanDigest",
     "bipartite_similarity",
     "digest_span",
-    "feature_similarity",
     "jaccard_similarity",
     "s2jsd",
     "sequence_similarity",

@@ -1,8 +1,9 @@
 """Feature- and span-level similarity (Appendix B, Eq. 2 and the EMD).
 
 A *span digest* is the privacy-preserving view the similarity metric
-needs: per-feature (name, type, LSH hash of the standardized
-distribution). Feature similarity is
+needs: per feature, its name, its type and the LSH hash of its
+standardized distribution, held as three parallel columns. Feature
+similarity is
 
     s(f1, f2) = alpha * 1[h(f1) = h(f2)] + beta * 1[name1 = name2]
 
@@ -12,15 +13,17 @@ equal-weight clusters and the ground "distance" is the feature
 similarity (the transport *maximizes* total similarity). The metric is
 symmetric, lands in [0, 1], S(D, D) = 1, and S(empty, D) = 0.
 
-Two solvers are provided: an exact LP (scipy linprog) and a tiered greedy
-matcher exploiting the fact that s takes only four values; they agree on
-the structured instances that arise here (names are unique within a
-span), which the test-suite and an ablation bench check.
+Two solvers are provided: an exact LP (scipy linprog), kept as the test
+oracle, and a tiered greedy matcher exploiting the fact that s takes
+only four values; they agree on the structured instances that arise
+here (names are unique within a span), which the test-suite and an
+ablation bench check. For two spans with as many features as each
+other the greedy reduces to counting: names shared between the spans
+and per-bucket minima of the ``(hash, type)`` counts each digest
+builds once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -38,95 +41,105 @@ ALPHA = 0.15
 #: Weight on feature-name equality in Eq. 2.
 BETA = 0.85
 
-
-@dataclass(frozen=True)
-class FeatureDigest:
-    """Digest of one feature: name, kind, and distribution hash."""
-
-    name: str
-    is_categorical: bool
-    dist_hash: int
+#: A feature's bucket key packs ``(hash, categorical)`` into one int64
+#: as ``2 * hash + categorical``, so hashes must lie in [-2^62, 2^62).
+_HASH_LIMIT = 1 << 62
 
 
-@dataclass
 class SpanDigest:
-    """Digest of one span: its feature digests, hashable and comparable.
+    """Digest of one span as parallel columns, one entry per feature.
 
     This is what the corpus records on DataSpan artifacts — it is
     sufficient for the Appendix-B metric and orders of magnitude smaller
     than the statistics themselves.
+
+    Attributes:
+        names: Feature names, a tuple of str.
+        categorical: Per-feature categorical flag, a bool array.
+        hashes: Per-feature distribution hash, an int64 array.
+
+    Construction also builds a name → index dict (the last index wins
+    for a repeated name). The first score builds, once, the sorted
+    unique ``(hash, categorical)`` bucket keys with their feature counts;
+    the write path, which only stores digests, never pays for them.
+    Treat a digest as immutable.
     """
 
-    features: list[FeatureDigest] = field(default_factory=list)
+    __slots__ = ("names", "categorical", "hashes", "_index", "_buckets")
+
+    def __init__(self, names=(), categorical=(), hashes=()) -> None:
+        self.names = tuple(names)
+        self.categorical = np.asarray(categorical, dtype=bool)
+        self.hashes = np.asarray(hashes, dtype=np.int64)
+        if not (len(self.names) == len(self.categorical)
+                == len(self.hashes)):
+            raise ValueError(
+                f"digest columns differ in length: {len(self.names)} "
+                f"names, {len(self.categorical)} categorical flags, "
+                f"{len(self.hashes)} hashes")
+        if len(self.hashes) and (self.hashes.min() < -_HASH_LIMIT
+                                 or self.hashes.max() >= _HASH_LIMIT):
+            raise ValueError("digest hashes must lie in [-2**62, 2**62)")
+        self._index = {name: i for i, name in enumerate(self.names)}
+        self._buckets = None
+
+    @property
+    def _keys(self) -> np.ndarray:
+        """Each feature's ``(hash, categorical)`` bucket key."""
+        return 2 * self.hashes + self.categorical
+
+    def _bucket_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique bucket keys and their feature counts."""
+        if self._buckets is None:
+            self._buckets = np.unique(self._keys, return_counts=True)
+        return self._buckets
 
     @property
     def feature_count(self) -> int:
         """Number of features in the digest."""
-        return len(self.features)
+        return len(self.names)
 
     def to_properties(self) -> dict:
-        """Flatten to MLMD-compatible list properties."""
+        """Flatten to MLMD-compatible list properties (Python natives)."""
         return {
-            "digest_names": [f.name for f in self.features],
-            "digest_categorical": [f.is_categorical for f in self.features],
-            "digest_hashes": [f.dist_hash for f in self.features],
+            "digest_names": list(self.names),
+            "digest_categorical": self.categorical.tolist(),
+            "digest_hashes": self.hashes.tolist(),
         }
 
     @classmethod
     def from_properties(cls, properties: dict) -> "SpanDigest":
-        """Rebuild a digest from artifact properties."""
-        names = properties.get("digest_names", [])
-        cats = properties.get("digest_categorical", [])
-        hashes = properties.get("digest_hashes", [])
-        return cls(features=[
-            FeatureDigest(name=n, is_categorical=bool(c), dist_hash=int(h))
-            for n, c, h in zip(names, cats, hashes)
-        ])
+        """Rebuild a digest from artifact properties.
+
+        Raises ``ValueError`` when the three lists differ in length.
+        """
+        return cls(properties.get("digest_names", ()),
+                   properties.get("digest_categorical", ()),
+                   properties.get("digest_hashes", ()))
 
 
 def digest_span(statistics: SpanStatistics,
                 hasher: S2JSDHasher = DEFAULT_HASHER) -> SpanDigest:
     """Digest a span's summary statistics (hashing vectorized)."""
-    names: list[str] = []
-    cats: list[bool] = []
-    rows: list[np.ndarray] = []
-    for name, stats in statistics.features.items():
-        names.append(name)
-        cats.append(stats.type is FeatureType.CATEGORICAL)
-        rows.append(stats.distribution())
-    if not rows:
-        return SpanDigest(features=[])
-    hashes = hasher.hash_many(np.vstack(rows))
-    return SpanDigest(features=[
-        FeatureDigest(name=name, is_categorical=cat, dist_hash=int(h))
-        for name, cat, h in zip(names, cats, hashes)
-    ])
-
-
-def feature_similarity(f1: FeatureDigest, f2: FeatureDigest,
-                       alpha: float = ALPHA, beta: float = BETA) -> float:
-    """Eq. 2: weighted indicators of hash and name equality.
-
-    Similarity between a numerical and a categorical feature is 0.
-    """
-    if f1.is_categorical != f2.is_categorical:
-        return 0.0
-    score = 0.0
-    if f1.dist_hash == f2.dist_hash:
-        score += alpha
-    if f1.name == f2.name:
-        score += beta
-    return score
+    features = statistics.features
+    if not features:
+        return SpanDigest()
+    return SpanDigest(
+        tuple(features),
+        [stats.type is FeatureType.CATEGORICAL
+         for stats in features.values()],
+        hasher.hash_many(np.vstack(
+            [stats.distribution() for stats in features.values()])))
 
 
 def _similarity_matrix(d1: SpanDigest, d2: SpanDigest, alpha: float,
                        beta: float) -> np.ndarray:
-    n, m = d1.feature_count, d2.feature_count
-    matrix = np.zeros((n, m))
-    for i, f1 in enumerate(d1.features):
-        for j, f2 in enumerate(d2.features):
-            matrix[i, j] = feature_similarity(f1, f2, alpha, beta)
-    return matrix
+    """Eq. 2 for every feature pair; 0 between features of two types."""
+    same_type = d1.categorical[:, None] == d2.categorical[None, :]
+    same_hash = d1.hashes[:, None] == d2.hashes[None, :]
+    same_name = (np.asarray(d1.names, dtype=str)[:, None]
+                 == np.asarray(d2.names, dtype=str)[None, :])
+    return np.where(same_type, alpha * same_hash + beta * same_name, 0.0)
 
 
 def span_similarity_exact(d1: SpanDigest, d2: SpanDigest,
@@ -141,16 +154,12 @@ def span_similarity_exact(d1: SpanDigest, d2: SpanDigest,
     n, m = d1.feature_count, d2.feature_count
     if n == 0 or m == 0:
         return 0.0
-    sim = _similarity_matrix(d1, d2, alpha, beta)
-    c = -sim.reshape(-1)  # linprog minimizes.
-    a_eq = np.zeros((n + m, n * m))
+    c = -_similarity_matrix(d1, d2, alpha, beta).reshape(-1)
+    # Row i of the flow matrix sums to 1/n, column j to 1/m; both totals
+    # are 1, as equality constraints need.
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)),
+                      np.tile(np.eye(m), n)])
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    # Total supply must equal total demand for equality constraints; both
-    # sum to 1 by construction.
     result = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                      method="highs")
     if not result.success:
@@ -172,11 +181,68 @@ def span_similarity(d1: SpanDigest, d2: SpanDigest, alpha: float = ALPHA,
     n, m = d1.feature_count, d2.feature_count
     if n == 0 or m == 0:
         return 0.0
-    supply = np.full(n, 1.0 / n)
-    demand = np.full(m, 1.0 / m)
-    total = 0.0
+    if (n == m and alpha <= beta and len(d1._index) == n
+            and len(d2._index) == m):
+        total = _equal_size_total(d1, d2, alpha, beta)
+    else:
+        total = _greedy_total(d1, d2, alpha, beta)
+    # Clamp away float-summation overshoot; the metric is in [0, 1].
+    return float(min(max(total, 0.0), 1.0))
 
-    name_to_j = {f.name: j for j, f in enumerate(d2.features)}
+
+def _equal_size_total(d1: SpanDigest, d2: SpanDigest, alpha: float,
+                      beta: float) -> float:
+    """The greedy's total for n == m features, unique names, alpha <= beta.
+
+    Every supply and demand starts at 1/n, so each route moves exactly
+    1/n or nothing, and the greedy only has to be counted: k1 name+hash
+    matches, k2 name-only matches, then k3 hash matches, where k3 sums
+    min(c1, c2) over the ``(hash, type)`` buckets of the features the
+    name tiers left. The total is still summed term by term, in the
+    greedy's order, so it equals the greedy's total bit for bit.
+    """
+    share = 1.0 / d1.feature_count
+    k1 = k2 = 0
+    keys1, counts1 = d1._bucket_counts()
+    keys2, counts2 = d2._bucket_counts()
+    shared = d1._index.keys() & d2._index.keys()
+    if shared:
+        i = np.array([d1._index[name] for name in shared])
+        j = np.array([d2._index[name] for name in shared])
+        same_type = d1.categorical[i] == d2.categorical[j]
+        i, j = i[same_type], j[same_type]
+        same_hash = d1.hashes[i] == d2.hashes[j]
+        k1 = int(same_hash.sum())
+        if beta > 0:
+            k2 = len(i) - k1
+        else:  # The name-only tier does not run and consumes nothing.
+            i, j = i[same_hash], j[same_hash]
+        if len(i):
+            keys1, counts1 = np.unique(np.delete(d1._keys, i),
+                                       return_counts=True)
+            keys2, counts2 = np.unique(np.delete(d2._keys, j),
+                                       return_counts=True)
+    k3 = 0
+    if alpha > 0:
+        _, at1, at2 = np.intersect1d(keys1, keys2, assume_unique=True,
+                                     return_indices=True)
+        k3 = int(np.minimum(counts1[at1], counts2[at2]).sum())
+    if k1 + k2 + k3 == 0:
+        return 0.0
+    terms = np.repeat([share * (alpha + beta), share * beta, share * alpha],
+                      [k1, k2, k3])
+    return float(np.add.accumulate(terms)[-1])
+
+
+def _greedy_total(d1: SpanDigest, d2: SpanDigest, alpha: float,
+                  beta: float) -> float:
+    """The tiered greedy for every other pair: route mass pair by pair."""
+    n, m = d1.feature_count, d2.feature_count
+    supply = [1.0 / n] * n
+    demand = [1.0 / m] * m
+    cats1, cats2 = d1.categorical.tolist(), d2.categorical.tolist()
+    hashes1, hashes2 = d1.hashes.tolist(), d2.hashes.tolist()
+    total = 0.0
 
     def _route(i: int, j: int, tier_value: float) -> float:
         amount = min(supply[i], demand[j])
@@ -188,40 +254,35 @@ def span_similarity(d1: SpanDigest, d2: SpanDigest, alpha: float = ALPHA,
 
     # Tier 1: name + hash match (alpha + beta).
     pending_name_only: list[tuple[int, int]] = []
-    for i, f1 in enumerate(d1.features):
-        j = name_to_j.get(f1.name)
-        if j is None:
+    for i, name in enumerate(d1.names):
+        j = d2._index.get(name)
+        if j is None or cats1[i] != cats2[j]:
             continue
-        f2 = d2.features[j]
-        if f1.is_categorical != f2.is_categorical:
-            continue
-        if f1.dist_hash == f2.dist_hash:
+        if hashes1[i] == hashes2[j]:
             total += _route(i, j, alpha + beta)
         else:
             pending_name_only.append((i, j))
     # Tier 2: the larger of the single-indicator tiers first.
-    first_tier, second_tier = ((beta, "name"), (alpha, "hash"))
+    tiers = ((beta, "name"), (alpha, "hash"))
     if alpha > beta:
-        first_tier, second_tier = (alpha, "hash"), (beta, "name")
-    for value, kind in (first_tier, second_tier):
+        tiers = tiers[::-1]
+    for value, kind in tiers:
         if value <= 0:
             continue
         if kind == "name":
             for i, j in pending_name_only:
                 total += _route(i, j, value)
-        else:
-            buckets: dict[tuple[int, bool], list[int]] = {}
-            for j, f2 in enumerate(d2.features):
-                buckets.setdefault((f2.dist_hash, f2.is_categorical),
-                                   []).append(j)
-            for i, f1 in enumerate(d1.features):
+            continue
+        buckets: dict[int, list[int]] = {}
+        for j, key in enumerate(d2._keys.tolist()):
+            buckets.setdefault(key, []).append(j)
+        for i, key in enumerate(d1._keys.tolist()):
+            if supply[i] <= 0:
+                continue
+            for j in buckets.get(key, ()):
+                if d1.names[i] == d2.names[j]:
+                    continue  # Already handled at tier 1/name tier.
                 if supply[i] <= 0:
-                    continue
-                for j in buckets.get((f1.dist_hash, f1.is_categorical), ()):
-                    if f1.name == d2.features[j].name:
-                        continue  # Already handled at tier 1/name tier.
-                    if supply[i] <= 0:
-                        break
-                    total += _route(i, j, value)
-    # Clamp away float-summation overshoot; the metric is in [0, 1].
-    return float(min(max(total, 0.0), 1.0))
+                    break
+                total += _route(i, j, value)
+    return total

@@ -67,9 +67,15 @@ class SpanPairCache:
 
     def span_pair(self, id_a: int, digest_a: SpanDigest, id_b: int,
                   digest_b: SpanDigest) -> float:
-        """Cached span-to-span similarity."""
+        """Cached span-to-span similarity.
+
+        One artifact compared with itself matches every feature on name
+        and hash, so it scores ``alpha + beta`` (capped at 1) uncomputed.
+        """
         if id_a == id_b:
-            return 1.0 if digest_a.feature_count else 0.0
+            if not digest_a.feature_count:
+                return 0.0
+            return min(self._alpha + self._beta, 1.0)
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
         value = self._cache.get(key)
         if value is None:

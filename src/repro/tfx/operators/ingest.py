@@ -30,13 +30,9 @@ def anonymized_digest(span: DataSpan,
     replicate that by salting names with the span id.
     """
     digest = digest_span(span.statistics)
-    truncated = digest.features[:max_features]
-    renamed = [
-        type(f)(name=f"s{span.span_id}:{index}",
-                is_categorical=f.is_categorical, dist_hash=f.dist_hash)
-        for index, f in enumerate(truncated)
-    ]
-    return SpanDigest(features=renamed)
+    kept = min(digest.feature_count, max_features)
+    return SpanDigest([f"s{span.span_id}:{index}" for index in range(kept)],
+                      digest.categorical[:kept], digest.hashes[:kept])
 
 
 class ExampleGen(Operator):
