@@ -30,6 +30,7 @@ from ..mlmd import MetadataStore
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
+from ..tfx.operators.ingest import MAX_DIGEST_FEATURES
 from ..tfx.runtime import PipelineRunner
 from .archetypes import PipelineArchetype, build_pipeline, sample_archetype
 from .config import CorpusConfig
@@ -184,10 +185,6 @@ def _simulate_pipeline(store: MetadataStore, config: CorpusConfig,
     now = start_time
     end_time = start_time + archetype.lifespan_days * 24.0
     span_id = 0
-    # Cap span statistics to a fixed-size feature subset for the tail of
-    # huge-feature pipelines; the recorded feature_count property stays
-    # truthful via the 'true_feature_count' hint below.
-    capped = len(schema) > 256
 
     while (now < end_time
            and record.n_train_runs < config.max_graphlets_per_pipeline):
@@ -196,9 +193,11 @@ def _simulate_pipeline(store: MetadataStore, config: CorpusConfig,
             config.span_examples_sigma)), 100)
         drifted = drift.step()
         mechanism.note_drift(drift)
-        if capped:
-            drifted = _truncate(drifted, 256)
-        span = synthetic_span(drifted, span_id, num_examples, rng,
+        # Cap span statistics to the digested feature prefix for the tail
+        # of huge-feature pipelines; the recorded feature_count property
+        # stays truthful via the 'true_feature_count' hint below.
+        span = synthetic_span(drifted.head(MAX_DIGEST_FEATURES), span_id,
+                              num_examples, rng,
                               ingest_time=now,
                               noise=config.statistics_noise)
         # Train only on full windows: continuous pipelines warm up their
@@ -246,11 +245,6 @@ def _tally(record: PipelineRecord, report) -> None:
     record.n_pushes += sum(
         1 for node_id, ids in report.output_artifact_ids.items()
         if node_id.startswith("pusher") and ids)
-
-
-def _truncate(schema, n: int):
-    from ..data.schema import Schema
-    return Schema(features=schema.features[:n])
 
 
 def generate_corpus(config: CorpusConfig | None = None,

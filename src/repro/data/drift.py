@@ -5,7 +5,10 @@ span overlap but meaningfully shifting content distributions, and that
 long-running pipelines show higher data volatility. This module supplies
 the drift machinery the corpus generator uses to reproduce that: a
 slowly-varying random-walk state per feature, with occasional shocks
-(schema-change-like events) that data validation would flag.
+(schema-change-like events) that data validation would flag. The walk
+state is held as arrays over the schema's
+:class:`~repro.data.schema.DomainColumns`, and each step moves every
+feature at once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import FeatureType, Schema
+from .schema import DomainColumns, Schema
 
 
 @dataclass
@@ -50,6 +53,14 @@ class DriftProcess:
     reproducible. ``step()`` advances the walk and returns the drifted
     schema; the original schema is never mutated.
 
+    The walk state is five offset groups held back to back in one array,
+    indexed by position: mean, log-scale, mixture weight and mode
+    position per numeric feature, then Zipf exponent per categorical
+    feature. Each step draws one standard-normal vector in schema order,
+    four values per numeric feature and one per categorical feature;
+    that order is part of the per-seed reproducibility contract. Each
+    slot is scaled as ``rng.normal(0, sigma)`` would: ``0 + sigma * z``.
+
     Example:
         >>> from repro.data.generators import random_schema
         >>> rng = np.random.default_rng(0)
@@ -62,13 +73,29 @@ class DriftProcess:
     schema: Schema
     rng: np.random.Generator
     config: DriftConfig = field(default_factory=DriftConfig)
-    _mean_offsets: dict[str, float] = field(default_factory=dict)
-    _scale_offsets: dict[str, float] = field(default_factory=dict)
-    _weight_offsets: dict[str, float] = field(default_factory=dict)
-    _modepos_offsets: dict[str, float] = field(default_factory=dict)
-    _zipf_offsets: dict[str, float] = field(default_factory=dict)
     _steps: int = 0
     _shocks: int = 0
+
+    def __post_init__(self) -> None:
+        base = self.schema.columns
+        n_numeric, n_categorical = len(base.mean), len(base.zipf_s)
+        # Where each offset's value sits in a step's draw: a feature's
+        # draws start at first[i] (4 for numeric, 1 for categorical).
+        width = np.where(base.categorical, 1, 4)
+        first = np.cumsum(width) - width
+        numeric_first = first[~base.categorical]
+        self._draw_slot = np.concatenate(
+            [numeric_first + k for k in range(4)]
+            + [first[base.categorical]])
+        config = self.config
+        self._sigma = np.repeat(
+            [config.numeric_mean_step, config.numeric_scale_step,
+             config.numeric_weight_step, config.numeric_offset_step,
+             config.zipf_step], [n_numeric] * 4 + [n_categorical])
+        # Mean steps are in units of the base stddev; the rest unscaled.
+        self._unit = np.concatenate(
+            [base.stddev, np.ones(3 * n_numeric + n_categorical)])
+        self._offsets = np.zeros(len(self._draw_slot))
 
     def step(self) -> Schema:
         """Advance one drift step; return the drifted schema snapshot."""
@@ -77,49 +104,31 @@ class DriftProcess:
         if shock:
             self._shocks += 1
         self._steps += 1
-        for spec in self.schema:
-            if spec.type is FeatureType.NUMERIC:
-                self._mean_offsets[spec.name] = (
-                    self._mean_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_mean_step * scale)
-                    * spec.numeric.stddev)
-                self._scale_offsets[spec.name] = (
-                    self._scale_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_scale_step * scale))
-                self._weight_offsets[spec.name] = (
-                    self._weight_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_weight_step * scale))
-                self._modepos_offsets[spec.name] = (
-                    self._modepos_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_offset_step * scale))
-            else:
-                self._zipf_offsets[spec.name] = (
-                    self._zipf_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(0.0, self.config.zipf_step * scale))
+        z = self.rng.standard_normal(len(self._draw_slot))
+        self._offsets += (0.0 + self._sigma * scale * z[self._draw_slot]) \
+            * self._unit
         return self.current()
 
     def current(self) -> Schema:
-        """The drifted schema at the current step (no state change)."""
-        drifted = []
-        for spec in self.schema:
-            if spec.type is FeatureType.NUMERIC:
-                domain = spec.numeric.shifted(
-                    self._mean_offsets.get(spec.name, 0.0),
-                    float(np.exp(self._scale_offsets.get(spec.name, 0.0))),
-                    weight_delta=self._weight_offsets.get(spec.name, 0.0),
-                    offset_delta=self._modepos_offsets.get(spec.name, 0.0))
-                drifted.append(type(spec)(name=spec.name, type=spec.type,
-                                          numeric=domain))
-            else:
-                domain = spec.categorical.shifted(
-                    self._zipf_offsets.get(spec.name, 0.0), 1.0)
-                drifted.append(type(spec)(name=spec.name, type=spec.type,
-                                          categorical=domain))
-        return Schema(features=drifted)
+        """The drifted schema at the current step (no state change).
+
+        The columnar form of :meth:`NumericDomain.shifted` and
+        :meth:`CategoricalDomain.shifted` (with ``unique_scale=1``).
+        """
+        base = self.schema.columns
+        n_numeric = len(base.mean)
+        mean, log_scale, weight, mode_position = \
+            self._offsets[:4 * n_numeric].reshape(4, n_numeric)
+        return Schema.from_columns(DomainColumns(
+            names=base.names, categorical=base.categorical,
+            mean=base.mean + mean,
+            stddev=np.maximum(1e-6, base.stddev * np.exp(log_scale)),
+            mode_weight=np.minimum(
+                np.maximum(base.mode_weight + weight, 0.0), 0.5),
+            mode_offset=base.mode_offset + mode_position,
+            unique_values=np.maximum(base.unique_values, 11),
+            zipf_s=np.maximum(0.2, base.zipf_s
+                              + self._offsets[4 * n_numeric:])))
 
     @property
     def drift_magnitude(self) -> float:
@@ -129,14 +138,9 @@ class DriftProcess:
         corpus generator uses this as the latent "data quality" signal
         feeding the push mechanism.
         """
-        offsets = (list(self._mean_offsets.values())
-                   + list(self._scale_offsets.values())
-                   + list(self._weight_offsets.values())
-                   + list(self._modepos_offsets.values())
-                   + list(self._zipf_offsets.values()))
-        if not offsets:
+        if not len(self._offsets):
             return 0.0
-        return float(np.mean(np.abs(offsets)))
+        return float(np.mean(np.abs(self._offsets)))
 
     @property
     def shock_count(self) -> int:

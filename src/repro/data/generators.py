@@ -7,8 +7,10 @@ Two generation paths exist:
 * :func:`synthesize_span_statistics` computes a span's summary statistics
   *analytically* from the schema's generative domains (plus sampling
   noise) — used by the corpus generator, which must emit hundreds of
-  thousands of spans quickly. Both paths produce the same
-  :class:`~repro.data.statistics.SpanStatistics` shape, and a test
+  thousands of spans quickly. It reads the schema's
+  :class:`~repro.data.schema.DomainColumns` and computes every feature
+  of a span in one pass over whole columns. Both paths fill the same
+  :class:`~repro.data.statistics.SpanStatistics` columns, and a test
   verifies they agree in distribution.
 
 Schema generation is calibrated to Section 3.2: the majority of pipelines
@@ -26,20 +28,14 @@ from scipy.special import ndtr
 
 from .schema import (
     CategoricalDomain,
+    DomainColumns,
     FeatureSpec,
     FeatureType,
     NumericDomain,
     Schema,
 )
 from .spans import DataSpan
-from .statistics import (
-    NUM_BINS,
-    TOP_K_TERMS,
-    CategoricalStatistics,
-    FeatureStatistics,
-    NumericStatistics,
-    SpanStatistics,
-)
+from .statistics import NUM_BINS, TOP_K_TERMS, SpanStatistics
 
 #: Average fraction of categorical features (paper: 53%).
 CATEGORICAL_FRACTION = 0.53
@@ -111,54 +107,6 @@ def random_schema(rng: np.random.Generator,
     return Schema(features=features)
 
 
-def _analytic_numeric_histogram(domain: NumericDomain,
-                                rng: np.random.Generator,
-                                noise: float) -> NumericStatistics:
-    """Histogram of the domain's normal mixture, 10 bins over its range."""
-    mean, stddev = domain.mean, max(domain.stddev, 1e-9)
-    second_mean = mean + domain.mode_offset * stddev
-    low = min(mean, second_mean) - 3.0 * stddev
-    high = max(mean, second_mean) + 3.0 * stddev
-    edges = np.linspace(low, high, NUM_BINS + 1)
-    weight = domain.mode_weight
-    cdf = ((1.0 - weight) * ndtr((edges - mean) / stddev)
-           + weight * ndtr((edges - second_mean) / stddev))
-    mass = np.diff(cdf)
-    if noise > 0:
-        mass = mass * rng.lognormal(0.0, noise, size=NUM_BINS)
-    mass = np.clip(mass, 1e-12, None)
-    mass = mass / mass.sum()
-    return NumericStatistics(histogram=mass, low=low, high=high, count=0)
-
-
-def _analytic_top_counts(domain: CategoricalDomain, num_examples: int,
-                         rng: np.random.Generator,
-                         noise: float) -> CategoricalStatistics:
-    """Top-10 Zipf term counts without sampling the (huge) term space."""
-    n = domain.unique_values
-    s = domain.zipf_s
-    ranks = np.arange(1, TOP_K_TERMS + 1, dtype=float)
-    head = ranks ** (-s)
-    # Total mass approximated by head sum + integral tail.
-    cap = float(TOP_K_TERMS)
-    if abs(s - 1.0) < 1e-9:
-        tail = math.log(n / cap) if n > cap else 0.0
-    else:
-        tail = max((n ** (1 - s) - cap ** (1 - s)) / (1 - s), 0.0)
-    total_mass = head.sum() + tail
-    probs = head / total_mass
-    counts = probs * num_examples
-    if noise > 0:
-        counts = counts * rng.lognormal(0.0, noise, size=TOP_K_TERMS)
-    counts = np.maximum(np.sort(counts)[::-1], 0.0)
-    unique = min(n, num_examples)
-    return CategoricalStatistics(
-        top_counts=[int(round(c)) for c in counts],
-        unique_count=int(unique),
-        total_count=num_examples,
-        domain_size=int(n))
-
-
 def synthesize_span_statistics(schema: Schema, num_examples: int,
                                rng: np.random.Generator,
                                noise: float = 0.05) -> SpanStatistics:
@@ -166,21 +114,73 @@ def synthesize_span_statistics(schema: Schema, num_examples: int,
 
     ``noise`` injects lognormal multiplicative noise on bin masses and
     term counts to emulate finite-sample variation; with ``noise=0`` the
-    statistics are the exact expectations.
+    statistics are the exact expectations and no randomness is drawn.
+
+    Every feature takes 10 noise draws in schema order (its bins or its
+    top terms; ``NUM_BINS == TOP_K_TERMS``), drawn here as one
+    ``(F, 10)`` block. Numeric features get the histogram of their
+    normal mixture over ``mean +/- 3 stddev``; categorical features get
+    Zipf top-10 counts without sampling the (huge) term space.
     """
-    features: dict[str, FeatureStatistics] = {}
-    for spec in schema:
-        if spec.type is FeatureType.NUMERIC:
-            features[spec.name] = FeatureStatistics(
-                name=spec.name, type=spec.type,
-                numeric=_analytic_numeric_histogram(spec.numeric, rng,
-                                                    noise))
+    domains = schema.columns
+    categorical = domains.categorical
+    shape = (len(categorical), NUM_BINS)
+    # A factor of exactly 1.0 leaves every value unchanged.
+    factors = (rng.lognormal(0.0, noise, size=shape) if noise > 0
+               else np.ones(shape))
+    histogram, low, high = _numeric_histograms(domains,
+                                               factors[~categorical])
+    top_counts = _top_counts(domains, num_examples, factors[categorical])
+    unique_values = domains.unique_values
+    return SpanStatistics(
+        domains.names, categorical,
+        histogram=histogram, low=low, high=high,
+        count=np.zeros(len(low), np.int64),
+        top_counts=top_counts,
+        top_len=np.full(len(top_counts), TOP_K_TERMS),
+        unique=np.minimum(unique_values, num_examples),
+        total=np.full(len(top_counts), num_examples),
+        domain=unique_values,
+        num_examples=num_examples)
+
+
+def _numeric_histograms(domains: DomainColumns, noise: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each normal mixture's 10-bin histogram over its range."""
+    mean = domains.mean
+    stddev = np.maximum(domains.stddev, 1e-9)
+    second_mean = mean + domains.mode_offset * stddev
+    low = np.minimum(mean, second_mean) - 3.0 * stddev
+    high = np.maximum(mean, second_mean) + 3.0 * stddev
+    edges = np.linspace(low, high, NUM_BINS + 1, axis=1)
+    weight = domains.mode_weight[:, None]
+    cdf = ((1.0 - weight) * ndtr((edges - mean[:, None]) / stddev[:, None])
+           + weight * ndtr((edges - second_mean[:, None])
+                           / stddev[:, None]))
+    mass = np.clip(np.diff(cdf, axis=1) * noise, 1e-12, None)
+    return mass / mass.sum(axis=1, keepdims=True), low, high
+
+
+def _top_counts(domains: DomainColumns, num_examples: int,
+                noise: np.ndarray) -> np.ndarray:
+    """Each Zipf law's top-10 expected term counts, descending."""
+    s = domains.zipf_s
+    head = np.arange(1, TOP_K_TERMS + 1, dtype=float) ** -s[:, None]
+    # Total mass approximated by head sum + integral tail. The tail stays
+    # a loop of Python floats: it must round exactly as ``int ** float``.
+    cap = float(TOP_K_TERMS)
+    tail = []
+    for n, zipf_s in zip(domains.unique_values.tolist(), s.tolist()):
+        if abs(zipf_s - 1.0) < 1e-9:
+            tail.append(math.log(n / cap) if n > cap else 0.0)
         else:
-            features[spec.name] = FeatureStatistics(
-                name=spec.name, type=spec.type,
-                categorical=_analytic_top_counts(
-                    spec.categorical, num_examples, rng, noise))
-    return SpanStatistics(features=features, num_examples=num_examples)
+            tail.append(max((n ** (1 - zipf_s) - cap ** (1 - zipf_s))
+                            / (1 - zipf_s), 0.0))
+    total_mass = head.sum(axis=1) + np.asarray(tail, dtype=float)
+    counts = head / total_mass[:, None] * num_examples * noise
+    counts = np.maximum(np.sort(counts, axis=1)[:, ::-1], 0.0)
+    # np.rint, like round(), rounds half to even.
+    return np.rint(counts).astype(np.int64)
 
 
 def synthetic_span(schema: Schema, span_id: int, num_examples: int,

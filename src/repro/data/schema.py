@@ -4,13 +4,18 @@ The paper distinguishes two feature kinds (Section 3.2): *numerical*
 (e.g. length of a video) and *categorical/sparse* (e.g. video id, query
 text), with ~53% of features categorical on average and categorical
 domains averaging 10.6M unique values. A :class:`Schema` captures a
-pipeline's feature space; data spans are generated against it.
+pipeline's feature space; data spans are generated against it, from
+its :class:`DomainColumns`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class FeatureType(enum.Enum):
@@ -93,43 +98,167 @@ class FeatureSpec:
         return self.type is FeatureType.CATEGORICAL
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class DomainColumns:
+    """A schema's generative domains as read-only per-feature columns.
+
+    ``names`` and ``categorical`` cover every feature in schema order.
+    The numeric block (``mean``, ``stddev``, ``mode_weight``,
+    ``mode_offset``) has one entry per numeric feature and the
+    categorical block (``unique_values``, ``zipf_s``) one per
+    categorical feature, each in schema order. This is the form span
+    synthesis and the drift walk compute over.
+    """
+
+    names: tuple[str, ...]
+    categorical: np.ndarray
+    mean: np.ndarray
+    stddev: np.ndarray
+    mode_weight: np.ndarray
+    mode_offset: np.ndarray
+    unique_values: np.ndarray
+    zipf_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @classmethod
+    def from_specs(cls, features: list[FeatureSpec]) -> "DomainColumns":
+        """Pack feature specs into columns."""
+        numeric = [f.numeric for f in features if not f.is_categorical]
+        categorical = [f.categorical for f in features if f.is_categorical]
+        return cls(
+            names=tuple(f.name for f in features),
+            categorical=np.array([f.is_categorical for f in features],
+                                 dtype=bool),
+            mean=np.array([d.mean for d in numeric], dtype=float),
+            stddev=np.array([d.stddev for d in numeric], dtype=float),
+            mode_weight=np.array([d.mode_weight for d in numeric],
+                                 dtype=float),
+            mode_offset=np.array([d.mode_offset for d in numeric],
+                                 dtype=float),
+            unique_values=np.array([d.unique_values for d in categorical],
+                                   dtype=np.int64),
+            zipf_s=np.array([d.zipf_s for d in categorical], dtype=float))
+
+    def specs(self) -> list[FeatureSpec]:
+        """Unpack the columns into feature specs."""
+        numeric = zip(self.mean.tolist(), self.stddev.tolist(),
+                      self.mode_weight.tolist(), self.mode_offset.tolist())
+        categorical = zip(self.unique_values.tolist(), self.zipf_s.tolist())
+        specs = []
+        for name, is_categorical in zip(self.names,
+                                        self.categorical.tolist()):
+            if is_categorical:
+                unique_values, zipf_s = next(categorical)
+                specs.append(FeatureSpec(
+                    name=name, type=FeatureType.CATEGORICAL,
+                    categorical=CategoricalDomain(unique_values, zipf_s)))
+            else:
+                specs.append(FeatureSpec(
+                    name=name, type=FeatureType.NUMERIC,
+                    numeric=NumericDomain(*next(numeric))))
+        return specs
+
+    def head(self, n: int) -> "DomainColumns":
+        """The first ``n`` features."""
+        names, categorical = self.names[:n], self.categorical[:n]
+        n_categorical = int(categorical.sum())
+        n_numeric = len(names) - n_categorical
+        return DomainColumns(
+            names=names, categorical=categorical,
+            mean=self.mean[:n_numeric], stddev=self.stddev[:n_numeric],
+            mode_weight=self.mode_weight[:n_numeric],
+            mode_offset=self.mode_offset[:n_numeric],
+            unique_values=self.unique_values[:n_categorical],
+            zipf_s=self.zipf_s[:n_categorical])
+
+
 class Schema:
     """The feature space of a pipeline's input data.
 
-    Attributes:
-        features: Ordered feature specs; order is stable across spans.
+    A schema is held in two forms, each built from the other on first
+    access and then cached: ``features``, the ordered feature specs a
+    schema is written in, and ``columns``, the :class:`DomainColumns`
+    that generation computes over. A drifted schema starts from
+    columns and builds no specs unless a caller iterates it. Feature
+    order is stable across spans; names must be unique. Treat a schema,
+    and the specs it was built from, as immutable.
     """
 
-    features: list[FeatureSpec] = field(default_factory=list)
+    def __init__(self, features: Iterable[FeatureSpec] = ()) -> None:
+        self._features: list[FeatureSpec] | None = list(features)
+        self._columns: DomainColumns | None = None
+        counts = Counter(spec.name for spec in self._features)
+        duplicates = sorted(name for name, n in counts.items() if n > 1)
+        if duplicates:
+            raise ValueError(f"duplicate feature names: {duplicates}")
+
+    @classmethod
+    def from_columns(cls, columns: DomainColumns) -> "Schema":
+        """A schema over columns whose names are already unique."""
+        schema = cls.__new__(cls)
+        schema._features = None
+        schema._columns = columns
+        return schema
+
+    @property
+    def features(self) -> list[FeatureSpec]:
+        """Ordered feature specs."""
+        if self._features is None:
+            self._features = self._columns.specs()
+        return self._features
+
+    @property
+    def columns(self) -> DomainColumns:
+        """The generative domains as per-feature columns."""
+        if self._columns is None:
+            self._columns = DomainColumns.from_specs(self._features)
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.columns.names)
 
     def __iter__(self):
         return iter(self.features)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Schema):
+            return NotImplemented
+        return self.features == other.features
+
+    def __repr__(self) -> str:
+        return f"Schema(features={self.features!r})"
+
+    def head(self, n: int) -> "Schema":
+        """The schema of the first ``n`` features."""
+        if len(self) <= n:
+            return self
+        return Schema.from_columns(self.columns.head(n))
+
     @property
     def feature_names(self) -> list[str]:
         """Names of all features, in schema order."""
-        return [f.name for f in self.features]
+        return list(self.columns.names)
 
     @property
     def num_categorical(self) -> int:
         """Count of categorical features."""
-        return sum(1 for f in self.features if f.is_categorical)
+        return int(self.columns.categorical.sum())
 
     @property
     def num_numeric(self) -> int:
         """Count of numeric features."""
-        return len(self.features) - self.num_categorical
+        return len(self) - self.num_categorical
 
     @property
     def categorical_fraction(self) -> float:
         """Fraction of features that are categorical (paper avg: 0.53)."""
-        if not self.features:
+        if not len(self):
             return 0.0
-        return self.num_categorical / len(self.features)
+        return self.num_categorical / len(self)
 
     @property
     def mean_domain_size(self) -> float:
@@ -138,11 +267,10 @@ class Schema:
         The paper reports 10.6M on average (13.6M for DNN pipelines,
         >20M for linear pipelines).
         """
-        sizes = [f.categorical.unique_values for f in self.features
-                 if f.is_categorical]
-        if not sizes:
+        sizes = self.columns.unique_values
+        if not len(sizes):
             return 0.0
-        return sum(sizes) / len(sizes)
+        return int(sizes.sum()) / len(sizes)
 
     def feature(self, name: str) -> FeatureSpec:
         """Return the feature spec with the given name."""

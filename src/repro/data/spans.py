@@ -15,10 +15,10 @@ import numpy as np
 
 from .schema import FeatureType, Schema
 from .statistics import (
+    FeatureStatistics,
     SpanStatistics,
     categorical_statistics_from_values,
     numeric_statistics_from_values,
-    FeatureStatistics,
 )
 
 
@@ -70,10 +70,11 @@ def materialize_span(schema: Schema, span_id: int, num_examples: int,
 
     Numeric features are sampled from their normal domain; categorical
     features from a Zipf distribution over their (possibly huge) term
-    space, with term ids as integers.
+    space, with term ids as integers. Each feature is summarized from its
+    rows, then packed into the span's statistics columns.
     """
     columns: dict[str, np.ndarray] = {}
-    feature_stats: dict[str, FeatureStatistics] = {}
+    features: list[FeatureStatistics] = []
     for spec in schema:
         if spec.type is FeatureType.NUMERIC:
             domain = spec.numeric
@@ -82,19 +83,18 @@ def materialize_span(schema: Schema, span_id: int, num_examples: int,
             if domain.mode_weight > 0:
                 in_mode = rng.random(num_examples) < domain.mode_weight
                 values[in_mode] += domain.mode_offset * domain.stddev
-            columns[spec.name] = values
-            feature_stats[spec.name] = FeatureStatistics(
+            features.append(FeatureStatistics(
                 name=spec.name, type=spec.type,
-                numeric=numeric_statistics_from_values(values))
+                numeric=numeric_statistics_from_values(values)))
         else:
             values = _sample_zipf(spec.categorical.unique_values,
                                   spec.categorical.zipf_s, num_examples, rng)
-            columns[spec.name] = values
-            feature_stats[spec.name] = FeatureStatistics(
+            features.append(FeatureStatistics(
                 name=spec.name, type=spec.type,
-                categorical=categorical_statistics_from_values(values))
-    statistics = SpanStatistics(features=feature_stats,
-                                num_examples=num_examples)
+                categorical=categorical_statistics_from_values(values)))
+        columns[spec.name] = values
+    statistics = SpanStatistics.from_features(features,
+                                              num_examples=num_examples)
     return DataSpan(span_id=span_id, ingest_time=ingest_time,
                     statistics=statistics, columns=columns)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from ..data.schema import FeatureType
 from ..data.statistics import SpanStatistics
 from .lsh import DEFAULT_HASHER, S2JSDHasher
 
@@ -120,16 +119,12 @@ class SpanDigest:
 
 def digest_span(statistics: SpanStatistics,
                 hasher: S2JSDHasher = DEFAULT_HASHER) -> SpanDigest:
-    """Digest a span's summary statistics (hashing vectorized)."""
-    features = statistics.features
-    if not features:
+    """Digest a span's summary statistics: one hashing pass over its
+    ``(F, NUM_BINS)`` distribution matrix."""
+    if not statistics.feature_count:
         return SpanDigest()
-    return SpanDigest(
-        tuple(features),
-        [stats.type is FeatureType.CATEGORICAL
-         for stats in features.values()],
-        hasher.hash_many(np.vstack(
-            [stats.distribution() for stats in features.values()])))
+    return SpanDigest(statistics.names, statistics.categorical,
+                      hasher.hash_many(statistics.distributions()))
 
 
 def _similarity_matrix(d1: SpanDigest, d2: SpanDigest, alpha: float,

@@ -16,7 +16,8 @@ from .base import Operator, OperatorContext, OperatorResult, OutputArtifact
 
 #: Digests are truncated to this many features; similarity over a fixed
 #: deterministic subset is unbiased, and this bounds trace memory for the
-#: tail pipelines with tens of thousands of features.
+#: tail pipelines with tens of thousands of features. The corpus
+#: generator synthesizes statistics for no more features than this.
 MAX_DIGEST_FEATURES = 256
 
 
@@ -54,20 +55,13 @@ class ExampleGen(Operator):
         if span is None:
             raise ValueError("ExampleGen requires a 'new_span' hint")
         stats = span.statistics
-        domain_sizes = [
-            f.categorical.domain_size or f.categorical.unique_count
-            for f in stats.features.values()
-            if f.categorical is not None
-        ]
-        mean_domain = (sum(domain_sizes) / len(domain_sizes)
-                       if domain_sizes else 0.0)
         properties = {
             "span_id": span.span_id,
             "num_examples": span.num_examples,
             "feature_count": int(ctx.hints.get("true_feature_count",
                                                stats.feature_count)),
             "categorical_fraction": stats.categorical_fraction,
-            "mean_domain_size": float(mean_domain),
+            "mean_domain_size": stats.mean_domain_size,
         }
         properties.update(anonymized_digest(span).to_properties())
         output = OutputArtifact(type_name=A.DATA_SPAN,

@@ -5,11 +5,21 @@ import pytest
 
 from repro.data import (
     CategoricalDomain,
+    FeatureSpec,
+    FeatureType,
+    Schema,
     sample_domain_size,
     synthesize_span_statistics,
     random_schema,
 )
-from repro.data.generators import _analytic_top_counts
+
+
+def _analytic_top_counts(domain, num_examples, rng, noise):
+    """The synthesized statistics of a one-feature categorical schema."""
+    schema = Schema(features=[FeatureSpec(
+        name="f", type=FeatureType.CATEGORICAL, categorical=domain)])
+    stats = synthesize_span_statistics(schema, num_examples, rng, noise)
+    return stats.features["f"].categorical
 
 
 class TestDomainSizes:

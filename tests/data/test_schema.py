@@ -105,3 +105,11 @@ class TestRandomSchema:
         small = sum(1 for c in counts if c <= 100)
         assert small / len(counts) > 0.8   # Figure 3(c): majority <= 100
         assert max(counts) > 300           # but a heavy tail exists
+
+    def test_duplicate_names_rejected(self):
+        # Positional columns cannot merge two features of one name, as a
+        # name-keyed dict silently would.
+        with pytest.raises(ValueError, match="duplicate feature names"):
+            Schema(features=[
+                FeatureSpec(name="a", type=FeatureType.NUMERIC),
+                FeatureSpec(name="a", type=FeatureType.CATEGORICAL)])
