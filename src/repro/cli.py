@@ -87,7 +87,7 @@ def _resume_command(args: argparse.Namespace) -> str:
              "--out", shlex.quote(args.out)]
     if not args.telemetry:
         parts.append("--no-telemetry")
-    if args.workers is not None:
+    if args.workers != 1:
         parts += ["--workers", str(args.workers)]
     if args.exec_cache:
         parts.append("--exec-cache")
@@ -114,8 +114,11 @@ def _resume_command(args: argparse.Namespace) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .corpus import CorpusConfig, generate_corpus
+    from .corpus import CorpusConfig
+    from .faults.journal import JournalError, journal_dir_for
+    from .fleet import generate_corpus_fleet
     from .mlmd import save_store
+    from .obs.tracing import span
 
     config = CorpusConfig(n_pipelines=args.pipelines, seed=args.seed,
                           max_graphlets_per_pipeline=args.max_graphlets)
@@ -124,33 +127,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         _log.error("bad_fault_plan", reason=str(exc))
         return 2
-    # --workers (any value, including 1), --exec-cache, or any fault /
-    # resume / profile flag selects the fleet path: sharded generation
-    # with per-pipeline derived seeds and a crash-safe shard journal.
-    # Without these flags the legacy sequential generator runs, keeping
-    # existing seeds' corpora byte-identical.
-    use_fleet = (args.workers is not None or args.exec_cache
-                 or args.resume or args.profile_out is not None
-                 or fault_plan is not None
-                 or retry_policy is not None
-                 or args.supervise)
-    if use_fleet:
-        from .faults.journal import journal_dir_for
-        from .fleet import generate_corpus_fleet
-
-        workers = args.workers or 1
-        print(f"generating {args.pipelines} pipelines "
-              f"(seed {args.seed}, {workers} workers"
-              f"{', exec cache' if args.exec_cache else ''}"
-              f"{', faults: ' + fault_plan.describe() if fault_plan else ''}"
-              f"{', supervised' if args.supervise else ''}"
-              f"{', resume' if args.resume else ''}) ...")
-        from .faults.journal import JournalError
-
-        journal_dir = journal_dir_for(args.out)
-        try:
+    print(f"generating {args.pipelines} pipelines "
+          f"(seed {args.seed}, {args.workers} workers"
+          f"{', exec cache' if args.exec_cache else ''}"
+          f"{', faults: ' + fault_plan.describe() if fault_plan else ''}"
+          f"{', supervised' if args.supervise else ''}"
+          f"{', resume' if args.resume else ''}) ...")
+    journal_dir = journal_dir_for(args.out)
+    try:
+        with span("corpus.generate", n_pipelines=config.n_pipelines,
+                  seed=config.seed):
             corpus, fleet = generate_corpus_fleet(
-                config, workers=workers, exec_cache=args.exec_cache,
+                config, workers=args.workers, exec_cache=args.exec_cache,
                 telemetry=args.telemetry, progress=True,
                 fault_plan=fault_plan, retry_policy=retry_policy,
                 journal_dir=journal_dir, resume=args.resume,
@@ -160,74 +148,64 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 stall_after=args.stall_after,
                 hedge_after=args.hedge_after,
                 fault_budget=args.fault_budget)
-        except JournalError as exc:
-            _log.error("journal_error", reason=str(exc))
-            return 2
-        print(f"fleet: {fleet.workers} shards in "
-              f"{fleet.wall_seconds:.1f}s"
-              + (f" ({fleet.resumed_shards} resumed from journal)"
-                 if fleet.resumed_shards else "")
-              + ("" if fleet.used_processes
-                 or fleet.workers - fleet.resumed_shards <= 1
-                 else " (process spawn unavailable; ran in-process)"))
-        print("phases: " + ", ".join(
-            f"{name} {seconds:.2f}s"
-            for name, seconds in fleet.phase_breakdown().items()))
-        if fleet.spans_adopted:
-            print(f"trace: {fleet.spans_adopted:,} worker spans merged "
-                  f"under the run span")
-        if args.profile_out is not None:
-            from .obs.profiling import write_folded
+    except JournalError as exc:
+        _log.error("journal_error", reason=str(exc))
+        return 2
+    print(f"fleet: {fleet.workers} shards in "
+          f"{fleet.wall_seconds:.1f}s"
+          + (f" ({fleet.resumed_shards} resumed from journal)"
+             if fleet.resumed_shards else "")
+          + ("" if fleet.used_processes
+             or fleet.workers - fleet.resumed_shards <= 1
+             else " (process spawn unavailable; ran in-process)"))
+    print("phases: " + ", ".join(
+        f"{name} {seconds:.2f}s"
+        for name, seconds in fleet.phase_breakdown().items()))
+    if fleet.spans_adopted:
+        print(f"trace: {fleet.spans_adopted:,} worker spans merged "
+              f"under the run span")
+    if args.profile_out is not None:
+        from .obs.profiling import write_folded
 
-            write_folded(args.profile_out, fleet.profile_folded,
-                         header={"shards": fleet.workers,
-                                 "samples": fleet.profile_samples})
-            print(f"profile: {fleet.profile_samples:,} stack samples "
-                  f"from {fleet.workers} shard(s) merged into "
-                  f"{args.profile_out}")
-        if fleet.exec_cache:
-            print(f"exec cache: {fleet.cache_hits:,} hits / "
-                  f"{fleet.cache_hits + fleet.cache_misses:,} cacheable "
-                  f"({fleet.cache_hit_rate:.1%} hit rate), "
-                  f"saved {fleet.saved_cpu_hours:.1f} cpu-hours")
-        save_store(corpus.store, args.out)
-        print(f"saved {corpus.store.num_executions:,} executions / "
-              f"{corpus.store.num_artifacts:,} artifacts / "
-              f"{corpus.store.num_telemetry:,} telemetry rows "
-              f"to {args.out}")
-        if fleet.degradation is not None \
-                and (fleet.degradation.degraded
-                     or fleet.degradation.reschedules
-                     or fleet.degradation.hedges):
-            from .fleet.supervisor import render_degradation
-            print("\nsupervision:")
-            print(render_degradation(fleet.degradation))
-        if not fleet.complete:
-            print(f"\nPARTIAL RUN: {len(fleet.failed_shards)} shard(s) "
-                  f"failed ({fleet.missing_pipelines} of "
-                  f"{fleet.pipelines} pipelines missing):")
-            for failure in fleet.failed_shards:
-                print(f"  shard {failure.shard_index} "
-                      f"[pipelines {failure.start}..{failure.stop - 1}] "
-                      f"{failure.kind}: {failure.message}")
-            print(f"the saved store is valid but partial "
-                  f"(journal: {fleet.journal_dir}); inspect with "
-                  f"`repro fleet-status {args.out}`")
-            print("resume with exactly:\n  " + _resume_command(args))
-            return 3
-        # Full run: the journal has served its purpose.
-        from .faults.journal import ShardJournal
-        ShardJournal(journal_dir, fingerprint="").cleanup()
-    else:
-        print(f"generating {args.pipelines} pipelines "
-              f"(seed {args.seed}) ...")
-        corpus = generate_corpus(config, progress=True,
-                                 telemetry=args.telemetry)
-        save_store(corpus.store, args.out)
-        print(f"saved {corpus.store.num_executions:,} executions / "
-              f"{corpus.store.num_artifacts:,} artifacts / "
-              f"{corpus.store.num_telemetry:,} telemetry rows "
-              f"to {args.out}")
+        write_folded(args.profile_out, fleet.profile_folded,
+                     header={"shards": fleet.workers,
+                             "samples": fleet.profile_samples})
+        print(f"profile: {fleet.profile_samples:,} stack samples "
+              f"from {fleet.workers} shard(s) merged into "
+              f"{args.profile_out}")
+    if fleet.exec_cache:
+        print(f"exec cache: {fleet.cache_hits:,} hits / "
+              f"{fleet.cache_hits + fleet.cache_misses:,} cacheable "
+              f"({fleet.cache_hit_rate:.1%} hit rate), "
+              f"saved {fleet.saved_cpu_hours:.1f} cpu-hours")
+    save_store(corpus.store, args.out)
+    print(f"saved {corpus.store.num_executions:,} executions / "
+          f"{corpus.store.num_artifacts:,} artifacts / "
+          f"{corpus.store.num_telemetry:,} telemetry rows "
+          f"to {args.out}")
+    if fleet.degradation is not None \
+            and (fleet.degradation.degraded
+                 or fleet.degradation.reschedules
+                 or fleet.degradation.hedges):
+        from .fleet.supervisor import render_degradation
+        print("\nsupervision:")
+        print(render_degradation(fleet.degradation))
+    if not fleet.complete:
+        print(f"\nPARTIAL RUN: {len(fleet.failed_shards)} shard(s) "
+              f"failed ({fleet.missing_pipelines} of "
+              f"{fleet.pipelines} pipelines missing):")
+        for failure in fleet.failed_shards:
+            print(f"  shard {failure.shard_index} "
+                  f"[pipelines {failure.start}..{failure.stop - 1}] "
+                  f"{failure.kind}: {failure.message}")
+        print(f"the saved store is valid but partial "
+              f"(journal: {fleet.journal_dir}); inspect with "
+              f"`repro fleet-status {args.out}`")
+        print("resume with exactly:\n  " + _resume_command(args))
+        return 3
+    # Full run: the journal has served its purpose.
+    from .faults.journal import ShardJournal
+    ShardJournal(journal_dir, fingerprint="").cleanup()
     return 0
 
 
@@ -863,25 +841,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="persist per-execution telemetry rows "
                                "into the corpus database (default on; "
                                "--no-telemetry disables)")
-    generate.add_argument("--workers", type=int, default=None,
+    generate.add_argument("--workers", type=int, default=1,
                           metavar="N",
                           help="sharded generation across N worker "
-                               "processes (fleet path: per-pipeline "
-                               "derived seeds, deterministic for any "
-                               "N; default: legacy sequential "
-                               "generator)")
+                               "processes; the stored corpus is the "
+                               "same for any N (default 1)")
     generate.add_argument("--exec-cache", action="store_true",
                           help="enable the content-addressed execution "
                                "cache: redundant re-executions are "
                                "replayed as CACHED executions with "
-                               "saved cpu-hours recorded (implies the "
-                               "fleet path)")
+                               "saved cpu-hours recorded")
     generate.add_argument("--fault-plan", default=None, metavar="PLAN",
                           help="inject seeded faults: a spec like "
                                "'transient:Trainer:0.05;worker_crash:1' "
                                "(kind:operator:probability), inline "
-                               "JSON, or a .json file (implies the "
-                               "fleet path)")
+                               "JSON, or a .json file")
     generate.add_argument("--fault-seed", type=int, default=0,
                           help="seed for the fault plan's injection "
                                "streams (default 0; independent of "
@@ -891,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="allow N retry attempts after a failed "
                                "execution, with exponential backoff; "
                                "every attempt is persisted as its own "
-                               "execution (implies the fleet path)")
+                               "execution")
     generate.add_argument("--resume", action="store_true",
                           help="resume a partial fleet run from its "
                                "shard journal (<out>.shards/): only "
@@ -899,13 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--profile-out", metavar="FILE", default=None,
                           help="sample every worker's stacks and write "
                                "the merged folded-stack profile "
-                               "(flamegraph format; implies the fleet "
-                               "path)")
+                               "(flamegraph format)")
     generate.add_argument("--supervise", action="store_true",
                           help="in-run supervision: reschedule crashed "
                                "or hung workers, hedge stragglers, and "
                                "quarantine poison shards instead of "
-                               "aborting (implies the fleet path)")
+                               "aborting")
     generate.add_argument("--max-attempts", type=int, default=3,
                           metavar="N",
                           help="supervised attempts per shard before "

@@ -1,5 +1,10 @@
 """Corpus generation: simulate every pipeline's life on a shared store.
 
+:func:`simulate_pipelines` is the one simulation loop. Each pipeline
+draws from its own stream, :func:`pipeline_rng` of ``(seed, index)``,
+so :func:`generate_corpus` and sharded generation (:mod:`repro.fleet`)
+store the same trace for the same seed.
+
 For each pipeline: sample an archetype and schema, then walk its lifespan
 on a simulated clock — every tick ingests one span (``ingest`` run) and
 every ``train_every``-th tick triggers a full training run whose outcome
@@ -14,8 +19,9 @@ deployed model — is applied by :attr:`Corpus.production_records`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +41,9 @@ from ..tfx.runtime import PipelineRunner
 from .archetypes import PipelineArchetype, build_pipeline, sample_archetype
 from .config import CorpusConfig
 from .mechanism import PushMechanism
+
+if TYPE_CHECKING:
+    from ..fleet.cache import ExecutionCache
 
 _log = get_logger("corpus.generator")
 
@@ -125,15 +134,27 @@ def production_context_ids_from_store(store: MetadataStore) -> list[int]:
     return out
 
 
+def pipeline_rng(seed: int, index: int) -> np.random.Generator:
+    """The derived random stream of pipeline ``index``.
+
+    ``SeedSequence(entropy=seed, spawn_key=(index,))`` gives every
+    pipeline a statistically independent stream that depends only on
+    the corpus seed and the pipeline's global index — never on which
+    shard or worker simulates it.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def sample_pipeline_plan(rng: np.random.Generator, config: CorpusConfig,
                          index: int) -> tuple[PipelineArchetype, float]:
     """Sample one pipeline's archetype and corpus start time.
 
-    This is the exact per-pipeline draw sequence of the sequential
-    generator (feature count, categorical fraction, archetype, start
-    time), factored out so sharded generation (:mod:`repro.fleet`) can
-    replay it against a per-pipeline derived rng. Keep the draw order
-    stable: both paths' determinism depends on it.
+    These are the first draws on a pipeline's rng (feature count,
+    categorical fraction, archetype, start time); the simulation
+    continues on the same stream. It is public so a caller can replay a
+    pipeline's plan without simulating it. Keep the draw order stable:
+    every stored corpus depends on it.
     """
     n_features = sample_feature_count(rng)
     categorical_fraction = float(np.clip(
@@ -247,6 +268,47 @@ def _tally(record: PipelineRecord, report) -> None:
         if node_id.startswith("pusher") and ids)
 
 
+def simulate_pipelines(store: MetadataStore, config: CorpusConfig,
+                       start: int, stop: int,
+                       exec_cache: bool = False,
+                       fault_plan=None,
+                       retry_policy=None
+                       ) -> Iterator[tuple[PipelineRecord,
+                                           ExecutionCache | None]]:
+    """Simulate pipelines ``[start, stop)`` into ``store``, in order.
+
+    Each pipeline runs on :func:`pipeline_rng` of its global index, with
+    its own :class:`~repro.fleet.cache.ExecutionCache` when
+    ``exec_cache`` is set (pipelines never share artifacts, so
+    pipeline-local hits do not depend on the shard layout), its
+    plan-derived fault injector and ``retry_policy``. Yields
+    ``(record, cache)`` after each pipeline (``cache`` is None without
+    ``exec_cache``), so a caller can report progress between pipelines.
+    """
+    if exec_cache:
+        from ..fleet.cache import ExecutionCache
+    registry = get_registry()
+    pipelines_done = registry.counter("corpus.pipelines_generated")
+    for index in range(start, stop):
+        rng = pipeline_rng(config.seed, index)
+        archetype, start_time = sample_pipeline_plan(rng, config, index)
+        cache = ExecutionCache() if exec_cache else None
+        injector = (fault_plan.injector(index)
+                    if fault_plan is not None else None)
+        with span("corpus.pipeline", index=index,
+                  archetype=archetype.name), \
+                registry.timer("corpus.pipeline_seconds") as timer:
+            record = _simulate_pipeline(store, config, archetype, rng,
+                                        start_time, execution_cache=cache,
+                                        fault_injector=injector,
+                                        retry_policy=retry_policy)
+        pipelines_done.value += 1
+        _log.debug("pipeline_generated", index=index,
+                   archetype=archetype.name, runs=record.n_runs,
+                   train_runs=record.n_train_runs, seconds=timer.elapsed)
+        yield record, cache
+
+
 def generate_corpus(config: CorpusConfig | None = None,
                     progress: bool = False,
                     progress_callback: ProgressCallback | None = None,
@@ -256,11 +318,12 @@ def generate_corpus(config: CorpusConfig | None = None,
                     store: MetadataStore | None = None) -> Corpus:
     """Generate a full corpus per the configuration.
 
-    Deterministic given ``config.seed``. With ``progress=True`` (and no
-    explicit callback) the classic line is printed every 50 pipelines
-    (corpus generation at bench scale takes tens of seconds). Pass
-    ``progress_callback`` for custom reporting; it is invoked after
-    every pipeline with the metrics-derived completion count.
+    Deterministic given ``config.seed``, and row-identical to
+    :func:`repro.fleet.generate_corpus_fleet` at any worker count. With
+    ``progress=True`` (and no explicit callback) the classic line is
+    printed every 50 pipelines (corpus generation at bench scale takes
+    tens of seconds). Pass ``progress_callback`` for custom reporting;
+    it is invoked after every pipeline with the completion count.
 
     With ``telemetry=True`` a provenance-aware sink is attached to the
     store before simulation, so every execution gains a joinable
@@ -279,7 +342,6 @@ def generate_corpus(config: CorpusConfig | None = None,
     that maintenance overhead).
     """
     config = config or CorpusConfig()
-    rng = np.random.default_rng(config.seed)
     store = store if store is not None else MetadataStore()
     sink = None
     if telemetry:
@@ -288,39 +350,22 @@ def generate_corpus(config: CorpusConfig | None = None,
     corpus = Corpus(store=store, config=config)
     if progress_callback is None and progress:
         progress_callback = print_progress_every(50)
-    registry = get_registry()
-    pipelines_done = registry.counter("corpus.pipelines_generated")
-    done_base = pipelines_done.value
     _log.info("corpus_generation_started", pipelines=config.n_pipelines,
               seed=config.seed)
     with span("corpus.generate", n_pipelines=config.n_pipelines,
               seed=config.seed):
-        for index in range(config.n_pipelines):
-            archetype, start_time = sample_pipeline_plan(rng, config,
-                                                         index)
-            injector = (fault_plan.injector(index)
-                        if fault_plan is not None else None)
-            with span("corpus.pipeline", index=index,
-                      archetype=archetype.name), \
-                    registry.timer("corpus.pipeline_seconds") as timer:
-                record = _simulate_pipeline(store, config, archetype, rng,
-                                            start_time,
-                                            fault_injector=injector,
-                                            retry_policy=retry_policy)
-            pipelines_done.value += 1
+        pipelines = simulate_pipelines(store, config, 0, config.n_pipelines,
+                                       fault_plan=fault_plan,
+                                       retry_policy=retry_policy)
+        for done, (record, _) in enumerate(pipelines, 1):
             corpus.records.append(record)
-            _log.debug("pipeline_generated", index=index,
-                       archetype=archetype.name, runs=record.n_runs,
-                       train_runs=record.n_train_runs,
-                       seconds=timer.elapsed)
             if progress_callback is not None:
-                progress_callback(int(pipelines_done.value - done_base),
-                                  config.n_pipelines, store)
+                progress_callback(done, config.n_pipelines, store)
     if sink is not None:
         # Persist the fleet-level instrument snapshot so dashboards can
         # read op counts and wall-time histograms out of the corpus
         # database instead of a side-channel JSONL file.
-        sink.record_registry(registry)
+        sink.record_registry(get_registry())
     _log.info("corpus_generated", pipelines=len(corpus.records),
               executions=store.num_executions,
               artifacts=store.num_artifacts, events=store.num_events,

@@ -11,7 +11,7 @@ instead of an ad-hoc hint:
 * :mod:`repro.faults.injector` — the runtime-facing
   :class:`FaultInjector` (per-pipeline derived fault stream, separate
   from the simulation rng) and the unified reading of the legacy
-  ``fail_nodes`` hints.
+  ``fail_nodes`` hint.
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`: attempt budgets,
   exponential backoff with deterministic jitter, per-operator
   deadlines. Every attempt persists as its own MLMD execution with

@@ -3,15 +3,13 @@
 The :class:`FaultInjector` is what a :class:`~repro.faults.FaultPlan`
 looks like from inside :class:`~repro.tfx.runtime.PipelineRunner`: one
 ``draw()`` per node execution, answered from the plan's own random
-stream (never the simulation rng). The legacy ``fail_nodes`` /
-``fail_node`` hints collapse into the same :class:`InjectedFault`
-representation via :func:`hint_fault`, so the runner has exactly one
-failure code path.
+stream (never the simulation rng). The legacy ``fail_nodes`` hint
+collapses into the same :class:`InjectedFault` representation via
+:func:`hint_fault`, so the runner has exactly one failure code path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -136,18 +134,8 @@ class FaultInjector:
 
 
 def hint_fault(hints: dict[str, Any], node_id: str) -> InjectedFault | None:
-    """The unified reading of the legacy failure hints.
-
-    ``hints["fail_nodes"]`` (a collection of node ids) is the supported
-    spelling; the singular ``hints["fail_node"]`` is kept as a
-    deprecated alias.
-    """
-    legacy = hints.get("fail_node")
-    if legacy is not None:
-        warnings.warn(
-            "the 'fail_node' hint is deprecated; use 'fail_nodes' "
-            "(a collection) or a FaultPlan instead",
-            DeprecationWarning, stacklevel=3)
-    if node_id in hints.get("fail_nodes", ()) or legacy == node_id:
+    """The unified reading of the legacy ``hints["fail_nodes"]``
+    (a collection of node ids)."""
+    if node_id in hints.get("fail_nodes", ()):
         return HINT_FAULT
     return None

@@ -1,21 +1,15 @@
 """Sharded parallel corpus generation.
 
-The sequential generator simulates every pipeline in one loop, threading
-a single random stream through all of them — correct, but neither
-parallel nor partitionable. The fleet path derives an *independent* rng
-per pipeline from ``(config.seed, pipeline index)`` via
-``SeedSequence.spawn_key``, which makes each pipeline's simulation a
-pure function of the config and its index. Pipelines can then be
-partitioned into contiguous shards, simulated in worker processes into
-private stores, and merged back (:mod:`repro.fleet.merge`) into a trace
-that is *identical* for any worker count with the same seed — the
-reproducible-pipeline discipline of Sugimura & Hartl applied to the
-corpus generator itself.
-
-Note the fleet path is intentionally a different (per-pipeline) seeding
-scheme from ``generate_corpus``'s shared-stream scheme: ``--workers 1``
-is the fleet's own sequential baseline, and existing seeds of the
-legacy path are untouched.
+Every pipeline's simulation is a pure function of the config and its
+index: :func:`~repro.corpus.generator.simulate_pipelines` runs it on
+the per-pipeline rng :func:`pipeline_rng` derives from
+``(config.seed, pipeline index)`` via ``SeedSequence.spawn_key``.
+Pipelines can therefore be partitioned into contiguous shards,
+simulated in worker processes into private stores, and merged back
+(:mod:`repro.fleet.merge`) into a trace that is *identical* for any
+worker count with the same seed — and identical to
+:func:`repro.corpus.generate_corpus` — the reproducible-pipeline
+discipline of Sugimura & Hartl applied to the corpus generator itself.
 
 Worker discipline:
 
@@ -41,9 +35,11 @@ Worker discipline:
   entirely.
 
 Executors: a run with exactly one shard to simulate and no supervision
-calls :func:`run_shard` directly — the sequential baseline. Every other
-run goes through :class:`~repro.fleet.supervisor.FleetSupervisor`,
-the one code path that starts worker processes (or, where spawn is
+calls :func:`run_shard` directly. When that shard is the whole plan
+(one worker, nothing resumed) it simulates straight into the
+destination store — no snapshot, no merge. Every other run goes
+through :class:`~repro.fleet.supervisor.FleetSupervisor`, the one
+code path that starts worker processes (or, where spawn is
 unavailable, runs their shards inline).
 
 Crash safety (:mod:`repro.faults`): a worker that raises — or is
@@ -68,12 +64,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from ..corpus.config import CorpusConfig
 from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
-                                print_progress_every, sample_pipeline_plan,
-                                _simulate_pipeline)
+                                pipeline_rng, print_progress_every,
+                                simulate_pipelines)
 from ..faults.injector import WorkerCrashError, WorkerHangError
 from ..faults.journal import (ShardJournal, config_fingerprint, folded_path,
                               spans_path, write_shard_payload)
@@ -84,7 +78,6 @@ from ..obs.fleetwatch import DEFAULT_STALL_AFTER, ShardHeartbeat
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.tracing import TraceContext, Tracer, get_tracer, set_tracer, span
-from .cache import ExecutionCache
 from .merge import (StoreSnapshot, merge_snapshot, snapshot_row_count,
                     snapshot_store)
 
@@ -101,18 +94,6 @@ __all__ = [
 ]
 
 _log = get_logger("fleet.workers")
-
-
-def pipeline_rng(seed: int, index: int) -> np.random.Generator:
-    """The derived random stream of pipeline ``index``.
-
-    ``SeedSequence(entropy=seed, spawn_key=(index,))`` gives every
-    pipeline a statistically independent stream that depends only on
-    the corpus seed and the pipeline's global index — never on which
-    shard or worker simulates it.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +140,8 @@ class ShardResult:
     (``snapshot_direct``, inline/resume paths) or as a pickle blob the
     worker serialized itself (``snapshot_blob``, worker-process path —
     measured as the ``serialize`` phase). :attr:`snapshot` presents one
-    view over both.
+    view over both. A shard simulated straight into the destination
+    store carries neither.
     """
 
     spec: ShardSpec
@@ -220,7 +202,8 @@ def classify_failure(exc: Exception) -> tuple[str, str]:
 
 def _maybe_worker_fault(fault: FaultSpec | None, spec: ShardSpec,
                         completed: int) -> None:
-    """Fire an injected worker fault once ``completed`` pipelines ran.
+    """Fire an injected worker fault once ``completed`` pipelines ran
+    (never after the shard's last pipeline).
 
     Crash ``mode="kill"`` dies with ``os._exit``; a ``worker_hang``
     stops making progress (and heartbeating) forever — the shape of
@@ -229,7 +212,8 @@ def _maybe_worker_fault(fault: FaultSpec | None, spec: ShardSpec,
     (:class:`WorkerCrashError` / :class:`WorkerHangError`) so a
     single-process run never takes the driver down — or hangs it.
     """
-    if fault is None or completed != fault.after_pipelines:
+    if fault is None or completed != fault.after_pipelines \
+            or completed >= spec.n_pipelines:
         return
     in_worker = multiprocessing.parent_process() is not None
     if fault.kind is FaultKind.WORKER_HANG:
@@ -248,6 +232,15 @@ def _maybe_worker_fault(fault: FaultSpec | None, spec: ShardSpec,
         f"{completed} pipeline(s)")
 
 
+def _new_store(telemetry: bool) -> MetadataStore:
+    """An empty store, with a provenance sink when ``telemetry``."""
+    store = MetadataStore()
+    if telemetry:
+        from ..obs.provenance import attach_sink
+        attach_sink(store)
+    return store
+
+
 def run_shard(spec: ShardSpec, config: CorpusConfig,
               telemetry: bool = False,
               exec_cache: bool = False,
@@ -258,12 +251,15 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
               trace_ctx: TraceContext | None = None,
               serialize: bool = False,
               profile: bool = False,
-              attempt: int = 1) -> ShardResult:
+              attempt: int = 1,
+              store: MetadataStore | None = None) -> ShardResult:
     """Simulate one shard into a private store (worker entry point).
 
     Runs in a worker process (or inline): installs a fresh registry,
     simulates pipelines ``[spec.start, spec.stop)`` each on its derived
-    rng, and returns a picklable snapshot.
+    rng, and returns a picklable snapshot. Given a ``store`` (the
+    caller's destination, telemetry sink already attached), the shard
+    simulates straight into it and the result carries no snapshot.
 
     With a ``fault_plan``, each pipeline gets its plan-derived fault
     injector (seeded by global index — shard-invariant), and a
@@ -314,11 +310,9 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     completed = 0
     try:
         registry = get_registry()
-        pipelines_done = registry.counter("corpus.pipelines_generated")
-        store = MetadataStore()
-        if telemetry:
-            from ..obs.provenance import attach_sink
-            attach_sink(store)
+        direct = store is not None
+        if not direct:
+            store = _new_store(telemetry)
         records = []
         hits = misses = 0
         saved = 0.0
@@ -329,52 +323,39 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
             sim_started = perf_counter()
             with span("fleet.shard.simulate",
                       pipelines=spec.n_pipelines):
-                for offset, index in enumerate(range(spec.start,
-                                                     spec.stop)):
-                    _maybe_worker_fault(worker_fault, spec, offset)
-                    rng = pipeline_rng(config.seed, index)
-                    archetype, start_time = sample_pipeline_plan(
-                        rng, config, index)
-                    # Per-pipeline cache scope: pipelines never share
-                    # artifacts, and pipeline-local hits are
-                    # shard-assignment-invariant.
-                    cache = ExecutionCache() if exec_cache else None
-                    injector = (fault_plan.injector(index)
-                                if fault_plan is not None else None)
-                    with span("corpus.pipeline", index=index,
-                              archetype=archetype.name):
-                        with registry.timer("corpus.pipeline_seconds"):
-                            record = _simulate_pipeline(
-                                store, config, archetype, rng,
-                                start_time, execution_cache=cache,
-                                fault_injector=injector,
-                                retry_policy=retry_policy)
-                    pipelines_done.value += 1
-                    completed = offset + 1
+                _maybe_worker_fault(worker_fault, spec, 0)
+                for record, cache in simulate_pipelines(
+                        store, config, spec.start, spec.stop,
+                        exec_cache=exec_cache, fault_plan=fault_plan,
+                        retry_policy=retry_policy):
                     records.append(record)
+                    completed = len(records)
                     if cache is not None:
                         hits += cache.hits
                         misses += cache.misses
                         saved += cache.saved_cpu_hours
                     if heartbeat is not None:
-                        heartbeat.beat("simulate", offset + 1)
+                        heartbeat.beat("simulate", completed)
+                    _maybe_worker_fault(worker_fault, spec, completed)
             phases["simulate"] = perf_counter() - sim_started
             # Instruments snapshot *here*: the serialize/journal store
             # reads below must not leak into the folded tallies
             # (resumed and fresh merges must fold identical numbers).
             instruments = registry.state_records()
-            if heartbeat is not None:
-                heartbeat.beat("serialize", spec.n_pipelines, force=True)
-            ser_started = perf_counter()
-            blob = None
-            with span("fleet.shard.serialize") as ser_span:
-                snapshot = snapshot_store(store)
-                if serialize:
-                    blob = pickle.dumps(snapshot,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    ser_span.set_attr("bytes", len(blob))
-                ser_span.set_attr("rows", snapshot_row_count(snapshot))
-            phases["serialize"] = perf_counter() - ser_started
+            snapshot = blob = None
+            if not direct:
+                if heartbeat is not None:
+                    heartbeat.beat("serialize", spec.n_pipelines,
+                                   force=True)
+                ser_started = perf_counter()
+                with span("fleet.shard.serialize") as ser_span:
+                    snapshot = snapshot_store(store)
+                    if serialize:
+                        blob = pickle.dumps(
+                            snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+                        ser_span.set_attr("bytes", len(blob))
+                    ser_span.set_attr("rows", snapshot_row_count(snapshot))
+                phases["serialize"] = perf_counter() - ser_started
             if journal_dir is not None:
                 with span("fleet.shard.journal"):
                     write_shard_payload(
@@ -570,7 +551,8 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     Deterministic given ``config.seed`` for *any* ``workers`` value:
     the merged store is identical (same ids, same rows) whether one
     worker or eight simulated it. With ``exec_cache=True`` every runner
-    carries a content-addressed :class:`ExecutionCache` and redundant
+    carries a content-addressed
+    :class:`~repro.fleet.cache.ExecutionCache` and redundant
     re-executions are replayed as ``CACHED`` executions.
 
     Args:
@@ -707,19 +689,27 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                                 root_span_id=run_span.span_id,
                                 worker=worker)
 
+        store = _new_store(telemetry)
+        # A plan of one shard with nothing resumed simulates straight
+        # into the destination store: there is nothing to merge.
+        direct = shards[0] if len(shards) == 1 and to_run \
+            and not supervise else None
         used_processes = False
         degradation = None
         with _timed_phase(phases, "simulate", shards=len(to_run)):
             if len(to_run) == 1 and not supervise:
-                # The sequential baseline: one shard, simulated here.
                 spec = to_run[0]
                 try:
                     result = run_shard(
                         spec, config, telemetry, exec_cache, fault_plan,
                         retry_policy, payload_dir,
                         allow_crash[spec.shard_index],
-                        trace_ctx=trace_ctx_for(spec), profile=profile)
+                        trace_ctx=trace_ctx_for(spec), profile=profile,
+                        store=store if spec is direct else None)
                 except Exception as exc:  # A worker bug loses one shard.
+                    if spec is direct:
+                        # Drop the lost shard's partial rows.
+                        store = _new_store(telemetry)
                     kind, message = classify_failure(exc)
                     failures[spec.shard_index] = ShardFailure(
                         spec.shard_index, spec.start, spec.stop, kind,
@@ -760,10 +750,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 failures.update(sup_failures)
                 used_processes = supervisor.used_processes
 
-        store = MetadataStore()
-        if telemetry:
-            from ..obs.provenance import attach_sink
-            attach_sink(store)
         corpus = Corpus(store=store, config=config)
         report = FleetReport(workers=len(shards), shards=shards,
                              pipelines=config.n_pipelines,
@@ -784,12 +770,14 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 result = results.get(spec.shard_index)
                 if result is None:
                     continue
-                report.merge_rows += snapshot_row_count(result.snapshot)
-                maps = merge_snapshot(store, result.snapshot)
-                for record in result.records:
-                    record.context_id = maps.context_ids[
-                        record.context_id]
-                    corpus.records.append(record)
+                if spec is not direct:
+                    report.merge_rows += snapshot_row_count(
+                        result.snapshot)
+                    maps = merge_snapshot(store, result.snapshot)
+                    for record in result.records:
+                        record.context_id = maps.context_ids[
+                            record.context_id]
+                corpus.records.extend(result.records)
                 registry.fold(result.instruments)
                 _record_shard_dataplane(registry, result)
                 if tracer.enabled:
@@ -831,9 +819,8 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     report.wall_seconds = perf_counter() - started
     for name, seconds in report.phase_breakdown().items():
         registry.gauge("fleet.phase_seconds", phase=name).set(seconds)
-    if report.merge_rows:
-        registry.gauge("fleet.merge.rows_per_sec").set(
-            report.merge_rows_per_sec)
+    registry.gauge("fleet.merge.rows_per_sec").set(
+        report.merge_rows_per_sec)
     if report.failed_shards:
         _log.warning("fleet_generated_partial",
                      merged=len(corpus.records),
@@ -860,12 +847,12 @@ def _record_shard_dataplane(registry: MetricsRegistry,
     Every shard records all three histograms so the instrument set —
     and therefore the telemetry rows a sink persists — is invariant to
     worker count: inline shards honestly observe 0 bytes serialized and
-    a 0-second transfer (the snapshot is handed over in-process).
+    a 0-second transfer (the snapshot is handed over in-process), and a
+    shard simulated straight into the destination store serializes
+    nothing in 0 seconds.
     """
-    serialize_seconds = result.phase_seconds.get("serialize")
-    if serialize_seconds is not None:
-        registry.histogram("fleet.shard.serialize_seconds").record(
-            serialize_seconds)
+    registry.histogram("fleet.shard.serialize_seconds").record(
+        result.phase_seconds.get("serialize", 0.0))
     registry.histogram("fleet.shard.snapshot_bytes").record(
         result.snapshot_bytes)
     registry.histogram("fleet.shard.transfer_seconds").record(

@@ -9,6 +9,8 @@ from repro.corpus import (
     generate_corpus,
     sample_archetype,
 )
+from repro.faults import FaultPlan, RetryPolicy
+from repro.fleet import generate_corpus_fleet
 from repro.mlmd import trace_lifespan_days
 from repro.tfx.model_types import ModelType
 
@@ -96,6 +98,49 @@ class TestGeneration:
         for record in small_corpus.records:
             assert trace_lifespan_days(store, record.context_id) \
                 <= span + 1.0
+
+
+def _store_rows(store):
+    """Every context, execution, artifact and event row, ids included
+    (repr compares NaN properties equal)."""
+    return [[repr(row) for row in rows] for rows in (
+        store.get_contexts(), store.get_executions(),
+        store.get_artifacts(), store.get_events())]
+
+
+class TestOneStream:
+    """``generate_corpus`` and the fleet at any worker count draw the
+    same per-pipeline streams, so they store the same rows."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        config = CorpusConfig(n_pipelines=5, seed=11,
+                              max_graphlets_per_pipeline=6,
+                              max_window_spans=6)
+        plan = FaultPlan.parse("transient:Trainer:0.4;permanent:Pusher:0.2",
+                               seed=3)
+        retry = RetryPolicy(max_attempts=3)
+        kwargs = dict(fault_plan=plan, retry_policy=retry)
+        sequential = generate_corpus(config, **kwargs)
+        one, _ = generate_corpus_fleet(config, workers=1, **kwargs)
+        three, _ = generate_corpus_fleet(config, workers=3,
+                                         in_process=True, **kwargs)
+        return sequential, one, three
+
+    def test_rows_identical(self, corpora):
+        sequential, one, three = corpora
+        rows = _store_rows(sequential.store)
+        assert all(rows)
+        assert any(e.get("retry_of") is not None
+                   for e in sequential.store.get_executions())
+        assert _store_rows(one.store) == rows
+        assert _store_rows(three.store) == rows
+
+    def test_pipeline_records_identical(self, corpora):
+        sequential, one, three = corpora
+        assert len(sequential.records) == 5
+        assert one.records == sequential.records
+        assert three.records == sequential.records
 
 
 class TestCalibrationShape:

@@ -295,14 +295,3 @@ class TestFailureProvenance:
         assert "gpu fell off the bus" in execution.get("error_message")
         assert execution.get("failed_node") == "trainer"
         assert execution.get("failure_kind") == "operator_error"
-
-    def test_singular_fail_node_hint_deprecated(self, rng):
-        store, runner = _runner(rng)
-        schema = random_schema(rng, n_features=4)
-        with pytest.warns(DeprecationWarning):
-            report = runner.run(0.0, kind="train",
-                                hints=_hints(schema, rng, 0,
-                                             fail_node="trainer"))
-        assert report.node_status["trainer"] == FAILED
-        execution = store.get_execution(report.execution_ids["trainer"])
-        assert execution.get("failure_kind") == "injected"

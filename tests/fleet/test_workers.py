@@ -243,3 +243,58 @@ class TestExecCache:
         assert one.cache_hits == four.cache_hits
         assert one.saved_cpu_hours == pytest.approx(
             four.saved_cpu_hours, rel=1e-12)
+
+
+def _all_rows(store):
+    """Every stored row, ids included (repr compares NaN equal)."""
+    return [[repr(row) for row in rows] for rows in (
+        store.get_contexts(), store.get_executions(),
+        store.get_artifacts(), store.get_events())]
+
+
+def _refuse_merging(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-shard run snapshotted or merged")
+
+    monkeypatch.setattr("repro.fleet.workers.snapshot_store", refuse)
+    monkeypatch.setattr("repro.fleet.workers.merge_snapshot", refuse)
+
+
+class TestSingleShardDirect:
+    """One shard, nothing resumed: simulated straight into the
+    destination store, never snapshotted or merged."""
+
+    def test_workers_1_never_merges(self, monkeypatch, parallel_fleet):
+        _refuse_merging(monkeypatch)
+        corpus, report = generate_corpus_fleet(_tiny_config(), workers=1)
+        assert report.complete
+        assert report.merge_rows == 0
+        assert len(corpus.records) == 6
+        assert _all_rows(corpus.store) == _all_rows(parallel_fleet[0].store)
+
+    def test_journal_payload_written_and_resumable(self, monkeypatch,
+                                                   tmp_path):
+        journal_dir = journal_dir_for(tmp_path / "corpus.db")
+        _refuse_merging(monkeypatch)
+        corpus, report = generate_corpus_fleet(
+            _tiny_config(), workers=1, journal_dir=journal_dir)
+        assert report.merge_rows == 0
+        assert (journal_dir / "shard-0000.db").exists()
+        assert (journal_dir / "shard-0000.pkl").exists()
+        # Resuming the finished journal merges its payload back.
+        monkeypatch.undo()
+        resumed, report = generate_corpus_fleet(
+            _tiny_config(), workers=1, journal_dir=journal_dir,
+            resume=True)
+        assert report.resumed_shards == 1
+        assert report.merge_rows > 0
+        assert resumed.records == corpus.records
+        assert _all_rows(resumed.store) == _all_rows(corpus.store)
+
+    def test_lost_shard_leaves_no_partial_rows(self):
+        plan = FaultPlan.parse("worker_crash:0:2")
+        corpus, report = generate_corpus_fleet(_tiny_config(), workers=1,
+                                               fault_plan=plan)
+        assert [f.kind for f in report.failed_shards] == ["worker_crash"]
+        assert corpus.records == []
+        assert corpus.store.num_executions == 0

@@ -229,7 +229,7 @@ class TestFleetCLI:
 
     def test_fleet_flags_off_by_default(self):
         args = build_parser().parse_args(["generate"])
-        assert args.workers is None
+        assert args.workers == 1
         assert not args.exec_cache
 
     def test_generate_reports_fleet_and_cache(self, tmp_path, capsys):
