@@ -3,7 +3,7 @@
 The fleet-scaling bench measures *that* a parallel run is (or is not)
 faster; this one measures *why*, breaking the coordinator's wall clock
 into the instrumented phases — shard planning, parallel simulation,
-snapshot serialization, IPC transfer, merge re-insertion — and writing
+shard-file write, merge re-insertion — and writing
 ``benchmarks/results/BENCH_fleet_phases.json`` for the CI artifact.
 
 The acceptance gate: the named phases must account for the run — the
@@ -124,15 +124,16 @@ def test_fleet_phase_decomposition(profiled_run, phases_config):
          + phase_lines + "\n"
          f"  merge      : {report.merge_rows:,} rows at "
          f"{payload['merge_rows_per_sec']:,.0f} rows/s\n"
-         f"  snapshots  : {report.snapshot_bytes:,} bytes shipped")
+         f"  shard files: {report.snapshot_bytes:,} bytes written")
 
     # The data-plane histograms saw every shard.
     assert serialize is not None
     assert serialize["count"] == FLEET_WORKERS
     assert report.merge_rows > 0
+    # Every shard travelled home as its sqlite file.
+    assert report.snapshot_bytes > 0
     if report.used_processes:
-        # Real pool: snapshots crossed a process boundary, so bytes
-        # and transfer times were actually measured.
-        assert report.snapshot_bytes > 0
+        # Real workers: results crossed a process boundary, so
+        # transfer times were actually measured.
         assert transfer is not None and transfer["count"] == \
             FLEET_WORKERS

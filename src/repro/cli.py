@@ -1029,6 +1029,11 @@ def main(argv: list[str] | None = None) -> int:
         resource_sampler = ResourceSampler().start()
     try:
         return args.fn(args)
+    except FileNotFoundError as exc:
+        # E.g. a mistyped corpus path: load_store refuses it (creating
+        # nothing) and the command fails with one line, not a traceback.
+        _log.error("file_not_found", reason=str(exc))
+        return 2
     except BrokenPipeError:
         # The stdout consumer (e.g. `repro telemetry t.jsonl | head`)
         # went away; silence the flush-at-exit error too.

@@ -16,13 +16,17 @@ A fleet run with an output path ``corpus.db`` journals under
 
 Workers persist their payload (``.db`` + ``.pkl``) the moment a shard
 finishes; the driver records the outcome entry as each result (or
-failure) lands. A later ``--resume`` run therefore re-simulates only
-shards without a ``done`` entry, loads the rest from disk, and merges
-everything in shard order — reproducing the exact store a fault-free
-run would have produced. The manifest fingerprint covers the corpus
-config, shard layout, cache/telemetry switches, fault plan, and retry
-policy; resuming with any of those changed is refused rather than
-silently mixing incompatible shards.
+failure) lands. ``shard-NNNN.db`` is both the shard's transport and
+its payload: the driver merges every shard from that file, in the
+same run and on resume alike, while the result pipe carries only what
+``.pkl`` holds. A multi-shard run without a journal directory still
+journals, into a private temporary directory it removes on return. A
+later ``--resume`` run re-simulates only shards without a ``done``
+entry and merges every shard file in shard order — reproducing the
+exact store a fault-free run would have produced. The manifest
+fingerprint covers the corpus config, shard layout, cache/telemetry
+switches, fault plan, and retry policy; resuming with any of those
+changed is refused rather than silently mixing incompatible shards.
 
 All writes go through a temp-file + ``os.replace`` so a killed driver
 or worker never leaves a half-written journal file behind.
@@ -39,14 +43,13 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from ..mlmd.sqlite_store import load_store, save_store
+from ..mlmd.sqlite_store import save_store
 from ..mlmd.store import MetadataStore
-from ..obs.metrics import MetricsRegistry, set_registry
 
 __all__ = ["JournalError", "ShardEntry", "ShardJournal",
            "config_fingerprint", "degradation_path", "folded_path",
-           "journal_dir_for", "spans_path", "supervision_log_path",
-           "write_shard_payload"]
+           "journal_dir_for", "shard_db_path", "spans_path",
+           "supervision_log_path", "write_shard_payload"]
 
 MANIFEST = "manifest.json"
 #: Bumped whenever the payload/extras schema changes; the fingerprint
@@ -57,8 +60,10 @@ MANIFEST = "manifest.json"
 #: ``rescheduled_from`` / per-attempt ``history``) plus a
 #: ``quarantined`` status for the supervisor — entries from older
 #: journals still *parse* (missing fields default), but payload resume
-#: across versions stays refused via the fingerprint.
-JOURNAL_VERSION = 3
+#: across versions stays refused via the fingerprint. v4: the extras
+#: no longer carry ``snapshot_bytes`` (the driver measures the shard
+#: file it merges).
+JOURNAL_VERSION = 4
 
 
 class JournalError(RuntimeError):
@@ -99,6 +104,11 @@ def _stem(shard_index: int) -> str:
     return f"shard-{shard_index:04d}"
 
 
+def shard_db_path(directory: str | Path, shard_index: int) -> Path:
+    """Where a shard's trace store lives inside the journal dir."""
+    return Path(directory) / (_stem(shard_index) + ".db")
+
+
 def spans_path(directory: str | Path, shard_index: int) -> Path:
     """Where a shard's trace spans live inside the journal dir."""
     return Path(directory) / (_stem(shard_index) + ".spans.jsonl")
@@ -132,11 +142,11 @@ def write_shard_payload(directory: str | Path, shard_index: int,
     The sqlite file is written to a temp name and renamed into place,
     so a crash mid-write leaves no plausible-but-truncated payload.
     """
-    directory = Path(directory)
-    db_tmp = directory / (_stem(shard_index) + ".db.tmp")
+    db_path = shard_db_path(directory, shard_index)
+    db_tmp = db_path.with_name(db_path.name + ".tmp")
     save_store(store, db_tmp)
-    os.replace(db_tmp, directory / (_stem(shard_index) + ".db"))
-    _atomic_write(directory / (_stem(shard_index) + ".pkl"),
+    os.replace(db_tmp, db_path)
+    _atomic_write(Path(directory) / (_stem(shard_index) + ".pkl"),
                   pickle.dumps(extras))
 
 
@@ -262,7 +272,7 @@ class ShardJournal:
         """Whether the shard completed *and* its payload files exist."""
         entry = self.entries.get(shard_index)
         return (entry is not None and entry.status == "done"
-                and (self.directory / (_stem(shard_index) + ".db")).exists()
+                and shard_db_path(self.directory, shard_index).exists()
                 and (self.directory / (_stem(shard_index) + ".pkl")).exists())
 
     def record_done(self, shard_index: int, attempt: int = 1,
@@ -359,19 +369,11 @@ class ShardJournal:
 
     # ---------------------------------------------------------- payload
 
-    def load_payload(self, shard_index: int) -> tuple[MetadataStore, dict]:
-        """Reload a completed shard's store and tallies.
+    def load_payload(self, shard_index: int) -> dict:
+        """A completed shard's records and tallies (its ``.pkl``).
 
-        The sqlite load runs under a throwaway metrics registry: replayed
-        store ops must not inflate the live run's counters (which are
-        persisted into the merged store when telemetry is on — resumed
-        and fault-free runs must record identical snapshots).
+        The shard's rows stay in :func:`shard_db_path`, which the driver
+        merges like any freshly written shard file.
         """
-        previous = set_registry(MetricsRegistry())
-        try:
-            store = load_store(self.directory / (_stem(shard_index) + ".db"))
-        finally:
-            set_registry(previous)
-        extras = pickle.loads(
+        return pickle.loads(
             (self.directory / (_stem(shard_index) + ".pkl")).read_bytes())
-        return store, extras

@@ -1,14 +1,14 @@
 """Sharded parallel corpus execution with a content-addressed cache.
 
-The subsystem has three parts, surfaced via
+The subsystem has two parts, surfaced via
 ``repro generate --workers N --exec-cache``:
 
 * :mod:`repro.fleet.workers` — partition the corpus into per-worker
   shards with derived per-pipeline seeds, simulate each shard in its
-  own process and store, and return serialized shards.
-* :mod:`repro.fleet.merge` — fold shard stores into one
-  :class:`~repro.mlmd.MetadataStore` with full id remapping, preserving
-  referential integrity for every downstream analysis.
+  own process and store, write it to a sqlite shard file, and append
+  the shard files in order to one :class:`~repro.mlmd.MetadataStore`
+  with full id remapping
+  (:func:`~repro.mlmd.sqlite_store.append_store`).
 * :mod:`repro.fleet.cache` — a content-addressed execution cache that
   turns the paper's graphlet-similarity observation (Table 1 /
   Section 5) into replayed ``CACHED`` executions with measured saved
@@ -27,7 +27,6 @@ quarantined behind a structured
 """
 
 from .cache import CacheEntry, CachedOutput, ExecutionCache
-from .merge import MergeMaps, StoreSnapshot, merge_snapshot, snapshot_store
 from .supervisor import (
     DegradationReport,
     FleetSupervisor,
@@ -53,18 +52,14 @@ __all__ = [
     "ExecutionCache",
     "FleetReport",
     "FleetSupervisor",
-    "MergeMaps",
     "QuarantinedShard",
     "ShardFailure",
     "ShardResult",
     "ShardSpec",
-    "StoreSnapshot",
     "SupervisorPolicy",
     "generate_corpus_fleet",
-    "merge_snapshot",
     "pipeline_rng",
     "plan_shards",
     "render_degradation",
     "run_shard",
-    "snapshot_store",
 ]

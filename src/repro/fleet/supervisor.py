@@ -45,16 +45,15 @@ detection, hedging, quarantine, ``supervision.jsonl`` or
 Attempts run as dedicated ``multiprocessing.Process`` workers, not a
 process pool: a pool cannot terminate one hung member, which is
 precisely the recovery a supervisor exists to perform, nor say which
-member died. With a journal, each attempt gets a private
-scratch directory under ``<journal>/attempts/`` for its payload and
-heartbeat; the winning attempt's files are promoted into the
-canonical journal names so ``--resume`` and ``fleet-status`` see one
-layout however the shard ran. Without a journal, attempts get no
-scratch directory, heartbeat or payload. When process spawn is
-unavailable (sandbox, ``in_process=True``) the supervisor degrades to
-inline attempts: reschedule and quarantine semantics are identical,
-while stall detection and hedging — which require a concurrently
-observable worker — are naturally inert.
+member died. Each attempt gets a private scratch directory under
+``<journal>/attempts/`` for its payload and heartbeat; the winning
+attempt's files are promoted into the canonical journal names. The
+coordinator merges the shard file from there, and ``--resume`` and
+``fleet-status`` see one layout however the shard ran. When process
+spawn is unavailable (sandbox, ``in_process=True``) the supervisor
+degrades to inline attempts: reschedule and quarantine semantics are
+identical, while stall detection and hedging — which require a
+concurrently observable worker — are naturally inert.
 """
 
 from __future__ import annotations
@@ -254,7 +253,7 @@ def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
         result = run_shard(
             spec, config, telemetry, exec_cache, fault_plan,
             retry_policy, attempt_dir, armed, trace_ctx=trace_ctx,
-            serialize=True, profile=profile, attempt=attempt)
+            profile=profile, attempt=attempt)
     except Exception as exc:  # one attempt lost, never the supervisor
         _send(conn, ("failed", spec.shard_index, attempt,
                      *classify_failure(exc)))
@@ -279,7 +278,7 @@ class _Attempt:
     attempt: int
     process: object
     conn: object
-    directory: Path | None
+    directory: Path
     started: float
     hedge: bool = False
 
@@ -309,12 +308,12 @@ class FleetSupervisor:
     Constructed by :func:`~repro.fleet.workers.generate_corpus_fleet`
     for every run with more than one shard to simulate (or with
     ``supervise=True``); :meth:`run` simulates the shards that still
-    need it. ``policy=None`` runs them unsupervised (one attempt each,
-    no supervision records); ``journal=None`` runs them without scratch
-    directories, heartbeats or payloads.
+    need it, each writing its shard file into ``journal``.
+    ``policy=None`` runs them unsupervised (one attempt each, no
+    supervision records).
     """
 
-    def __init__(self, config: CorpusConfig, journal: ShardJournal | None,
+    def __init__(self, config: CorpusConfig, journal: ShardJournal,
                  policy: SupervisorPolicy | None = None, *,
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
@@ -338,7 +337,7 @@ class FleetSupervisor:
         self.failures: dict[int, object] = {}
         self._state: dict[int, _ShardState] = {}
         self._report: DegradationReport | None = None
-        self._journal_dir = journal.directory if journal else None
+        self._journal_dir = journal.directory
 
     # ------------------------------------------------------------ public
 
@@ -421,11 +420,9 @@ class FleetSupervisor:
 
     def _launch(self, spec, attempt: int, armed: bool,
                 hedge: bool = False) -> None:
-        attempt_dir = None
-        if self._journal_dir is not None:
-            attempt_dir = (self._journal_dir / "attempts"
-                           / f"shard-{spec.shard_index:04d}-a{attempt}")
-            attempt_dir.mkdir(parents=True, exist_ok=True)
+        attempt_dir = (self._journal_dir / "attempts"
+                       / f"shard-{spec.shard_index:04d}-a{attempt}")
+        attempt_dir.mkdir(parents=True, exist_ok=True)
         recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(
             target=_attempt_main,
@@ -630,12 +627,11 @@ class FleetSupervisor:
         self.results[attempt.shard_index] = result
         rescheduled_from = state.last_failed_attempt \
             if attempt.attempt > 1 else 0
-        if self.journal is not None:
-            if promote:
-                self._promote(attempt)
-            self.journal.record_done(attempt.shard_index,
-                                     attempt=attempt.attempt,
-                                     rescheduled_from=rescheduled_from)
+        if promote:
+            self._promote(attempt)
+        self.journal.record_done(attempt.shard_index,
+                                 attempt=attempt.attempt,
+                                 rescheduled_from=rescheduled_from)
         self._event(
             "attempt_completed", shard=attempt.shard_index,
             attempt=attempt.attempt, hedge=attempt.hedge,
@@ -670,11 +666,9 @@ class FleetSupervisor:
         state.last_kind = kind
         state.last_message = message
         state.last_failed_attempt = attempt.attempt
-        if self.journal is not None:
-            self.journal.record_failure(
-                attempt.shard_index, kind, message, crashed=crashed,
-                attempt=attempt.attempt,
-                rescheduled_from=rescheduled_from)
+        self.journal.record_failure(
+            attempt.shard_index, kind, message, crashed=crashed,
+            attempt=attempt.attempt, rescheduled_from=rescheduled_from)
         self._event(
             "attempt_failed", shard=attempt.shard_index,
             attempt=attempt.attempt, failure_kind=kind, message=message)
@@ -796,9 +790,7 @@ class FleetSupervisor:
         shutil.rmtree(attempt.directory, ignore_errors=True)
 
     def _cleanup_attempt_dirs(self) -> None:
-        if self._journal_dir is not None:
-            shutil.rmtree(self._journal_dir / "attempts",
-                          ignore_errors=True)
+        shutil.rmtree(self._journal_dir / "attempts", ignore_errors=True)
 
     def _finalize(self) -> DegradationReport | None:
         if not self.supervised:

@@ -6,8 +6,8 @@ the per-pipeline rng :func:`pipeline_rng` derives from
 ``(config.seed, pipeline index)`` via ``SeedSequence.spawn_key``.
 Pipelines can therefore be partitioned into contiguous shards,
 simulated in worker processes into private stores, and merged back
-(:mod:`repro.fleet.merge`) into a trace that is *identical* for any
-worker count with the same seed — and identical to
+(:func:`repro.mlmd.sqlite_store.append_store`) into a trace that is
+*identical* for any worker count with the same seed — and identical to
 :func:`repro.corpus.generate_corpus` — the reproducible-pipeline
 discipline of Sugimura & Hartl applied to the corpus generator itself.
 
@@ -27,28 +27,34 @@ Worker discipline:
   ``corpus.pipeline``) record in the worker, are journaled as
   ``shard-NNNN.spans.jsonl``, and the driver adopts them under its
   ``fleet.run`` span — one causally ordered cross-process timeline.
-* Workers return a :class:`~repro.fleet.merge.StoreSnapshot`, not a
-  ``MetadataStore`` — the store object is not picklable (its bound
-  instruments hold locks). A worker process pickles the snapshot
-  itself (``serialize=True``) so serialize time and byte size are
-  measured where they happen; inline shards skip the round-trip
-  entirely.
+* A shard's rows travel home as its sqlite file. The worker writes
+  ``shard-NNNN.db`` into the journal (its ``serialize`` phase) and the
+  result pipe carries only the pipeline records and tallies; the
+  coordinator appends each file to the destination store in shard
+  order with the one loader in :mod:`repro.mlmd.sqlite_store`. Fresh,
+  resumed, hedged and inline shards all merge the same way, and the
+  file a run merges is the file a later ``resume=True`` reloads.
 
 Executors: a run with exactly one shard to simulate and no supervision
 calls :func:`run_shard` directly. When that shard is the whole plan
 (one worker, nothing resumed) it simulates straight into the
-destination store — no snapshot, no merge. Every other run goes
-through :class:`~repro.fleet.supervisor.FleetSupervisor`, the one
-code path that starts worker processes (or, where spawn is
-unavailable, runs their shards inline).
+destination store and nothing is merged (a journal still gets its
+payload). Every other run goes through
+:class:`~repro.fleet.supervisor.FleetSupervisor`, the one code path
+that starts worker processes (or, where spawn is unavailable, runs
+their shards inline).
+
+Because shard files are the transport, every multi-shard run
+journals: into ``journal_dir`` when given, otherwise into a private
+temporary directory that the run removes before it returns.
 
 Crash safety (:mod:`repro.faults`): a worker that raises — or is
 killed outright — loses only its own shard. The driver records a
-:class:`ShardFailure` per lost shard, merges every completed shard
-into a partial-but-valid store, and (when a journal directory is
-given) persists each finished shard's payload so a later
-``resume=True`` run re-simulates *only* the failed or missing shards
-and converges on the exact store a fault-free run produces.
+:class:`ShardFailure` per lost shard and merges every completed shard
+into a partial-but-valid store. With a caller's journal directory the
+finished shards' payloads outlive the run, so a later ``resume=True``
+run re-simulates *only* the failed or missing shards and converges on
+the exact store a fault-free run produces.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import contextlib
 import json
 import multiprocessing
 import os
-import pickle
+import tempfile
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -70,16 +76,15 @@ from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
                                 simulate_pipelines)
 from ..faults.injector import WorkerCrashError, WorkerHangError
 from ..faults.journal import (ShardJournal, config_fingerprint, folded_path,
-                              spans_path, write_shard_payload)
+                              shard_db_path, spans_path, write_shard_payload)
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.retry import RetryPolicy
 from ..mlmd import MetadataStore
+from ..mlmd.sqlite_store import append_store
 from ..obs.fleetwatch import DEFAULT_STALL_AFTER, ShardHeartbeat
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.tracing import TraceContext, Tracer, get_tracer, set_tracer, span
-from .merge import (StoreSnapshot, merge_snapshot, snapshot_row_count,
-                    snapshot_store)
 
 __all__ = [
     "FleetReport",
@@ -134,14 +139,11 @@ def plan_shards(n_pipelines: int, workers: int) -> list[ShardSpec]:
 
 @dataclass
 class ShardResult:
-    """What one worker returns: the serialized shard plus its tallies.
+    """What one worker returns: its pipeline records and tallies.
 
-    The shard's rows travel either as a live :class:`StoreSnapshot`
-    (``snapshot_direct``, inline/resume paths) or as a pickle blob the
-    worker serialized itself (``snapshot_blob``, worker-process path —
-    measured as the ``serialize`` phase). :attr:`snapshot` presents one
-    view over both. A shard simulated straight into the destination
-    store carries neither.
+    The shard's rows are not in here: they are in the ``shard-NNNN.db``
+    the worker wrote into the journal, or already in the destination
+    store when the shard simulated straight into it.
     """
 
     spec: ShardSpec
@@ -152,22 +154,11 @@ class ShardResult:
     instruments: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     phase_seconds: dict = field(default_factory=dict)
-    snapshot_bytes: int = 0
     finished_unix: float = 0.0
     spans: list[dict] = field(default_factory=list)
     trace_meta: dict = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
     transfer_seconds: float = 0.0
-    snapshot_blob: bytes | None = None
-    snapshot_direct: StoreSnapshot | None = None
-
-    @property
-    def snapshot(self) -> StoreSnapshot:
-        """The shard's rows, unpickling the blob on first access."""
-        if self.snapshot_direct is None:
-            self.snapshot_direct = pickle.loads(self.snapshot_blob)
-            self.snapshot_blob = None
-        return self.snapshot_direct
 
 
 @dataclass(frozen=True)
@@ -249,7 +240,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
               journal_dir: str | Path | None = None,
               allow_crash: bool = True,
               trace_ctx: TraceContext | None = None,
-              serialize: bool = False,
               profile: bool = False,
               attempt: int = 1,
               store: MetadataStore | None = None) -> ShardResult:
@@ -257,9 +247,10 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
 
     Runs in a worker process (or inline): installs a fresh registry,
     simulates pipelines ``[spec.start, spec.stop)`` each on its derived
-    rng, and returns a picklable snapshot. Given a ``store`` (the
-    caller's destination, telemetry sink already attached), the shard
-    simulates straight into it and the result carries no snapshot.
+    rng, writes the store to ``shard-NNNN.db`` in ``journal_dir`` and
+    returns the records and tallies. Given a ``store`` (the caller's
+    destination, telemetry sink already attached), the shard simulates
+    straight into it instead of a private store.
 
     With a ``fault_plan``, each pipeline gets its plan-derived fault
     injector (seeded by global index — shard-invariant), and a
@@ -267,13 +258,13 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     its ``after_pipelines``-th pipeline (``allow_crash=False`` disarms
     it, e.g. on resume after the journal already saw the crash). With
     a ``journal_dir``, the finished shard's store and tallies are
-    persisted there before returning — a crashed worker leaves no
-    payload, only the driver-side failure entry — and the shard
-    heartbeats progress into ``shard-NNNN.status.json`` for
-    ``repro fleet-status``. With a ``trace_ctx``, a fresh worker
-    tracer records the shard's spans for driver-side adoption; with
-    ``serialize=True`` (the worker-process path) the snapshot is pickled
-    here, under measurement, instead of implicitly by the result pipe.
+    persisted there before returning — measured as the ``serialize``
+    phase; a crashed worker leaves no payload, only the driver-side
+    failure entry — and the shard heartbeats progress into
+    ``shard-NNNN.status.json`` for ``repro fleet-status``. Without a
+    ``journal_dir`` or a ``store`` the rows are dropped and only the
+    tallies return. With a ``trace_ctx``, a fresh worker tracer records
+    the shard's spans for driver-side adoption.
     With ``profile=True``, a :class:`~repro.obs.profiling.StackSampler`
     samples this thread for the shard's whole lifetime; the folded
     stacks ship home in :attr:`ShardResult.profile` (and land in the
@@ -310,8 +301,7 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     completed = 0
     try:
         registry = get_registry()
-        direct = store is not None
-        if not direct:
+        if store is None:
             store = _new_store(telemetry)
         records = []
         hits = misses = 0
@@ -338,26 +328,14 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
                         heartbeat.beat("simulate", completed)
                     _maybe_worker_fault(worker_fault, spec, completed)
             phases["simulate"] = perf_counter() - sim_started
-            # Instruments snapshot *here*: the serialize/journal store
-            # reads below must not leak into the folded tallies
-            # (resumed and fresh merges must fold identical numbers).
+            # Instruments snapshot *here*: the shard-file write below
+            # must not leak into the folded tallies (resumed and fresh
+            # merges must fold identical numbers).
             instruments = registry.state_records()
-            snapshot = blob = None
-            if not direct:
-                if heartbeat is not None:
-                    heartbeat.beat("serialize", spec.n_pipelines,
-                                   force=True)
-                ser_started = perf_counter()
-                with span("fleet.shard.serialize") as ser_span:
-                    snapshot = snapshot_store(store)
-                    if serialize:
-                        blob = pickle.dumps(
-                            snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-                        ser_span.set_attr("bytes", len(blob))
-                    ser_span.set_attr("rows", snapshot_row_count(snapshot))
-                phases["serialize"] = perf_counter() - ser_started
             if journal_dir is not None:
-                with span("fleet.shard.journal"):
+                heartbeat.beat("serialize", spec.n_pipelines, force=True)
+                ser_started = perf_counter()
+                with span("fleet.shard.serialize"):
                     write_shard_payload(
                         journal_dir, spec.shard_index, store,
                         dict(records=records, cache_hits=hits,
@@ -365,8 +343,8 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
                              instruments=instruments,
                              elapsed_seconds=perf_counter() - started,
                              phase_seconds=dict(phases),
-                             snapshot_bytes=len(blob) if blob else 0,
                              finished_unix=time.time()))
+                phases["serialize"] = perf_counter() - ser_started
         span_records: list[dict] = []
         trace_meta: dict = {}
         if worker_tracer is not None:
@@ -400,12 +378,9 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
             instruments=instruments,
             elapsed_seconds=perf_counter() - started,
             phase_seconds=phases,
-            snapshot_bytes=len(blob) if blob else 0,
             finished_unix=time.time(),
             spans=span_records, trace_meta=trace_meta,
-            profile=profile_counts,
-            snapshot_blob=blob,
-            snapshot_direct=None if blob is not None else snapshot)
+            profile=profile_counts)
     except Exception as exc:
         # Dying-breath heartbeat: a shard that raises reports *failed*
         # right now, so the driver (and fleet-status) never has to
@@ -573,7 +548,9 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         retry_policy: :class:`~repro.faults.RetryPolicy` honored by
             every runner (each attempt its own execution).
         journal_dir: Directory for the per-shard journal; enables
-            crash-safe resume (see :mod:`repro.faults.journal`).
+            crash-safe resume (see :mod:`repro.faults.journal`). A
+            multi-shard run without one journals into a private
+            temporary directory that is gone when the run returns.
         resume: Reuse completed shards from ``journal_dir`` and
             re-simulate only failed/missing ones. Requires a journal
             written by a run with the identical config and plan.
@@ -630,7 +607,13 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         resumed = 0
         with _timed_phase(phases, "plan"):
             shards = plan_shards(config.n_pipelines, workers)
-            journal = None
+            journal = scratch = None
+            if journal_dir is None and len(shards) > 1:
+                # Shards travel home as their sqlite files, so every
+                # merge needs a journal: a private one when none is given
+                # (removed in finalize, or by its finalizer on a raise).
+                scratch = tempfile.TemporaryDirectory(prefix="repro-fleet-")
+                journal_dir = Path(scratch.name) / "journal"
             if journal_dir is not None:
                 fingerprint = config_fingerprint(
                     config, shards, exec_cache=exec_cache,
@@ -647,14 +630,9 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                       resume=resume,
                       faults=len(fault_plan.specs) if fault_plan else 0)
             for spec in shards:
-                if journal is not None and resume \
-                        and journal.is_done(spec.shard_index):
-                    shard_store, extras = journal.load_payload(
-                        spec.shard_index)
+                if resume and journal.is_done(spec.shard_index):
                     result = ShardResult(
-                        spec=spec,
-                        snapshot_direct=snapshot_store(shard_store),
-                        **extras)
+                        spec=spec, **journal.load_payload(spec.shard_index))
                     result.spans, result.trace_meta = _load_shard_spans(
                         journal.directory, spec.shard_index)
                     if profile:
@@ -759,9 +737,10 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                              supervised=supervise,
                              degradation=degradation,
                              journal_dir=str(journal.directory)
-                             if journal is not None else "")
+                             if journal is not None and scratch is None
+                             else "")
         done = 0
-        # Merge in shard order: contiguous shards re-inserted in order
+        # Merge in shard order: contiguous shards appended in order
         # give the same global id assignment as a single-worker run.
         # Failed shards are skipped — the merged store stays valid,
         # just partial.
@@ -770,16 +749,19 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 result = results.get(spec.shard_index)
                 if result is None:
                     continue
+                shard_bytes = 0
                 if spec is not direct:
-                    report.merge_rows += snapshot_row_count(
-                        result.snapshot)
-                    maps = merge_snapshot(store, result.snapshot)
+                    shard_db = shard_db_path(journal.directory,
+                                             spec.shard_index)
+                    shard_bytes = shard_db.stat().st_size
+                    maps = append_store(shard_db, store)
+                    report.merge_rows += maps.rows
                     for record in result.records:
-                        record.context_id = maps.context_ids[
+                        record.context_id = maps.contexts[
                             record.context_id]
                 corpus.records.extend(result.records)
                 registry.fold(result.instruments)
-                _record_shard_dataplane(registry, result)
+                _record_shard_dataplane(registry, result, shard_bytes)
                 if tracer.enabled:
                     if result.spans:
                         report.spans_adopted += tracer.adopt_spans(
@@ -801,12 +783,14 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 report.cache_misses += result.cache_misses
                 report.saved_cpu_hours += result.saved_cpu_hours
                 report.shard_seconds.append(result.elapsed_seconds)
-                report.snapshot_bytes += result.snapshot_bytes
+                report.snapshot_bytes += shard_bytes
                 done += result.spec.n_pipelines
                 if progress_callback is not None:
                     progress_callback(done, config.n_pipelines, store)
 
         with _timed_phase(phases, "finalize"):
+            if scratch is not None:
+                scratch.cleanup()
             report.failed_shards = [failures[i] for i in sorted(failures)]
             if telemetry and store.telemetry_sink is not None:
                 # The fleet-level instrument snapshot (with folded-in
@@ -836,24 +820,23 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
 
 
 def _record_shard_dataplane(registry: MetricsRegistry,
-                            result: ShardResult) -> None:
+                            result: ShardResult, shard_bytes: int) -> None:
     """Record one shard's data-plane costs into the fleet registry.
 
     These are coordinator-side instruments (the worker's own registry
-    was already snapshotted before serialization started), so the fleet
-    timeline carries serialize/transfer/snapshot-size distributions per
-    shard without double-counting worker-side instruments.
+    was already snapshotted before the shard file was written), so the
+    fleet timeline carries shard-file write time, shard-file size and
+    result-transfer distributions per shard without double-counting
+    worker-side instruments.
 
     Every shard records all three histograms so the instrument set —
     and therefore the telemetry rows a sink persists — is invariant to
-    worker count: inline shards honestly observe 0 bytes serialized and
-    a 0-second transfer (the snapshot is handed over in-process), and a
-    shard simulated straight into the destination store serializes
-    nothing in 0 seconds.
+    worker count: inline shards observe a 0-second transfer, and a
+    shard simulated straight into the destination store merges no file
+    (0 bytes), and without a journal writes none in 0 seconds.
     """
     registry.histogram("fleet.shard.serialize_seconds").record(
         result.phase_seconds.get("serialize", 0.0))
-    registry.histogram("fleet.shard.snapshot_bytes").record(
-        result.snapshot_bytes)
+    registry.histogram("fleet.shard.snapshot_bytes").record(shard_bytes)
     registry.histogram("fleet.shard.transfer_seconds").record(
         result.transfer_seconds or 0.0)

@@ -6,8 +6,11 @@ and re-analyzed later (the paper's corpus is a durable MLMD database).
 
 Two access styles share one schema:
 
-* :func:`save_store` / :func:`load_store` — bulk serialization of an
-  in-memory store (the fleet/journal path).
+* :func:`save_store` / :func:`append_store` — bulk serialization of an
+  in-memory store, and the one loader that appends a database's rows
+  to a store with every id remapped. :func:`load_store` is that loader
+  run on a fresh store; the fleet merges its shard files with it too
+  (a shard's ``shard-NNNN.db`` is how its rows travel home).
 * :class:`SqliteStore` — a *live* backend implementing the same
   :class:`~repro.mlmd.abstract.AbstractStore` contract as the in-memory
   store, reading and writing the database directly. Covering indexes
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,54 +266,103 @@ def _write_all(conn: sqlite3.Connection, store: MetadataStore) -> None:
     conn.commit()
 
 
+#: Artifact properties whose value is an artifact id (set by operators:
+#: SchemaGen's source_statistics, Pusher's model_artifact). Every load
+#: and salvage remaps these alongside the structural edges.
+ID_VALUED_ARTIFACT_PROPERTIES = ("source_statistics", "model_artifact")
+
+
+@dataclass
+class IdMaps:
+    """Database id → store id per node kind, from one :func:`append_store`."""
+
+    artifacts: dict[int, int] = field(default_factory=dict)
+    executions: dict[int, int] = field(default_factory=dict)
+    contexts: dict[int, int] = field(default_factory=dict)
+    #: Rows the store accepted: nodes, edges and telemetry.
+    rows: int = 0
+
+
 def load_store(path: str | Path) -> MetadataStore:
     """Deserialize a SQLite database file into an in-memory store.
 
-    Node ids are preserved exactly, so events and context memberships
-    round-trip without remapping.
+    The rows go into an empty store, so node ids come back exactly as
+    saved. A missing ``path`` raises :class:`FileNotFoundError` and
+    creates nothing.
     """
-    conn = connect(path)
     store = MetadataStore()
     with span("mlmd.load_store", path=str(path)), \
             get_registry().timer("mlmd.load_store_seconds"):
-        return _read_all(conn, store)
+        append_store(path, store)
+    return store
 
 
-def _read_all(conn: sqlite3.Connection,
-              store: MetadataStore) -> MetadataStore:
+def _decode_properties(text: str) -> dict:
+    """A properties column with its keys and string values interned.
+
+    Writers share these strings (literal keys, enum-like values) across
+    rows; decoding each row separately would otherwise hold one copy
+    per row.
+    """
+    return {sys.intern(key):
+            sys.intern(value) if type(value) is str else value
+            for key, value in json.loads(text).items()}
+
+
+def append_store(path: str | Path, store: AbstractStore) -> IdMaps:
+    """Append every row of the database at ``path`` to ``store``.
+
+    The store assigns fresh ids and every cross-reference is remapped
+    through the returned maps: events, context memberships, telemetry
+    join keys, ``retry_of`` and :data:`ID_VALUED_ARTIFACT_PROPERTIES`.
+    Nodes are read in id order and edges in rowid order, so appending
+    contiguous shards in shard order reproduces the ids of a single
+    sequential run. Rows go through the store's validating ``put_*``
+    API; a dangling reference raises :class:`KeyError` instead of
+    leaving a corrupt trace. A missing ``path`` raises
+    :class:`FileNotFoundError` and creates nothing.
+    """
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no trace database at {path}")
+    maps = IdMaps()
+    id_map_a, id_map_e, id_map_c = \
+        maps.artifacts, maps.executions, maps.contexts
+    edges = 0
+    conn = connect(path)
     try:
-        id_map_a: dict[int, int] = {}
         for row in conn.execute(
                 "SELECT id, type_name, name, uri, state, create_time,"
                 " properties FROM artifacts ORDER BY id"):
-            artifact = Artifact(
-                type_name=row[1], name=row[2], uri=row[3],
+            properties = _decode_properties(row[6])
+            for key in ID_VALUED_ARTIFACT_PROPERTIES:
+                if key in properties:
+                    # The referenced artifact (an operator input) has a
+                    # smaller id, so the ORDER BY id scan mapped it.
+                    properties[key] = id_map_a[int(properties[key])]
+            id_map_a[row[0]] = store.put_artifact(Artifact(
+                type_name=sys.intern(row[1]), name=row[2], uri=row[3],
                 state=ArtifactState(row[4]), create_time=row[5],
-                properties=json.loads(row[6]))
-            id_map_a[row[0]] = store.put_artifact(artifact)
-        id_map_e: dict[int, int] = {}
+                properties=properties))
         for row in conn.execute(
                 "SELECT id, type_name, name, state, start_time, end_time,"
                 " properties FROM executions ORDER BY id"):
-            properties = json.loads(row[6])
+            properties = _decode_properties(row[6])
             if "retry_of" in properties:
                 # Id-valued retry-provenance property (repro.faults):
                 # the prior attempt has a smaller id, so it is already
                 # mapped by the ORDER BY id scan.
                 properties["retry_of"] = id_map_e[
                     int(properties["retry_of"])]
-            execution = Execution(
-                type_name=row[1], name=row[2], state=ExecutionState(row[3]),
-                start_time=row[4], end_time=row[5],
-                properties=properties)
-            id_map_e[row[0]] = store.put_execution(execution)
-        id_map_c: dict[int, int] = {}
+            id_map_e[row[0]] = store.put_execution(Execution(
+                type_name=sys.intern(row[1]), name=row[2],
+                state=ExecutionState(row[3]), start_time=row[4],
+                end_time=row[5], properties=properties))
         for row in conn.execute(
                 "SELECT id, type_name, name, create_time, properties"
                 " FROM contexts ORDER BY id"):
-            context = Context(type_name=row[1], name=row[2],
-                              create_time=row[3], properties=json.loads(row[4]))
-            id_map_c[row[0]] = store.put_context(context)
+            id_map_c[row[0]] = store.put_context(Context(
+                type_name=sys.intern(row[1]), name=row[2],
+                create_time=row[3], properties=_decode_properties(row[4])))
         # Edge tables have no id column; rowid order is insertion order,
         # which keeps save → load → save byte-stable (shard journals
         # depend on round trips being deterministic).
@@ -318,14 +371,17 @@ def _read_all(conn: sqlite3.Connection,
                 " ORDER BY rowid"):
             store.put_event(Event(id_map_a[row[0]], id_map_e[row[1]],
                                   EventType(row[2]), row[3]))
+            edges += 1
         for row in conn.execute(
                 "SELECT context_id, artifact_id FROM attributions"
                 " ORDER BY rowid"):
             store.put_attribution(id_map_c[row[0]], id_map_a[row[1]])
+            edges += 1
         for row in conn.execute(
                 "SELECT context_id, execution_id FROM associations"
                 " ORDER BY rowid"):
             store.put_association(id_map_c[row[0]], id_map_e[row[1]])
+            edges += 1
         try:
             telemetry_rows = conn.execute(
                 "SELECT kind, name, execution_id, context_id, value,"
@@ -336,14 +392,16 @@ def _read_all(conn: sqlite3.Connection,
             telemetry_rows = []
         for row in telemetry_rows:
             store.put_telemetry(TelemetryRecord(
-                kind=row[0], name=row[1],
+                kind=sys.intern(row[0]), name=sys.intern(row[1]),
                 execution_id=None if row[2] is None else id_map_e[row[2]],
                 context_id=None if row[3] is None else id_map_c[row[3]],
                 value=row[4], start_time=row[5], end_time=row[6],
-                properties=json.loads(row[7])))
+                properties=_decode_properties(row[7])))
     finally:
         conn.close()
-    return store
+    maps.rows = (len(id_map_a) + len(id_map_e) + len(id_map_c) + edges
+                 + len(telemetry_rows))
+    return maps
 
 
 # --------------------------------------------------- integrity / salvage
@@ -439,10 +497,14 @@ def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:
     not the table); edge rows referencing a node that didn't survive
     are dropped rather than raising. The result is always an
     internally consistent store — possibly smaller than the original,
-    never inconsistent.
+    never inconsistent. A missing ``path`` yields an empty store whose
+    report says ``file does not exist``; nothing is created there.
     """
     report = SalvageReport(path=str(path))
     store = MetadataStore()
+    if not Path(path).exists():
+        report.errors.append("file does not exist")
+        return store, report
     try:
         conn = connect(path)
     except sqlite3.Error as exc:
@@ -471,7 +533,7 @@ def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:
                 " properties FROM artifacts ORDER BY id", "artifacts"):
             try:
                 properties = json.loads(row[6])
-                for key in ("source_statistics", "model_artifact"):
+                for key in ID_VALUED_ARTIFACT_PROPERTIES:
                     # Id-valued artifact properties: remap, or strip if
                     # they point at a row that did not survive salvage.
                     if key in properties:

@@ -1,8 +1,10 @@
-"""Shard-store merge tests: id remapping and referential integrity."""
+"""Fleet merge tests: shard files appended with id remapping."""
+
+import sqlite3
 
 import pytest
 
-from repro.fleet import merge_snapshot, snapshot_store
+from repro.faults.journal import shard_db_path, write_shard_payload
 from repro.mlmd import (
     Artifact,
     Context,
@@ -10,7 +12,9 @@ from repro.mlmd import (
     EventType,
     Execution,
     MetadataStore,
+    integrity_check,
 )
+from repro.mlmd.sqlite_store import append_store
 from repro.mlmd.types import TelemetryRecord
 
 
@@ -34,77 +38,79 @@ def _shard_store(tag):
     return store
 
 
-class TestSnapshot:
-    def test_snapshot_is_complete(self):
-        snapshot = snapshot_store(_shard_store(0))
-        assert len(snapshot.artifacts) == 2
-        assert len(snapshot.executions) == 1
-        assert len(snapshot.contexts) == 1
-        assert len(snapshot.events) == 2
-        assert snapshot.attributions and snapshot.associations
-        assert len(snapshot.telemetry) == 1
+@pytest.fixture()
+def shard_file(tmp_path):
+    """Write ``_shard_store(tag)`` as shard ``tag``'s journal payload."""
+    def write(tag):
+        write_shard_payload(tmp_path, tag, _shard_store(tag), {})
+        return shard_db_path(tmp_path, tag)
+    return write
 
-    def test_snapshot_survives_pickling(self):
-        import pickle
-        snapshot = snapshot_store(_shard_store(0))
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert len(clone.artifacts) == len(snapshot.artifacts)
-        assert clone.events[0].type is EventType.INPUT
+
+class TestShardFile:
+    def test_shard_file_is_complete(self, shard_file):
+        report = integrity_check(shard_file(0))
+        assert report.ok
+        assert report.row_counts == {
+            "artifacts": 2, "executions": 1, "contexts": 1, "events": 2,
+            "attributions": 2, "associations": 1, "telemetry": 1}
 
 
 class TestMerge:
-    def test_ids_remapped_into_occupied_store(self):
+    def test_ids_remapped_into_occupied_store(self, shard_file):
         # The destination already holds rows, so every shard-local id
         # collides and must be remapped.
         dest = _shard_store(0)
-        maps = merge_snapshot(dest, snapshot_store(_shard_store(1)))
+        maps = append_store(shard_file(1), dest)
         assert dest.num_artifacts == 4
         assert dest.num_executions == 2
         assert len(dest.get_contexts()) == 2
-        assert all(old != new for old, new in maps.artifact_ids.items())
+        assert all(old != new for old, new in maps.artifacts.items())
 
-    def test_lineage_survives_merge(self):
+    def test_lineage_survives_merge(self, shard_file):
         dest = MetadataStore()
-        maps = merge_snapshot(dest, snapshot_store(_shard_store(7)))
-        (trainer_id,) = maps.execution_ids.values()
+        maps = append_store(shard_file(7), dest)
+        (trainer_id,) = maps.executions.values()
         inputs = dest.get_input_artifacts(trainer_id)
         assert [a.get("span_id") for a in inputs] == [7]
         assert [a.type_name
                 for a in dest.get_output_artifacts(trainer_id)] == \
             ["Model"]
 
-    def test_context_membership_survives_merge(self):
+    def test_context_membership_survives_merge(self, shard_file):
         dest = _shard_store(0)
-        maps = merge_snapshot(dest, snapshot_store(_shard_store(1)))
-        (context_id,) = maps.context_ids.values()
+        maps = append_store(shard_file(1), dest)
+        (context_id,) = maps.contexts.values()
         members = dest.get_artifacts_by_context(context_id)
         assert {a.get("span_id") for a in members
                 if a.type_name == "DataSpan"} == {1}
         assert len(dest.get_executions_by_context(context_id)) == 1
 
-    def test_telemetry_join_keys_remapped(self):
+    def test_telemetry_join_keys_remapped(self, shard_file):
         dest = _shard_store(0)
-        maps = merge_snapshot(dest, snapshot_store(_shard_store(1)))
+        maps = append_store(shard_file(1), dest)
         merged = dest.get_telemetry()
         assert len(merged) == 2
         latest = merged[-1]
-        assert latest.execution_id in maps.execution_ids.values()
-        assert latest.context_id in maps.context_ids.values()
+        assert latest.execution_id in maps.executions.values()
+        assert latest.context_id in maps.contexts.values()
 
-    def test_merged_contexts_stay_disjoint(self):
+    def test_merged_contexts_stay_disjoint(self, shard_file):
         dest = MetadataStore()
-        first = merge_snapshot(dest, snapshot_store(_shard_store(0)))
-        second = merge_snapshot(dest, snapshot_store(_shard_store(1)))
-        a = set(first.artifact_ids.values())
-        b = set(second.artifact_ids.values())
+        first = append_store(shard_file(0), dest)
+        second = append_store(shard_file(1), dest)
+        a = set(first.artifacts.values())
+        b = set(second.artifacts.values())
         assert not a & b
 
-    def test_dangling_reference_raises(self):
+    def test_dangling_reference_raises(self, shard_file):
         # Integrity is enforced by the store during re-insertion: an
-        # event naming an artifact the snapshot never carried must fail
+        # event naming an artifact the shard never carried must fail
         # loudly, not produce a silently corrupt trace.
-        snapshot = snapshot_store(_shard_store(0))
-        snapshot.events.append(Event(artifact_id=999, execution_id=1,
-                                     type=EventType.INPUT))
+        path = shard_file(0)
+        raw = sqlite3.connect(path)  # FKs off: plant the dangling edge
+        raw.execute("INSERT INTO events VALUES (999, 1, 'input', 0.0)")
+        raw.commit()
+        raw.close()
         with pytest.raises(KeyError):
-            merge_snapshot(MetadataStore(), snapshot)
+            append_store(path, MetadataStore())

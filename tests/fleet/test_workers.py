@@ -1,9 +1,12 @@
 """Fleet generation tests: shard planning, determinism, aggregation."""
 
+import tempfile
+
 import pytest
 
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, journal_dir_for
+from repro.faults.journal import shard_db_path
 from repro.fleet import (
     generate_corpus_fleet,
     pipeline_rng,
@@ -11,6 +14,7 @@ from repro.fleet import (
     run_shard,
 )
 from repro.graphlets import segment_pipeline
+from repro.mlmd import load_store
 from repro.obs.metrics import get_registry
 
 
@@ -148,14 +152,18 @@ class TestCounterAggregation:
 
 
 class TestRunShard:
-    def test_shard_is_restartable(self):
+    def test_shard_is_restartable(self, tmp_path):
         config = _tiny_config()
         spec = plan_shards(config.n_pipelines, 3)[1]
-        first = run_shard(spec, config)
-        second = run_shard(spec, config)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = run_shard(spec, config, journal_dir=tmp_path / "a")
+        run_shard(spec, config, journal_dir=tmp_path / "b")
         assert len(first.records) == spec.n_pipelines
-        assert len(first.snapshot.executions) == \
-            len(second.snapshot.executions)
+        first_store, second_store = (
+            load_store(shard_db_path(tmp_path / name, spec.shard_index))
+            for name in ("a", "b"))
+        assert _all_rows(first_store) == _all_rows(second_store)
 
     def test_worker_registry_isolated(self):
         # run_shard counts into a private registry and restores the
@@ -254,15 +262,14 @@ def _all_rows(store):
 
 def _refuse_merging(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("single-shard run snapshotted or merged")
+        raise AssertionError("single-shard run merged a shard file")
 
-    monkeypatch.setattr("repro.fleet.workers.snapshot_store", refuse)
-    monkeypatch.setattr("repro.fleet.workers.merge_snapshot", refuse)
+    monkeypatch.setattr("repro.fleet.workers.append_store", refuse)
 
 
 class TestSingleShardDirect:
     """One shard, nothing resumed: simulated straight into the
-    destination store, never snapshotted or merged."""
+    destination store, never merged from a shard file."""
 
     def test_workers_1_never_merges(self, monkeypatch, parallel_fleet):
         _refuse_merging(monkeypatch)
@@ -298,3 +305,57 @@ class TestSingleShardDirect:
         assert [f.kind for f in report.failed_shards] == ["worker_crash"]
         assert corpus.records == []
         assert corpus.store.num_executions == 0
+
+
+class TestOneLoader:
+    """Every merged shard — fresh or resumed — goes through the one
+    loader, and an unjournaled run leaves no journal behind."""
+
+    def _count_loads(self, monkeypatch):
+        from repro.mlmd.sqlite_store import append_store
+
+        loaded = []
+
+        def counting(path, store):
+            loaded.append(path.name)
+            return append_store(path, store)
+
+        monkeypatch.setattr("repro.fleet.workers.append_store", counting)
+        return loaded
+
+    def test_fresh_and_resumed_shards_share_the_loader(self, monkeypatch,
+                                                       tmp_path):
+        loaded = self._count_loads(monkeypatch)
+        journal_dir = journal_dir_for(tmp_path / "corpus.db")
+        plan = FaultPlan.parse("worker_crash:1:1")
+        _, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=journal_dir)
+        assert not report.complete
+        assert loaded == ["shard-0000.db", "shard-0002.db"]
+        loaded.clear()
+        resumed, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=journal_dir, resume=True)
+        assert report.resumed_shards == 2
+        assert loaded == ["shard-0000.db", "shard-0001.db", "shard-0002.db"]
+        # Shard 1 does not exist in the one-shard layout: the control.
+        control, _ = generate_corpus_fleet(_tiny_config(), workers=1,
+                                           fault_plan=plan)
+        assert _all_rows(resumed.store) == _all_rows(control.store)
+
+    @pytest.mark.parametrize("fault", [None, "worker_crash:1:1"])
+    def test_unjournaled_run_removes_its_journal(self, monkeypatch,
+                                                 tmp_path, fault):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = FaultPlan.parse(fault) if fault else None
+        during = []
+        _, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan,
+            progress_callback=lambda done, total, store:
+                during.append(len(list(tmp_path.iterdir()))))
+        assert during and all(during)  # the run journaled under tmp_path
+        assert report.complete is (fault is None)
+        assert report.merge_rows > 0
+        assert report.journal_dir == ""
+        assert list(tmp_path.iterdir()) == []

@@ -74,6 +74,26 @@ class TestCommands:
         assert "corpus_too_small" in err
         assert "n_rows=0" in err
 
+    @pytest.mark.parametrize("command", [
+        ["report"], ["waste"], ["summarize"], ["diagnose"], ["dashboard"]])
+    def test_missing_corpus_fails_without_creating_it(self, tmp_path,
+                                                      capsys, command):
+        path = tmp_path / "typo.db"
+        code = main(command + [str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "file_not_found" in err and "typo.db" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not path.exists()
+
+    def test_missing_baseline_fails_without_creating_it(self, cli_corpus,
+                                                        tmp_path, capsys):
+        path = tmp_path / "typo.db"
+        code = main(["dashboard", str(cli_corpus), "--baseline", str(path)])
+        assert code == 2
+        assert "file_not_found" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestObservabilityFlags:
     def test_generate_exports_metrics_and_trace(self, tmp_path, capsys):

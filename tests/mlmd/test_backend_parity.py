@@ -1,9 +1,9 @@
 """Backend parity: MetadataClient over in-memory vs sqlite backends.
 
-The same generated corpus is replayed into a live :class:`SqliteStore`
-(through the public put_* API via the fleet merge machinery), a
-:class:`MetadataClient` is built over each backend, and every client
-operation must return identical results. This is the contract that lets
+The same generated corpus is saved with :func:`save_store` and opened
+in place as a live :class:`SqliteStore`, a :class:`MetadataClient` is
+built over each backend, and every client operation must return
+identical results. This is the contract that lets
 the analysis layers treat the backend as an implementation detail.
 """
 
@@ -12,8 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import CorpusConfig, generate_corpus
-from repro.fleet.merge import merge_snapshot, snapshot_store
-from repro.mlmd import NotFoundError, SqliteStore
+from repro.mlmd import NotFoundError, SqliteStore, save_store
 from repro.mlmd.errors import AlreadyExistsError
 from repro.mlmd.types import Artifact, ArtifactState, ExecutionState
 from repro.query import MetadataClient
@@ -37,14 +36,10 @@ def parity_corpus():
 def backends(parity_corpus, tmp_path_factory):
     """(in-memory client, sqlite client) over the same corpus rows."""
     memory_store = parity_corpus.store
-    sqlite_store = SqliteStore(
-        tmp_path_factory.mktemp("parity") / "corpus.db")
-    maps = merge_snapshot(sqlite_store, snapshot_store(memory_store))
-    # An empty destination assigns the same sequential ids, so results
-    # are comparable without remapping; assert that premise.
-    assert all(old == new for old, new in maps.artifact_ids.items())
-    assert all(old == new for old, new in maps.execution_ids.items())
-    assert all(old == new for old, new in maps.context_ids.items())
+    path = tmp_path_factory.mktemp("parity") / "corpus.db"
+    # save_store keeps every id, so results compare without remapping.
+    save_store(memory_store, path)
+    sqlite_store = SqliteStore(path)
     yield MetadataClient(memory_store), MetadataClient(sqlite_store)
     sqlite_store.close()
 

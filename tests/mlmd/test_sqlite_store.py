@@ -18,7 +18,8 @@ from repro.mlmd import (
     salvage_store,
     save_store,
 )
-from repro.mlmd.sqlite_store import connect
+from repro.mlmd.sqlite_store import append_store, connect
+from repro.mlmd.types import TelemetryRecord
 
 
 @pytest.fixture()
@@ -112,6 +113,96 @@ class TestRoundTrip:
         failed, final = [e for e in loaded.get_executions()
                          if e.type_name == "Trainer"]
         assert final.get("retry_of") == failed.id
+
+
+def _linked_store(tag):
+    """A fully linked trace carrying every id-valued reference: events,
+    context memberships, telemetry join keys, ``retry_of`` and the
+    id-valued artifact properties."""
+    store = MetadataStore()
+    context = store.put_context(Context(type_name="Pipeline",
+                                        name=f"pipeline-{tag}"))
+    span = store.put_artifact(Artifact(type_name="DataSpan",
+                                       properties={"span_id": tag}))
+    stats = store.put_artifact(Artifact(type_name="ExampleStatistics"))
+    schema = store.put_artifact(Artifact(
+        type_name="Schema", properties={"source_statistics": stats}))
+    failed = store.put_execution(Execution(
+        type_name="Trainer", state=ExecutionState.FAILED))
+    trainer = store.put_execution(Execution(
+        type_name="Trainer", state=ExecutionState.COMPLETE,
+        properties={"attempt": 2, "retry_of": failed}))
+    model = store.put_artifact(Artifact(type_name="Model"))
+    pushed = store.put_artifact(Artifact(
+        type_name="PushedModel", properties={"model_artifact": model}))
+    store.put_event(Event(span, trainer, EventType.INPUT))
+    store.put_event(Event(schema, trainer, EventType.INPUT))
+    store.put_event(Event(model, trainer, EventType.OUTPUT))
+    for artifact_id in (span, stats, schema, model, pushed):
+        store.put_attribution(context, artifact_id)
+    for execution_id in (failed, trainer):
+        store.put_association(context, execution_id)
+    store.put_telemetry(TelemetryRecord(
+        kind="node", name="Trainer", execution_id=trainer,
+        context_id=context, value=1.0))
+    return store
+
+
+class TestAppendStore:
+    """The one loader: a database's rows appended to a given store."""
+
+    def _appended(self, tmp_path):
+        save_store(_linked_store(1), tmp_path / "second.db")
+        dest = _linked_store(0)
+        maps = append_store(tmp_path / "second.db", dest)
+        return dest, maps
+
+    def test_every_id_remapped_into_occupied_store(self, tmp_path):
+        dest, maps = self._appended(tmp_path)
+        assert dest.num_artifacts == 10 and dest.num_executions == 4
+        # Every database id collided with a row already in the store.
+        assert all(new == old + 5 for old, new in maps.artifacts.items())
+        assert all(new == old + 2 for old, new in maps.executions.items())
+        assert maps.contexts == {1: 2}
+        # 5 artifacts + 2 executions + 1 context + 3 events
+        # + 5 attributions + 2 associations + 1 telemetry row.
+        assert maps.rows == 19
+
+    def test_edges_and_telemetry_follow_the_maps(self, tmp_path):
+        dest, maps = self._appended(tmp_path)
+        trainer = maps.executions[2]
+        assert [a.get("span_id") for a in dest.get_input_artifacts(trainer)
+                if a.type_name == "DataSpan"] == [1]
+        assert [a.id for a in dest.get_output_artifacts(trainer)] == \
+            [maps.artifacts[4]]
+        context = maps.contexts[1]
+        assert {a.id for a in dest.get_artifacts_by_context(context)} == \
+            set(maps.artifacts.values())
+        assert {e.id for e in dest.get_executions_by_context(context)} == \
+            set(maps.executions.values())
+        latest = dest.get_telemetry()[-1]
+        assert (latest.execution_id, latest.context_id) == (trainer, context)
+
+    def test_id_valued_properties_remapped(self, tmp_path):
+        dest, maps = self._appended(tmp_path)
+        by_type = {}
+        for artifact in dest.get_artifacts():
+            by_type.setdefault(artifact.type_name, []).append(artifact)
+        assert [a.get("source_statistics") for a in by_type["Schema"]] \
+            == [2, maps.artifacts[2]]
+        assert [a.get("model_artifact") for a in by_type["PushedModel"]] \
+            == [4, maps.artifacts[4]]
+        retries = [e.get("retry_of") for e in dest.get_executions()
+                   if e.get("retry_of") is not None]
+        assert retries == [1, maps.executions[1]]
+
+    def test_missing_file_raises_and_creates_nothing(self, tmp_path):
+        path = tmp_path / "typo.db"
+        with pytest.raises(FileNotFoundError):
+            load_store(path)
+        with pytest.raises(FileNotFoundError):
+            append_store(path, MetadataStore())
+        assert not path.exists()
 
 
 class TestConnectionPragmas:
@@ -261,6 +352,14 @@ class TestSalvage:
         store, report = salvage_store(path)
         assert store.num_artifacts == 0
         assert report.errors
+
+    def test_salvage_missing_file_reports_and_creates_nothing(self,
+                                                              tmp_path):
+        path = tmp_path / "typo.db"
+        store, report = salvage_store(path)
+        assert store.num_artifacts == 0
+        assert report.errors == ["file does not exist"]
+        assert not path.exists()
 
     def test_salvage_drops_dangling_retry_of(self, tmp_path):
         store = MetadataStore()
