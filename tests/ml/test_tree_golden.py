@@ -7,6 +7,12 @@ batched, array-backed builder must reproduce them unchanged: the same
 rng draws in the same order, the same float formulas and the same
 tie-breaks give the same nodes, leaf values and predictions. A
 legitimate change of results re-computes these digests and says why.
+
+The ``waste_forest.*`` and ``deep_boosting.*`` digests were computed at
+commit a94dad8, with the per-tree preorder builder, before the forest
+grew its trees together in one lockstep frontier. They pin the
+Section-5 policy's forest shape (binary labels, tied and constant 0/1
+columns, 60 trees) and deeper regression stages over tied columns.
 """
 
 import hashlib
@@ -77,11 +83,50 @@ def fit_boosting():
     return model, test
 
 
+def _waste_data(seed: int, n: int, d: int):
+    """Binary labels over waste-shaped columns: 0/1 flags, constant
+    columns, small tied counts and a few rounded scores, as the
+    Section-5 feature families give."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, d))
+    x[:, 0::4] = rng.integers(0, 2, size=x[:, 0::4].shape)
+    x[:, 1::4] = rng.integers(0, 2, size=d // 4 + (d % 4 > 1))
+    x[:, 2::4] = rng.poisson(1.5, size=x[:, 2::4].shape)
+    x[:, 3::4] = np.round(rng.gamma(2.0, size=x[:, 3::4].shape), 1)
+    score = (x[:, 0] + x[:, 2] - 0.6 * x[:, 3] + x[:, 4] * x[:, 6]
+             + rng.normal(0, 0.8, n))
+    y = (score > np.median(score)).astype(int)
+    test = x[rng.permutation(n)[:60]] + rng.integers(0, 2, size=(60, d))
+    return x, y, test
+
+
+def fit_waste_forest():
+    x, y, test = _waste_data(seed=404, n=260, d=22)
+    forest = RandomForestClassifier(
+        n_estimators=60, max_depth=12, max_features=0.4,
+        min_samples_leaf=2, oob_score=True, random_state=13).fit(x, y)
+    return forest, test
+
+
+def fit_deep_boosting():
+    """Deeper stages on heavily tied columns: the regressor's stable
+    sort and float prefix sums decide its splits."""
+    x, y, test = _data(seed=505, n=200, d=8, n_classes=2)
+    x = np.round(x)
+    test = np.round(test)
+    model = GradientBoostingClassifier(
+        n_estimators=12, max_depth=6, min_samples_leaf=1, subsample=0.9,
+        random_state=17).fit(x, y)
+    return model, test
+
+
 def golden() -> dict[str, str]:
     """Every pinned digest, recomputed from the current code."""
     forest, forest_test = fit_forest()
     tree, tree_test = fit_multiclass_tree()
     boosting, boosting_test = fit_boosting()
+    waste, waste_test = fit_waste_forest()
+    deep, deep_test = fit_deep_boosting()
     return {
         "forest.trees": _trees_digest(forest.trees_),
         "forest.oob_decision_function_": _digest(
@@ -94,6 +139,16 @@ def golden() -> dict[str, str]:
         "boosting.trees": _trees_digest(boosting.trees_),
         "boosting.decision_function": _digest(
             boosting.decision_function(boosting_test)),
+        "waste_forest.trees": _trees_digest(waste.trees_),
+        "waste_forest.oob_decision_function_": _digest(
+            waste.oob_decision_function_),
+        "waste_forest.predict_proba": _digest(
+            waste.predict_proba(waste_test)),
+        "waste_forest.feature_importances_": _digest(
+            waste.feature_importances_),
+        "deep_boosting.trees": _trees_digest(deep.trees_),
+        "deep_boosting.decision_function": _digest(
+            deep.decision_function(deep_test)),
     }
 
 
@@ -116,6 +171,18 @@ GOLDEN = {
         "c268c21b0d3fb883824e8423ed4ac93ddb47133c473fea5f2476fe5b2da4625d",
     "boosting.decision_function":
         "f3654ce5f945130f978e6b3832c57aec0600f1d467cde26c50fdf27059ed6d9e",
+    "waste_forest.trees":
+        "9f91691f651a62f08a0b5b866b060b7092635cb300cc46ff61fae360a24422bf",
+    "waste_forest.oob_decision_function_":
+        "88934618adb655958bdb3dbc85230576fe20df181b51352f2ff31241381a0bb3",
+    "waste_forest.predict_proba":
+        "fbf49d581386587ec47840099fdafe89dbf6c055eb4aabccca4e23800d47be75",
+    "waste_forest.feature_importances_":
+        "ac5dc5d9d86aee0a3d789778872a52a676c01e164804d6b68722374c27a1b6d5",
+    "deep_boosting.trees":
+        "1e9e110558e476a6b6f238fbec85343e32733213c5d63f76fd5919b614fc5c4f",
+    "deep_boosting.decision_function":
+        "4d59da5db2c76ea761bb2b626c627c1dce9ee512815d7d9a1de56d01d7e97acd",
 }
 
 
