@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, check_features
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -53,7 +53,7 @@ class GradientBoostingClassifier:
     def fit(self, features: np.ndarray,
             target: np.ndarray) -> "GradientBoostingClassifier":
         """Fit the boosted ensemble."""
-        features = np.asarray(features, dtype=float)
+        features = check_features(features)
         target = np.asarray(target)
         self.classes_ = np.unique(target)
         if len(self.classes_) > 2:

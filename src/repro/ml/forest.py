@@ -5,13 +5,21 @@ performed comparably with the more complex models explored by the
 Auto-ML tool". Bootstrap-sampled CART trees with per-node feature
 subsampling; probabilities are averaged leaf class frequencies, which is
 what the threshold sweep in Section 5.3.2 operates on.
+
+``fit`` draws every tree's bootstrap rows and seed from the forest rng
+first, in the order a tree-by-tree loop draws them, then grows all the
+trees together in one lockstep frontier (:func:`repro.ml.tree.grow_trees`).
+Each tree is therefore the tree it would be if grown alone. A tree grows
+on its distinct rows, each row's class indicator counting its bootstrap
+copies. The fit is traced as one ``ml.fit`` span.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeClassifier
+from ..obs.tracing import span
+from .tree import DecisionTreeClassifier, check_features, grow_trees, one_hot
 
 
 class RandomForestClassifier:
@@ -63,39 +71,59 @@ class RandomForestClassifier:
 
     def fit(self, features: np.ndarray,
             target: np.ndarray) -> "RandomForestClassifier":
-        """Fit the ensemble."""
-        features = np.asarray(features, dtype=float)
+        """Fit the ensemble: every tree grows in one lockstep frontier."""
+        features = check_features(features)
         target = np.asarray(target)
         if len(features) != len(target):
             raise ValueError("features and target length mismatch")
         rng = np.random.default_rng(self.random_state)
-        self.classes_ = np.unique(target)
+        self.classes_, encoded = np.unique(target, return_inverse=True)
         n = len(features)
+        # Each tree's bootstrap (as copies per row) and seed, drawn in the
+        # order of fitting the trees one by one; the fits are then
+        # independent.
+        copies = np.ones((self.n_estimators, n), dtype=np.int32)
         self.trees_ = []
-        importances = np.zeros(features.shape[1])
-        self._tree_columns = []
-        oob_sum = np.zeros((n, len(self.classes_)))
-        oob_count = np.zeros(n)
-        for _ in range(self.n_estimators):
+        for tree_copies in copies:
             if self.bootstrap:
-                rows = rng.integers(0, n, size=n)
-            else:
-                rows = np.arange(n)
-            tree = DecisionTreeClassifier(
+                tree_copies[:] = np.bincount(rng.integers(0, n, size=n),
+                                             minlength=n)
+            self.trees_.append(DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                random_state=int(rng.integers(0, 2 ** 31 - 1)))
-            tree.fit(features[rows], target[rows])
-            self.trees_.append(tree)
+                random_state=int(rng.integers(0, 2 ** 31 - 1))))
+        with span("ml.fit", trees=self.n_estimators, rows=n) as record:
+            # Each tree grows on its distinct rows, a row's class
+            # indicator weighted by its number of copies.
+            target = one_hot(encoded, len(self.classes_))[:, None] * copies
+            grow_trees(self.trees_, features,
+                       target.reshape(len(self.classes_), -1),
+                       (np.flatnonzero(count) for count in copies))
+            self._finish_trees(features, encoded, copies)
+            record.set_attr("nodes", sum(tree.node_count
+                                         for tree in self.trees_))
+        return self
+
+    def _finish_trees(self, features: np.ndarray, encoded: np.ndarray,
+                      copies: np.ndarray) -> None:
+        """Per-tree classes, importances and out-of-bag scores."""
+        n = len(features)
+        importances = np.zeros(features.shape[1])
+        self._tree_columns = []
+        oob_sum = np.zeros((n, len(self.classes_)))
+        oob_count = np.zeros(n)
+        for tree, tree_copies in zip(self.trees_, copies):
             # Forest column of each tree class (a bootstrap may miss some).
-            columns = np.searchsorted(self.classes_, tree.classes_)
+            columns = np.unique(encoded[tree_copies > 0])
+            tree.classes_ = self.classes_[columns]
+            if len(columns) < len(self.classes_):
+                tree.value_ = tree.value_[:, columns]
             self._tree_columns.append(columns)
             importances += tree.feature_importances_
-            if self.oob_score and self.bootstrap:
-                out_mask = np.ones(n, dtype=bool)
-                out_mask[rows] = False
+            if self.oob_score:
+                out_mask = tree_copies == 0
                 if out_mask.any():
                     oob_sum[np.ix_(out_mask, columns)] += \
                         tree.predict_proba(features[out_mask])
@@ -111,7 +139,6 @@ class RandomForestClassifier:
             if not covered.all():
                 oob[~covered] = self.predict_proba(features[~covered])
             self.oob_decision_function_ = oob
-        return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Averaged class probabilities, columns aligned to classes_.

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import (DecisionTreeClassifier, DecisionTreeRegressor,
+                      GradientBoostingClassifier, RandomForestClassifier)
 
 
 class TestClassifier:
@@ -160,3 +161,36 @@ class TestUnboundedDepth:
         assert (tree.left_[leaves] == -1).all()
         assert (tree.right_[leaves] == -1).all()
         assert tree.value_.shape == (tree.node_count, 3)
+
+
+class TestNonFiniteFeatures:
+    """A split between a finite and an infinite value (or two values whose
+    sum overflows) must still separate them; NaN is refused."""
+
+    def test_infinite_values_split(self):
+        tree = DecisionTreeClassifier().fit([[0], [1], [np.inf], [np.inf]],
+                                            [0, 0, 1, 1])
+        assert tree.threshold_[0] == 1.0
+        assert tree.predict([[0], [1], [np.inf]]).tolist() == [0, 0, 1]
+
+    def test_negative_infinity_splits(self):
+        tree = DecisionTreeClassifier().fit([[-np.inf], [-np.inf], [0], [1]],
+                                            [1, 1, 0, 0])
+        assert tree.threshold_[0] == -np.inf
+        assert tree.predict([[-np.inf], [0], [-1e300]]).tolist() == [1, 0, 0]
+
+    def test_overflowing_midpoint_splits(self):
+        x = [[0.0], [1e308], [1.7e308], [1.7e308]]
+        tree = DecisionTreeRegressor().fit(x, [0.0, 0.0, 1.0, 1.0])
+        assert tree.threshold_[0] == 1e308
+        assert tree.predict(x).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("model", [
+        DecisionTreeClassifier, DecisionTreeRegressor,
+        lambda: RandomForestClassifier(n_estimators=3),
+        lambda: GradientBoostingClassifier(n_estimators=3)],
+        ids=["tree", "regressor", "forest", "boosting"])
+    def test_nan_refused(self, model):
+        x = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 3.0], [2.0, 4.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            model().fit(x, np.array([0, 1, 0, 1]))

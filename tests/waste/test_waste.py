@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.tracing import Tracer, set_tracer
 from repro.waste import (
     ABLATION_FAMILIES,
     FAMILY_CODE,
@@ -20,7 +21,7 @@ from repro.waste import (
     train_all_variants,
     train_variant,
 )
-from repro.waste.policy import TrainedPolicy, fit_decision_threshold
+from repro.waste.policy import fit_decision_threshold
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,24 @@ class TestPolicies:
         ablation = train_all_variants(waste_dataset, ABLATION_FAMILIES,
                                       n_estimators=10)
         assert set(ablation) == set(ABLATION_FAMILIES)
+
+    def test_one_fit_span_per_variant(self, waste_dataset):
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            train_all_variants(waste_dataset, n_estimators=5)
+        finally:
+            set_tracer(previous)
+        spans = tracer.finished_spans()
+        variants = [s for s in spans if s.name == "waste.train_variant"]
+        fits = [s for s in spans if s.name == "ml.fit"]
+        assert len(variants) == len(VARIANT_FAMILIES)
+        assert sorted(fit.parent_id for fit in fits) == sorted(
+            variant.span_id for variant in variants)
+        for fit in fits:
+            assert fit.attrs["trees"] == 5
+            assert fit.attrs["rows"] > 0
+            assert fit.attrs["nodes"] >= 5
 
 
 class TestTradeoff:
