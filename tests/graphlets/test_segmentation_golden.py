@@ -1,0 +1,67 @@
+"""Golden digest: graphlet segmentation is pinned id for id.
+
+The corpus below mixes every shape the segmenter has to cut: warm-start
+pipelines (a Trainer consumes the previous Trainer's Model), Trainer
+attempts that failed under a seeded transient fault plan, and their
+retries. Every graphlet's (context id, trainer id, sorted execution
+ids, sorted artifact ids) is hashed in ``segment_corpus`` order. The
+digest was computed before the query layer's second index copy was
+removed; a change to segmentation that moves any id fails here. A
+legitimate change of results re-computes it and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.corpus import CorpusConfig, generate_corpus
+from repro.faults import FaultPlan, RetryPolicy
+from repro.graphlets import segment_corpus
+from repro.mlmd.types import ExecutionState
+
+GOLDEN = "5630165eda764cedd5c1c2ab8743bfbf9f94ab257ba028bca51e97f543754fd0"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    config = CorpusConfig(n_pipelines=10, seed=17,
+                          max_graphlets_per_pipeline=8,
+                          max_window_spans=6, warmstart_fraction=0.5)
+    plan = FaultPlan.parse("transient:Trainer:0.3;transient:*:0.05",
+                           seed=5)
+    return generate_corpus(config, fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=3))
+
+
+def _graphlet_rows(graphlets_by_context):
+    for context_id, graphlets in graphlets_by_context.items():
+        for graphlet in graphlets:
+            yield (context_id, graphlet.trainer_execution_id,
+                   sorted(graphlet.execution_ids),
+                   sorted(graphlet.artifact_ids))
+
+
+def test_corpus_has_every_cut(corpus):
+    """The digest covers warm-start cuts, failed trainers and retries."""
+    store = corpus.store
+    trainers = [e for e in store.get_executions()
+                if e.type_name == "Trainer"]
+    assert any(e.state is ExecutionState.FAILED for e in trainers)
+    assert any(e.properties.get("retry_of") is not None for e in trainers)
+    warm_started = [
+        t for t in trainers
+        if any(store.get_execution(p).type_name == "Trainer"
+               for a in store.get_input_artifact_ids(t.id)
+               for p in store.get_producer_execution_ids(a))]
+    assert warm_started
+
+
+def test_segmentation_digest(corpus):
+    h = hashlib.sha256()
+    count = 0
+    for row in _graphlet_rows(segment_corpus(corpus.store)):
+        h.update(repr(row).encode())
+        h.update(b"\n")
+        count += 1
+    assert count > 50
+    assert h.hexdigest() == GOLDEN
