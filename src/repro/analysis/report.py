@@ -38,8 +38,8 @@ def full_report(corpus: Corpus,
         graphlets_by_pipeline: Pre-segmented graphlets; segmented on the
             fly when omitted.
     """
-    # One shared client: every analysis below reads the same
-    # incrementally-maintained indexes instead of re-scanning the store.
+    # One shared client: every analysis below reads the same store maps
+    # and shares one segmentation cache.
     store = as_client(corpus.store)
     context_ids = corpus.production_context_ids
     if graphlets_by_pipeline is None:

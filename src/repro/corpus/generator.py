@@ -336,10 +336,9 @@ def generate_corpus(config: CorpusConfig | None = None,
     failures, persisting every attempt as provenance.
 
     ``store`` supplies the (empty) destination store; the default is a
-    fresh in-memory store. Passing one lets callers pre-subscribe a
-    :class:`repro.query.MetadataClient` so its indexes are maintained
-    incrementally *during* generation (the query-scaling bench measures
-    that maintenance overhead).
+    fresh in-memory store. A :class:`repro.query.MetadataClient` built
+    on it beforehand reads the same maps the generator writes, so it
+    sees every row as soon as it is put.
     """
     config = config or CorpusConfig()
     store = store if store is not None else MetadataStore()

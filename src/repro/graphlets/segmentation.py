@@ -20,9 +20,10 @@ Datalog engine and the test-suite checks equivalence.
 
 Entry points accept a raw store or a :class:`~repro.query.MetadataClient`.
 Raw stores are routed through :func:`repro.query.as_client`, so
-:func:`segment_pipeline` / :func:`segment_corpus` always run over the
-client's adjacency indexes and hit its LRU segmentation cache (keyed on
-context id + index version) on repeated calls.
+:func:`segment_pipeline` / :func:`segment_corpus` hit the client's LRU
+segmentation cache (keyed on context id + store version) on repeated
+calls. The walks themselves read the adjacency maps of the client's
+in-memory store (:attr:`~repro.query.MetadataClient.index`) directly.
 """
 
 from __future__ import annotations
@@ -36,103 +37,118 @@ from ..obs.tracing import span
 from .graphlet import DATA_ANALYSIS_TYPES, STOP_TYPES, Graphlet
 
 
-def _ancestor_executions(store: MetadataStore, trainer_id: int) -> set[int]:
+def _ancestor_executions(index: MetadataStore, trainer_id: int
+                         ) -> set[int]:
     """Rule (a) executions: ancestors, cutting at other Trainers."""
+    inputs_of, producers_of = index.inputs_of, index.producers_of
+    executions = index.executions_by_id
     seen: set[int] = set()
     frontier = deque([trainer_id])
     while frontier:
         current = frontier.popleft()
-        for artifact_id in store.get_input_artifact_ids(current):
-            for producer in store.get_producer_execution_ids(artifact_id):
+        for artifact_id in inputs_of.get(current, ()):
+            for producer in producers_of.get(artifact_id, ()):
                 if producer in seen or producer == trainer_id:
                     continue
-                if store.get_execution(producer).type_name == "Trainer":
+                if executions[producer].type_name == "Trainer":
                     continue  # Warm-start / chaining cut.
                 seen.add(producer)
                 frontier.append(producer)
     return seen
 
 
-def _descendant_executions(store: MetadataStore, trainer_id: int
+def _descendant_executions(index: MetadataStore, trainer_id: int
                            ) -> set[int]:
     """Rule (c) executions: descendants, stopping at sc nodes."""
+    outputs_of, consumers_of = index.outputs_of, index.consumers_of
+    executions = index.executions_by_id
     seen: set[int] = set()
     frontier = deque([trainer_id])
     while frontier:
         current = frontier.popleft()
-        for artifact_id in store.get_output_artifact_ids(current):
-            for consumer in store.get_consumer_execution_ids(artifact_id):
+        for artifact_id in outputs_of.get(current, ()):
+            for consumer in consumers_of.get(artifact_id, ()):
                 if consumer in seen or consumer == trainer_id:
                     continue
-                if store.get_execution(consumer).type_name in STOP_TYPES:
+                if executions[consumer].type_name in STOP_TYPES:
                     continue
                 seen.add(consumer)
                 frontier.append(consumer)
     return seen
 
 
-def _io_artifacts(store: MetadataStore, execution_ids: set[int],
-                  exclude_foreign_models: bool) -> set[int]:
-    """Input/output artifacts of the executions.
+def _foreign_model(index: MetadataStore, artifact_id: int,
+                   execution_ids: set[int]) -> bool:
+    """A Model produced only outside ``execution_ids``: a cut warm-start
+    input that belongs to the neighboring graphlet."""
+    if index.artifacts_by_id[artifact_id].type_name \
+            not in ("Model", "PushedModel"):
+        return False
+    producers = index.producers_of.get(artifact_id, ())
+    return bool(producers) and execution_ids.isdisjoint(producers)
 
-    When ``exclude_foreign_models`` is set, Model artifacts produced by
-    executions outside the set are dropped — they are the cut warm-start
-    inputs belonging to the neighboring graphlet.
+
+def _data_analysis_closure(index: MetadataStore,
+                           execution_ids: set[int]) -> None:
+    """Rule (b): add data-analysis/validation executions that consume
+    artifacts of ``execution_ids``, in place, to a fixpoint.
+
+    Each round expands only the executions the previous round added, so
+    analysis chains (span → statistics → schema → validation) are
+    captured whole without rescanning the graphlet. A foreign Model
+    skipped in one round is seen again if its producer joins later,
+    because it is then an output of an added execution.
     """
+    inputs_of, outputs_of = index.inputs_of, index.outputs_of
+    consumers_of, executions = index.consumers_of, index.executions_by_id
+    added = list(execution_ids)
+    while added:
+        frontier, added = added, []
+        for execution_id in frontier:
+            for artifact_ids in (inputs_of.get(execution_id, ()),
+                                 outputs_of.get(execution_id, ())):
+                for artifact_id in artifact_ids:
+                    for consumer in consumers_of.get(artifact_id, ()):
+                        if consumer in execution_ids \
+                                or executions[consumer].type_name \
+                                not in DATA_ANALYSIS_TYPES \
+                                or _foreign_model(index, artifact_id,
+                                                  execution_ids):
+                            continue
+                        execution_ids.add(consumer)
+                        added.append(consumer)
+
+
+def _io_artifacts(index: MetadataStore, execution_ids: set[int]
+                  ) -> set[int]:
+    """Input/output artifacts of the executions, without foreign
+    Models (see :func:`_foreign_model`)."""
     artifact_ids: set[int] = set()
     for execution_id in execution_ids:
-        artifact_ids.update(store.get_input_artifact_ids(execution_id))
-        artifact_ids.update(store.get_output_artifact_ids(execution_id))
-    if not exclude_foreign_models:
-        return artifact_ids
-    kept: set[int] = set()
-    for artifact_id in artifact_ids:
-        artifact = store.get_artifact(artifact_id)
-        if artifact.type_name in ("Model", "PushedModel"):
-            producers = set(store.get_producer_execution_ids(artifact_id))
-            if producers and not (producers & execution_ids):
-                continue
-        kept.add(artifact_id)
-    return kept
+        artifact_ids.update(index.inputs_of.get(execution_id, ()))
+        artifact_ids.update(index.outputs_of.get(execution_id, ()))
+    return {artifact_id for artifact_id in artifact_ids
+            if not _foreign_model(index, artifact_id, execution_ids)}
 
 
 def segment_trainer(store: MetadataStore, trainer_id: int,
                     pipeline_context_id: int) -> Graphlet:
     """Extract the graphlet of one Trainer execution."""
     from ..query import as_client
-    store = as_client(store)
-    trainer = store.get_execution(trainer_id)
+    client = as_client(store)
+    trainer = client.get_execution(trainer_id)
     if trainer.type_name != "Trainer":
         raise InvalidQueryError(
             f"execution {trainer_id} is a {trainer.type_name}, not a Trainer")
+    index = client.index
     executions = {trainer_id}
-    executions |= _ancestor_executions(store, trainer_id)
-    executions |= _descendant_executions(store, trainer_id)
-    artifacts = _io_artifacts(store, executions,
-                              exclude_foreign_models=True)
-    # Rule (b): data-analysis/validation executions over collected
-    # artifacts (per-span statistics, schema inference, and validation
-    # runs). Iterated to fixpoint so analysis chains (span → statistics →
-    # schema → validation) are captured whole.
-    changed = True
-    while changed:
-        changed = False
-        artifacts = _io_artifacts(store, executions,
-                                  exclude_foreign_models=True)
-        for artifact_id in artifacts:
-            for consumer in store.get_consumer_execution_ids(artifact_id):
-                if consumer in executions:
-                    continue
-                if store.get_execution(consumer).type_name \
-                        not in DATA_ANALYSIS_TYPES:
-                    continue
-                executions.add(consumer)
-                changed = True
-    artifacts = _io_artifacts(store, executions,
-                              exclude_foreign_models=True)
-    return Graphlet(store=store, pipeline_context_id=pipeline_context_id,
+    executions |= _ancestor_executions(index, trainer_id)
+    executions |= _descendant_executions(index, trainer_id)
+    _data_analysis_closure(index, executions)
+    return Graphlet(store=client, pipeline_context_id=pipeline_context_id,
                     trainer_execution_id=trainer_id,
-                    execution_ids=executions, artifact_ids=artifacts)
+                    execution_ids=executions,
+                    artifact_ids=_io_artifacts(index, executions))
 
 
 def segment_pipeline(store: MetadataStore,
@@ -167,9 +183,7 @@ def segment_pipeline(store: MetadataStore,
 def segment_corpus(store: MetadataStore) -> dict[int, list[Graphlet]]:
     """Graphlets of every pipeline in the store, keyed by context id."""
     from ..query import as_client
-    client = as_client(store)
-    return {context.id: client.segment_pipeline(context.id)
-            for context in client.contexts("Pipeline")}
+    return as_client(store).segment_corpus()
 
 
 def consecutive_pairs(graphlets: list[Graphlet]

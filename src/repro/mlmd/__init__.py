@@ -49,7 +49,7 @@ from .summarize import (
     reachable,
     summarize_by_type,
 )
-from .store import MetadataStore, bulk_load
+from .store import MetadataStore
 from .types import (
     Artifact,
     ArtifactState,
@@ -91,7 +91,6 @@ __all__ = [
     "TypeMismatchError",
     "artifact_node",
     "artifacts_of_executions",
-    "bulk_load",
     "connected_execution_components",
     "downstream_executions",
     "execution_node",

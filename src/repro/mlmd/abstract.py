@@ -15,19 +15,17 @@ Two pieces live here:
   Bulk node reads (``get_artifacts()`` etc.) return *everything*:
   type-filtered store-side scans and the pre-unification kwarg
   spellings finished their one-release deprecation window and are gone
-  — filtered reads go through the indexed
-  :class:`repro.query.MetadataClient`.
-* **Mutation notifications** — ``subscribe``/``unsubscribe`` let a
-  query layer maintain secondary indexes *incrementally* instead of
-  re-scanning the store: each successful write calls every listener
-  with ``(kind, payload, created)``. The hot path pays one truthiness
-  check when nobody is subscribed.
+  — filtered reads go through :class:`repro.query.MetadataClient`.
+* ``version`` — a write counter every backend bumps on each successful
+  ``put_*``. Readers that cache derived results (the query client's
+  segmentation cache and span-digest memo, its copy of a sqlite
+  store) compare it to tell when a write has made them stale.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .types import (
     Artifact,
@@ -37,44 +35,12 @@ from .types import (
     TelemetryRecord,
 )
 
-#: Mutation kinds passed to store listeners.
-MUTATION_KINDS = ("artifact", "execution", "context", "event",
-                  "attribution", "association", "telemetry")
-
-#: ``listener(kind, payload, created)`` — ``payload`` is the node /
-#: event dataclass or an id pair, ``created`` is False for updates.
-MutationListener = Callable[[str, object, bool], None]
-
 
 class AbstractStore(ABC):
-    """Unified write/read contract of every metadata backend.
+    """Unified write/read contract of every metadata backend."""
 
-    Implementations must call :meth:`_notify` after each successful
-    mutation so subscribed query layers (see
-    :class:`repro.query.IndexSet`) can maintain their indexes
-    incrementally.
-    """
-
-    # ------------------------------------------------------- listeners
-
-    def subscribe(self, listener: MutationListener) -> None:
-        """Register a mutation listener (idempotent)."""
-        listeners = self.__dict__.setdefault("_mutation_listeners", [])
-        if listener not in listeners:
-            listeners.append(listener)
-
-    def unsubscribe(self, listener: MutationListener) -> None:
-        """Remove a mutation listener (no-op when absent)."""
-        listeners = self.__dict__.get("_mutation_listeners")
-        if listeners and listener in listeners:
-            listeners.remove(listener)
-
-    def _notify(self, kind: str, payload: object,
-                created: bool = True) -> None:
-        listeners = self.__dict__.get("_mutation_listeners")
-        if listeners:
-            for listener in listeners:
-                listener(kind, payload, created)
+    #: Write counter: starts at 0, bumped by every successful ``put_*``.
+    version: int
 
     # ------------------------------------------------------------ puts
 

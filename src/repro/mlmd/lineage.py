@@ -11,8 +11,9 @@ paper's rules do) while carrying the artifacts along.
 
 Every function accepts either a raw :class:`~repro.mlmd.abstract.\
 AbstractStore` or a :class:`~repro.query.MetadataClient`; raw stores are
-normalized through :func:`repro.query.as_client`, so traversals always
-run over the incrementally-maintained adjacency indexes.
+normalized through :func:`repro.query.as_client`, and the ancestor and
+descendant walks read the adjacency maps of the client's in-memory
+store (:attr:`repro.query.MetadataClient.index`) directly.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ def upstream_executions(
     prune traversal *through* an execution: the execution itself is still
     reported, but its ancestors are not explored.
     """
-    store = _client(store)
+    index = _client(store).index
+    inputs_of, producers_of = index.inputs_of, index.producers_of
     seen: set[int] = set()
     frontier = deque([execution_id])
     while frontier:
         current = frontier.popleft()
-        for artifact_id in store.get_input_artifact_ids(current):
-            for producer in store.get_producer_execution_ids(artifact_id):
+        for artifact_id in inputs_of.get(current, ()):
+            for producer in producers_of.get(artifact_id, ()):
                 if producer in seen or producer == execution_id:
                     continue
                 seen.add(producer)
@@ -67,13 +69,14 @@ def downstream_executions(
     Mirror image of :func:`upstream_executions`. ``stop`` prunes traversal
     through (but not reporting of) an execution.
     """
-    store = _client(store)
+    index = _client(store).index
+    outputs_of, consumers_of = index.outputs_of, index.consumers_of
     seen: set[int] = set()
     frontier = deque([execution_id])
     while frontier:
         current = frontier.popleft()
-        for artifact_id in store.get_output_artifact_ids(current):
-            for consumer in store.get_consumer_execution_ids(artifact_id):
+        for artifact_id in outputs_of.get(current, ()):
+            for consumer in consumers_of.get(artifact_id, ()):
                 if consumer in seen or consumer == execution_id:
                     continue
                 seen.add(consumer)

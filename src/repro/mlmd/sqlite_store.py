@@ -679,7 +679,8 @@ class SqliteStore(AbstractStore):
             self._conn.executescript(_INDEXES)
         except sqlite3.Error as exc:
             raise _map_sqlite_error(exc) from exc
-        self._mutation_listeners: list = []
+        #: Write counter, bumped by every successful ``put_*``.
+        self.version = 0
 
     def close(self) -> None:
         """Checkpoint the WAL and close the connection."""
@@ -723,8 +724,7 @@ class SqliteStore(AbstractStore):
                  json.dumps(artifact.properties), artifact.id))
             if cur.rowcount == 0:
                 raise NotFoundError(f"artifact id {artifact.id} not found")
-        if self._mutation_listeners:
-            self._notify("artifact", artifact, created)
+        self.version += 1
         return artifact.id
 
     def put_execution(self, execution: Execution) -> int:
@@ -748,8 +748,7 @@ class SqliteStore(AbstractStore):
             if cur.rowcount == 0:
                 raise NotFoundError(
                     f"execution id {execution.id} not found")
-        if self._mutation_listeners:
-            self._notify("execution", execution, created)
+        self.version += 1
         return execution.id
 
     def put_context(self, context: Context) -> int:
@@ -770,8 +769,7 @@ class SqliteStore(AbstractStore):
                  json.dumps(context.properties), context.id))
             if cur.rowcount == 0:
                 raise NotFoundError(f"context id {context.id} not found")
-        if self._mutation_listeners:
-            self._notify("context", context, created)
+        self.version += 1
         return context.id
 
     def put_event(self, event: Event) -> None:
@@ -780,22 +778,19 @@ class SqliteStore(AbstractStore):
             " VALUES (?,?,?,?)",
             (event.artifact_id, event.execution_id, event.type.value,
              event.time))
-        if self._mutation_listeners:
-            self._notify("event", event)
+        self.version += 1
 
     def put_attribution(self, context_id: int, artifact_id: int) -> None:
         self._execute(
             "INSERT INTO attributions(context_id, artifact_id)"
             " VALUES (?,?)", (context_id, artifact_id))
-        if self._mutation_listeners:
-            self._notify("attribution", (context_id, artifact_id))
+        self.version += 1
 
     def put_association(self, context_id: int, execution_id: int) -> None:
         self._execute(
             "INSERT INTO associations(context_id, execution_id)"
             " VALUES (?,?)", (context_id, execution_id))
-        if self._mutation_listeners:
-            self._notify("association", (context_id, execution_id))
+        self.version += 1
 
     def put_telemetry(self, record: TelemetryRecord) -> int:
         validate_properties(record.properties)
@@ -820,8 +815,7 @@ class SqliteStore(AbstractStore):
                  record.id))
             if cur.rowcount == 0:
                 raise NotFoundError(f"telemetry id {record.id} not found")
-        if self._mutation_listeners:
-            self._notify("telemetry", record, fresh)
+        self.version += 1
         return record.id
 
     # ------------------------------------------------------- node reads

@@ -5,7 +5,10 @@ nodes through this API, and every analysis module reads through the
 :class:`repro.query.MetadataClient` facade built on top of it. The store
 keeps adjacency indexes (artifact → consuming/producing executions and
 vice versa) so lineage traversals are O(degree), which is what makes
-graphlet segmentation over large traces feasible.
+graphlet segmentation over large traces feasible. These maps are the
+one provenance index of a run: the client and the segmenter read them
+directly instead of keeping a copy, and ``version`` (bumped by every
+``put_*``) tells them when a cached result has gone stale.
 
 The public surface intentionally mirrors ML Metadata's
 ``metadata_store.MetadataStore``: ``put_*`` / ``get_*`` methods over
@@ -16,7 +19,7 @@ implements too.
 Bulk reads return everything: the deprecated type-filtered scans
 (``get_artifacts("Model")`` etc.) and the pre-unification kwarg
 spellings ``artifact_type`` / ``execution_type`` / ``context_type``
-completed their deprecation window and were removed — the indexed
+completed their deprecation window and were removed — the
 replacement is ``MetadataClient.artifacts(type_name=...)``
 (:func:`repro.query.as_client`).
 """
@@ -28,7 +31,7 @@ from collections.abc import Iterable, Sequence
 
 from ..obs.metrics import get_registry
 from .abstract import AbstractStore
-from .errors import AlreadyExistsError, InvalidArgumentError, NotFoundError
+from .errors import AlreadyExistsError, NotFoundError
 from .types import (
     Artifact,
     Context,
@@ -55,36 +58,39 @@ class MetadataStore(AbstractStore):
     """
 
     def __init__(self) -> None:
-        self._artifacts: dict[int, Artifact] = {}
-        self._executions: dict[int, Execution] = {}
-        self._contexts: dict[int, Context] = {}
-        self._events: list[Event] = []
+        # The maps below are the provenance index: the query layer and
+        # graphlet segmentation read them directly, so they are public.
+        # They are read-only outside this class; write through put_*.
+        #: Write counter, bumped by every successful ``put_*``.
+        self.version = 0
+        self.artifacts_by_id: dict[int, Artifact] = {}
+        self.executions_by_id: dict[int, Execution] = {}
+        self.contexts_by_id: dict[int, Context] = {}
+        self.events: list[Event] = []
         self._next_artifact_id = 1
         self._next_execution_id = 1
         self._next_context_id = 1
         # Adjacency indexes over events.
-        self._inputs_of: dict[int, list[int]] = defaultdict(list)
-        self._outputs_of: dict[int, list[int]] = defaultdict(list)
-        self._consumers_of: dict[int, list[int]] = defaultdict(list)
-        self._producers_of: dict[int, list[int]] = defaultdict(list)
+        self.inputs_of: dict[int, list[int]] = defaultdict(list)
+        self.outputs_of: dict[int, list[int]] = defaultdict(list)
+        self.consumers_of: dict[int, list[int]] = defaultdict(list)
+        self.producers_of: dict[int, list[int]] = defaultdict(list)
         # Context membership.
-        self._context_artifacts: dict[int, list[int]] = defaultdict(list)
-        self._context_executions: dict[int, list[int]] = defaultdict(list)
-        self._artifact_contexts: dict[int, list[int]] = defaultdict(list)
-        self._execution_contexts: dict[int, list[int]] = defaultdict(list)
+        self.artifacts_in_context: dict[int, list[int]] = defaultdict(list)
+        self.executions_in_context: dict[int, list[int]] = defaultdict(list)
+        self.contexts_of_artifact: dict[int, list[int]] = defaultdict(list)
+        self.contexts_of_execution: dict[int, list[int]] = defaultdict(list)
         # Telemetry rows, indexed by the node they describe so spans
         # and costs are joinable to executions/contexts in O(degree).
-        self._telemetry: dict[int, TelemetryRecord] = {}
+        self.telemetry_by_id: dict[int, TelemetryRecord] = {}
         self._next_telemetry_id = 1
-        self._telemetry_of_execution: dict[int, list[int]] = defaultdict(list)
-        self._telemetry_of_context: dict[int, list[int]] = defaultdict(list)
+        self.telemetry_of_execution: dict[int, list[int]] = defaultdict(list)
+        self.telemetry_of_context: dict[int, list[int]] = defaultdict(list)
         # Optional provenance-aware sink (set by obs.provenance); the
         # runtime emits into it when present.
         self.telemetry_sink = None
-        # Mutation listeners (repro.query index maintenance).
-        self._mutation_listeners: list = []
         # Name uniqueness per (kind, type_name, name).
-        self._named_nodes: dict[tuple[str, str, str], int] = {}
+        self.named_nodes: dict[tuple[str, str, str], int] = {}
         # Op counters, bound once so the hot path pays one attribute add
         # per operation. Swap the global registry before constructing
         # stores you want measured separately.
@@ -117,11 +123,10 @@ class MetadataStore(AbstractStore):
             self._next_artifact_id += 1
             self._register_name("artifact", artifact.type_name, artifact.name,
                                 artifact.id)
-        elif artifact.id not in self._artifacts:
+        elif artifact.id not in self.artifacts_by_id:
             raise NotFoundError(f"artifact id {artifact.id} not found")
-        self._artifacts[artifact.id] = artifact
-        if self._mutation_listeners:
-            self._notify("artifact", artifact, created)
+        self.artifacts_by_id[artifact.id] = artifact
+        self.version += 1
         return artifact.id
 
     def put_execution(self, execution: Execution) -> int:
@@ -134,11 +139,10 @@ class MetadataStore(AbstractStore):
             self._next_execution_id += 1
             self._register_name("execution", execution.type_name,
                                 execution.name, execution.id)
-        elif execution.id not in self._executions:
+        elif execution.id not in self.executions_by_id:
             raise NotFoundError(f"execution id {execution.id} not found")
-        self._executions[execution.id] = execution
-        if self._mutation_listeners:
-            self._notify("execution", execution, created)
+        self.executions_by_id[execution.id] = execution
+        self.version += 1
         return execution.id
 
     def put_context(self, context: Context) -> int:
@@ -151,29 +155,27 @@ class MetadataStore(AbstractStore):
             self._next_context_id += 1
             self._register_name("context", context.type_name, context.name,
                                 context.id)
-        elif context.id not in self._contexts:
+        elif context.id not in self.contexts_by_id:
             raise NotFoundError(f"context id {context.id} not found")
-        self._contexts[context.id] = context
-        if self._mutation_listeners:
-            self._notify("context", context, created)
+        self.contexts_by_id[context.id] = context
+        self.version += 1
         return context.id
 
     def put_event(self, event: Event) -> None:
         """Record an input/output edge between existing nodes."""
         self._ops_put_event.value += 1
-        if event.artifact_id not in self._artifacts:
+        if event.artifact_id not in self.artifacts_by_id:
             raise NotFoundError(f"artifact id {event.artifact_id} not found")
-        if event.execution_id not in self._executions:
+        if event.execution_id not in self.executions_by_id:
             raise NotFoundError(f"execution id {event.execution_id} not found")
-        self._events.append(event)
+        self.events.append(event)
         if event.type is EventType.INPUT:
-            self._inputs_of[event.execution_id].append(event.artifact_id)
-            self._consumers_of[event.artifact_id].append(event.execution_id)
+            self.inputs_of[event.execution_id].append(event.artifact_id)
+            self.consumers_of[event.artifact_id].append(event.execution_id)
         else:
-            self._outputs_of[event.execution_id].append(event.artifact_id)
-            self._producers_of[event.artifact_id].append(event.execution_id)
-        if self._mutation_listeners:
-            self._notify("event", event)
+            self.outputs_of[event.execution_id].append(event.artifact_id)
+            self.producers_of[event.artifact_id].append(event.execution_id)
+        self.version += 1
 
     def put_events(self, events: Iterable[Event]) -> None:
         """Record a batch of events."""
@@ -184,23 +186,21 @@ class MetadataStore(AbstractStore):
         """Associate an artifact with a context."""
         self._ops_put_attribution.value += 1
         self._require_context(context_id)
-        if artifact_id not in self._artifacts:
+        if artifact_id not in self.artifacts_by_id:
             raise NotFoundError(f"artifact id {artifact_id} not found")
-        self._context_artifacts[context_id].append(artifact_id)
-        self._artifact_contexts[artifact_id].append(context_id)
-        if self._mutation_listeners:
-            self._notify("attribution", (context_id, artifact_id))
+        self.artifacts_in_context[context_id].append(artifact_id)
+        self.contexts_of_artifact[artifact_id].append(context_id)
+        self.version += 1
 
     def put_association(self, context_id: int, execution_id: int) -> None:
         """Associate an execution with a context."""
         self._ops_put_association.value += 1
         self._require_context(context_id)
-        if execution_id not in self._executions:
+        if execution_id not in self.executions_by_id:
             raise NotFoundError(f"execution id {execution_id} not found")
-        self._context_executions[context_id].append(execution_id)
-        self._execution_contexts[execution_id].append(context_id)
-        if self._mutation_listeners:
-            self._notify("association", (context_id, execution_id))
+        self.executions_in_context[context_id].append(execution_id)
+        self.contexts_of_execution[execution_id].append(context_id)
+        self.version += 1
 
     def put_telemetry(self, record: TelemetryRecord) -> int:
         """Insert a telemetry record; returns its id.
@@ -212,28 +212,27 @@ class MetadataStore(AbstractStore):
         self._ops_put_telemetry.value += 1
         validate_properties(record.properties)
         if record.execution_id is not None \
-                and record.execution_id not in self._executions:
+                and record.execution_id not in self.executions_by_id:
             raise NotFoundError(
                 f"execution id {record.execution_id} not found")
         if record.context_id is not None \
-                and record.context_id not in self._contexts:
+                and record.context_id not in self.contexts_by_id:
             raise NotFoundError(f"context id {record.context_id} not found")
         fresh = record.id == -1
         if fresh:
             record.id = self._next_telemetry_id
             self._next_telemetry_id += 1
-        elif record.id not in self._telemetry:
+        elif record.id not in self.telemetry_by_id:
             raise NotFoundError(f"telemetry id {record.id} not found")
-        self._telemetry[record.id] = record
+        self.telemetry_by_id[record.id] = record
         if fresh:
             if record.execution_id is not None:
-                self._telemetry_of_execution[record.execution_id].append(
+                self.telemetry_of_execution[record.execution_id].append(
                     record.id)
             if record.context_id is not None:
-                self._telemetry_of_context[record.context_id].append(
+                self.telemetry_of_context[record.context_id].append(
                     record.id)
-        if self._mutation_listeners:
-            self._notify("telemetry", record, fresh)
+        self.version += 1
         return record.id
 
     # ------------------------------------------------------------------ get
@@ -242,7 +241,7 @@ class MetadataStore(AbstractStore):
         """Return the artifact with the given id."""
         self._ops_get_node.value += 1
         try:
-            return self._artifacts[artifact_id]
+            return self.artifacts_by_id[artifact_id]
         except KeyError:
             raise NotFoundError(f"artifact id {artifact_id} not found") from None
 
@@ -250,7 +249,7 @@ class MetadataStore(AbstractStore):
         """Return the execution with the given id."""
         self._ops_get_node.value += 1
         try:
-            return self._executions[execution_id]
+            return self.executions_by_id[execution_id]
         except KeyError:
             raise NotFoundError(
                 f"execution id {execution_id} not found") from None
@@ -261,26 +260,26 @@ class MetadataStore(AbstractStore):
 
     def get_artifacts(self) -> list[Artifact]:
         """All artifacts in id order."""
-        return list(self._artifacts.values())
+        return list(self.artifacts_by_id.values())
 
     def get_executions(self) -> list[Execution]:
         """All executions in id order."""
-        return list(self._executions.values())
+        return list(self.executions_by_id.values())
 
     def get_contexts(self) -> list[Context]:
         """All contexts in id order."""
-        return list(self._contexts.values())
+        return list(self.contexts_by_id.values())
 
     def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
         """Look up an artifact by its unique (type, name) pair."""
         key = ("artifact", type_name, name)
-        if key not in self._named_nodes:
+        if key not in self.named_nodes:
             raise NotFoundError(f"artifact {type_name}/{name} not found")
-        return self._artifacts[self._named_nodes[key]]
+        return self.artifacts_by_id[self.named_nodes[key]]
 
     def get_events(self) -> list[Event]:
         """Return all events (the raw trace edges)."""
-        return list(self._events)
+        return list(self.events)
 
     # ----------------------------------------------------- batch reads
 
@@ -289,7 +288,7 @@ class MetadataStore(AbstractStore):
         """Batched get_artifact (one dict hit per id)."""
         self._ops_get_node.value += 1
         try:
-            return [self._artifacts[i] for i in artifact_ids]
+            return [self.artifacts_by_id[i] for i in artifact_ids]
         except KeyError as exc:
             raise NotFoundError(f"artifact id {exc.args[0]} not found") \
                 from None
@@ -299,7 +298,7 @@ class MetadataStore(AbstractStore):
         """Batched get_execution (one dict hit per id)."""
         self._ops_get_node.value += 1
         try:
-            return [self._executions[i] for i in execution_ids]
+            return [self.executions_by_id[i] for i in execution_ids]
         except KeyError as exc:
             raise NotFoundError(f"execution id {exc.args[0]} not found") \
                 from None
@@ -309,7 +308,7 @@ class MetadataStore(AbstractStore):
     def get_telemetry(self, kind: str | None = None,
                       name: str | None = None) -> list[TelemetryRecord]:
         """All telemetry records, optionally filtered by kind and name."""
-        rows = self._telemetry.values()
+        rows = self.telemetry_by_id.values()
         if kind is not None:
             rows = (r for r in rows if r.kind == kind)
         if name is not None:
@@ -320,81 +319,81 @@ class MetadataStore(AbstractStore):
                                    ) -> list[TelemetryRecord]:
         """Telemetry rows describing one execution (insertion order)."""
         self._ops_lineage.value += 1
-        return [self._telemetry[i]
-                for i in self._telemetry_of_execution.get(execution_id, ())]
+        return [self.telemetry_by_id[i]
+                for i in self.telemetry_of_execution.get(execution_id, ())]
 
     def get_telemetry_by_context(self, context_id: int
                                  ) -> list[TelemetryRecord]:
         """Telemetry rows attached to one context (insertion order)."""
         self._ops_lineage.value += 1
-        return [self._telemetry[i]
-                for i in self._telemetry_of_context.get(context_id, ())]
+        return [self.telemetry_by_id[i]
+                for i in self.telemetry_of_context.get(context_id, ())]
 
     # --------------------------------------------------------- adjacency
 
     def get_input_artifact_ids(self, execution_id: int) -> list[int]:
         """Artifact ids consumed by an execution (event order preserved)."""
         self._ops_lineage.value += 1
-        return list(self._inputs_of.get(execution_id, ()))
+        return list(self.inputs_of.get(execution_id, ()))
 
     def get_output_artifact_ids(self, execution_id: int) -> list[int]:
         """Artifact ids produced by an execution."""
         self._ops_lineage.value += 1
-        return list(self._outputs_of.get(execution_id, ()))
+        return list(self.outputs_of.get(execution_id, ()))
 
     def get_input_artifacts(self, execution_id: int) -> list[Artifact]:
         """Artifacts consumed by an execution."""
-        return [self._artifacts[i]
-                for i in self._inputs_of.get(execution_id, ())]
+        return [self.artifacts_by_id[i]
+                for i in self.inputs_of.get(execution_id, ())]
 
     def get_output_artifacts(self, execution_id: int) -> list[Artifact]:
         """Artifacts produced by an execution."""
-        return [self._artifacts[i]
-                for i in self._outputs_of.get(execution_id, ())]
+        return [self.artifacts_by_id[i]
+                for i in self.outputs_of.get(execution_id, ())]
 
     def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
         """Execution ids that consume an artifact."""
         self._ops_lineage.value += 1
-        return list(self._consumers_of.get(artifact_id, ()))
+        return list(self.consumers_of.get(artifact_id, ()))
 
     def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
         """Execution ids that produced an artifact."""
         self._ops_lineage.value += 1
-        return list(self._producers_of.get(artifact_id, ()))
+        return list(self.producers_of.get(artifact_id, ()))
 
     # ----------------------------------------------------------- contexts
 
     def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
         """All artifacts attributed to a context."""
         self._require_context(context_id)
-        return [self._artifacts[i] for i in self._context_artifacts[context_id]]
+        return [self.artifacts_by_id[i] for i in self.artifacts_in_context[context_id]]
 
     def get_executions_by_context(self, context_id: int) -> list[Execution]:
         """All executions associated with a context."""
         self._require_context(context_id)
-        return [self._executions[i]
-                for i in self._context_executions[context_id]]
+        return [self.executions_by_id[i]
+                for i in self.executions_in_context[context_id]]
 
     def get_contexts_by_execution(self, execution_id: int) -> list[Context]:
         """Contexts an execution belongs to."""
-        return [self._contexts[i]
-                for i in self._execution_contexts.get(execution_id, ())]
+        return [self.contexts_by_id[i]
+                for i in self.contexts_of_execution.get(execution_id, ())]
 
     def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
         """Contexts an artifact belongs to."""
-        return [self._contexts[i]
-                for i in self._artifact_contexts.get(artifact_id, ())]
+        return [self.contexts_by_id[i]
+                for i in self.contexts_of_artifact.get(artifact_id, ())]
 
     def get_attributions(self) -> list[tuple[int, int]]:
         """All (context_id, artifact_id) pairs, grouped by context."""
         return [(context_id, artifact_id)
-                for context_id, members in self._context_artifacts.items()
+                for context_id, members in self.artifacts_in_context.items()
                 for artifact_id in members]
 
     def get_associations(self) -> list[tuple[int, int]]:
         """All (context_id, execution_id) pairs, grouped by context."""
         return [(context_id, execution_id)
-                for context_id, members in self._context_executions.items()
+                for context_id, members in self.executions_in_context.items()
                 for execution_id in members]
 
     # ------------------------------------------------------------- counts
@@ -402,22 +401,22 @@ class MetadataStore(AbstractStore):
     @property
     def num_artifacts(self) -> int:
         """Total artifacts in the store."""
-        return len(self._artifacts)
+        return len(self.artifacts_by_id)
 
     @property
     def num_executions(self) -> int:
         """Total executions in the store."""
-        return len(self._executions)
+        return len(self.executions_by_id)
 
     @property
     def num_events(self) -> int:
         """Total events (trace edges) in the store."""
-        return len(self._events)
+        return len(self.events)
 
     @property
     def num_telemetry(self) -> int:
         """Total telemetry records in the store."""
-        return len(self._telemetry)
+        return len(self.telemetry_by_id)
 
     # ------------------------------------------------------------ helpers
 
@@ -426,31 +425,13 @@ class MetadataStore(AbstractStore):
         if not name:
             return
         key = (kind, type_name, name)
-        if key in self._named_nodes:
+        if key in self.named_nodes:
             raise AlreadyExistsError(f"{kind} {type_name}/{name} exists")
-        self._named_nodes[key] = node_id
+        self.named_nodes[key] = node_id
 
     def _require_context(self, context_id: int) -> Context:
         try:
-            return self._contexts[context_id]
+            return self.contexts_by_id[context_id]
         except KeyError:
             raise NotFoundError(f"context id {context_id} not found") from None
 
-
-def bulk_load(store: AbstractStore, artifacts: Sequence[Artifact],
-              executions: Sequence[Execution],
-              events: Sequence[Event]) -> None:
-    """Load a pre-built trace into a store in one call.
-
-    Convenience for tests and for replaying serialized traces; ids in the
-    events must refer to ids assigned by the puts, so artifacts and
-    executions are inserted first, in order. Works against any
-    :class:`~repro.mlmd.abstract.AbstractStore` backend.
-    """
-    if not artifacts and not executions and events:
-        raise InvalidArgumentError("events supplied without nodes")
-    for artifact in artifacts:
-        store.put_artifact(artifact)
-    for execution in executions:
-        store.put_execution(execution)
-    store.put_events(events)

@@ -1,24 +1,24 @@
-"""The MetadataClient facade: one indexed read path for every analysis.
+"""The MetadataClient facade: one read path for every analysis.
 
 Every analysis in the paper — graphlet segmentation, lineage walks,
 pipeline-level statistics, diagnosis, waste features — is a read over
 the metadata store. :class:`MetadataClient` is the versioned query API
-those layers consume: it builds an :class:`~repro.query.indexes.IndexSet`
-over any :class:`~repro.mlmd.abstract.AbstractStore` backend (in-memory
-or sqlite), subscribes to the store's mutation notifications so the
-indexes stay current incrementally, and exposes
+those layers consume. It keeps no index of its own: over an in-memory
+:class:`~repro.mlmd.store.MetadataStore` it reads that store's
+adjacency, membership and telemetry maps directly, and over a sqlite
+store it reads one in-memory copy loaded from the database. It exposes
 
 * the full store *read* protocol (``get_artifact`` … ``num_telemetry``)
   so a client can be passed anywhere a store is read from — including
-  ``Graphlet.store`` — with every lookup served from the indexes;
-* typed filtered reads (:meth:`artifacts` / :meth:`executions` /
+  ``Graphlet.store`` — with every lookup a dictionary hit;
+* filtered reads (:meth:`artifacts` / :meth:`executions` /
   :meth:`contexts`) replacing the deprecated store-side type scans;
 * batched :meth:`get_many` / :meth:`neighbors_many` calls;
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
-  ``(context_id, index version)`` so repeated segmentation of an
+  ``(context_id, store version)`` so repeated segmentation of an
   unchanged pipeline is a dictionary hit;
 * a span-digest memo (:meth:`span_digest`): each DataSpan artifact's
-  similarity digest is decoded once per index version, however many
+  similarity digest is decoded once per store version, however many
   graphlet windows contain it.
 
 Use :func:`as_client` at API boundaries: it passes clients through
@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING
 
 from ..mlmd.abstract import AbstractStore
 from ..mlmd.errors import InvalidQueryError, NotFoundError
+from ..mlmd.sqlite_store import load_store
+from ..mlmd.store import MetadataStore
 from ..mlmd.types import (
     Artifact,
     Context,
@@ -41,7 +43,6 @@ from ..mlmd.types import (
     Execution,
     TelemetryRecord,
 )
-from .indexes import IndexSet
 
 if TYPE_CHECKING:
     from ..graphlets.graphlet import Graphlet
@@ -57,106 +58,147 @@ NODE_KINDS = ("artifact", "execution", "context")
 #: Valid ``relation`` arguments of :meth:`MetadataClient.neighbors_many`.
 RELATIONS = ("inputs", "outputs", "consumers", "producers")
 
+#: Pipelines whose graphlet lists one client's segmentation cache keeps.
+SEGMENT_CACHE_SIZE = 64
+
+
+class _SqliteCopy:
+    """``MetadataClient.index`` over a sqlite store: one
+    :func:`~repro.mlmd.sqlite_store.load_store` copy of the database,
+    reloaded when the store's ``version`` has moved since the load.
+
+    A non-data descriptor, so a client over a
+    :class:`~repro.mlmd.store.MetadataStore` shadows it with a plain
+    instance attribute (the store itself) and its reads pay no check.
+    """
+
+    def __get__(self, client, owner=None):
+        if client is None:
+            return self
+        store = client.store
+        if client._copy_version != store.version:
+            client._copy = load_store(store.path)
+            client._copy_version = store.version
+        return client._copy
+
 
 class MetadataClient:
-    """Indexed, read-only query facade over one metadata store.
+    """Read-only query facade over one metadata store.
 
-    Reads never touch the backend after the initial index build (the
-    sqlite backend is scanned exactly once); writes keep flowing through
-    the store's ``put_*`` API and reach the client via its mutation
-    subscription.
+    Every read goes to :attr:`index`, an in-memory
+    :class:`~repro.mlmd.store.MetadataStore`. Over a ``MetadataStore``
+    that is the store itself: the client reads its maps and holds no
+    copy of them. Over a :class:`~repro.mlmd.sqlite_store.SqliteStore`
+    it is one :func:`~repro.mlmd.sqlite_store.load_store` copy of the
+    database, which keeps the database's ids (a live store only ever
+    appends rows, so its ids run 1..n); the copy is reloaded when the
+    store's ``version`` has moved, so writes made through that store
+    after the client was built still show up.
     """
 
     #: Version of the query API surface. Bumped on breaking changes;
     #: tools/api_snapshot.py guards the surface itself.
-    API_VERSION = 1
+    API_VERSION = 2
 
-    def __init__(self, store: AbstractStore, *,
-                 segment_cache_size: int = 64) -> None:
+    index = _SqliteCopy()
+
+    def __init__(self, store: AbstractStore) -> None:
         self.store = store
-        self.indexes = IndexSet()
+        if isinstance(store, MetadataStore):
+            self.index = store
+        else:
+            self._copy_version = -1
+            self.index  # Load the copy now, not on the first read.
         self._segment_cache: OrderedDict[tuple[int, int], tuple] = \
             OrderedDict()
-        self._segment_cache_size = segment_cache_size
         self.segment_cache_hits = 0
         self.segment_cache_misses = 0
         self._digests: dict[int, SpanDigest] = {}
         self._digests_version = -1
-        store.subscribe(self.indexes.apply)
-        self.indexes.build(store)
-
-    def close(self) -> None:
-        """Detach from the store (stop receiving mutations)."""
-        self.store.unsubscribe(self.indexes.apply)
 
     @property
     def version(self) -> int:
-        """Current index version (monotonic; bumps on every mutation)."""
-        return self.indexes.version
+        """The store's write counter; cache keys include it."""
+        return self.store.version
 
     # ------------------------------------------------- store read protocol
 
     def get_artifact(self, artifact_id: int) -> Artifact:
-        """Indexed point lookup of one artifact."""
-        return self.indexes.artifact(artifact_id)
+        """Point lookup of one artifact."""
+        try:
+            return self.index.artifacts_by_id[artifact_id]
+        except KeyError:
+            raise NotFoundError(f"artifact id {artifact_id} not found") \
+                from None
 
     def get_execution(self, execution_id: int) -> Execution:
-        """Indexed point lookup of one execution."""
-        return self.indexes.execution(execution_id)
+        """Point lookup of one execution."""
+        try:
+            return self.index.executions_by_id[execution_id]
+        except KeyError:
+            raise NotFoundError(f"execution id {execution_id} not found") \
+                from None
 
     def get_context(self, context_id: int) -> Context:
-        """Indexed point lookup of one context."""
-        return self.indexes.context(context_id)
+        """Point lookup of one context."""
+        try:
+            return self.index.contexts_by_id[context_id]
+        except KeyError:
+            raise NotFoundError(f"context id {context_id} not found") \
+                from None
 
     def get_artifacts(self, type_name: str | None = None) -> list[Artifact]:
-        """All artifacts, optionally filtered by type — indexed."""
+        """All artifacts, optionally filtered by type."""
         return self.artifacts(type_name=type_name)
 
     def get_executions(self,
                        type_name: str | None = None) -> list[Execution]:
-        """All executions, optionally filtered by type — indexed."""
+        """All executions, optionally filtered by type."""
         return self.executions(type_name=type_name)
 
     def get_contexts(self, type_name: str | None = None) -> list[Context]:
-        """All contexts, optionally filtered by type — indexed."""
+        """All contexts, optionally filtered by type."""
         return self.contexts(type_name=type_name)
 
     def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
-        """Indexed lookup by the unique (type, name) pair."""
-        artifact_id = self.indexes.named.get(("artifact", type_name, name))
+        """Lookup by the unique (type, name) pair."""
+        index = self.index
+        artifact_id = index.named_nodes.get(("artifact", type_name, name))
         if artifact_id is None:
             raise NotFoundError(f"artifact {type_name}/{name} not found")
-        return self.indexes.artifacts[artifact_id]
+        return index.artifacts_by_id[artifact_id]
 
     def get_events(self) -> list[Event]:
         """All events (the raw trace edges) in insertion order."""
-        return list(self.indexes.events)
+        return list(self.index.events)
 
     def get_input_artifact_ids(self, execution_id: int) -> list[int]:
         """Artifact ids consumed by an execution (event order)."""
-        return list(self.indexes.inputs_of.get(execution_id, ()))
+        return list(self.index.inputs_of.get(execution_id, ()))
 
     def get_output_artifact_ids(self, execution_id: int) -> list[int]:
         """Artifact ids produced by an execution (event order)."""
-        return list(self.indexes.outputs_of.get(execution_id, ()))
+        return list(self.index.outputs_of.get(execution_id, ()))
 
     def get_input_artifacts(self, execution_id: int) -> list[Artifact]:
         """Artifacts consumed by an execution."""
-        return [self.indexes.artifacts[i]
-                for i in self.indexes.inputs_of.get(execution_id, ())]
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.inputs_of.get(execution_id, ())]
 
     def get_output_artifacts(self, execution_id: int) -> list[Artifact]:
         """Artifacts produced by an execution."""
-        return [self.indexes.artifacts[i]
-                for i in self.indexes.outputs_of.get(execution_id, ())]
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.outputs_of.get(execution_id, ())]
 
     def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
         """Execution ids that consume an artifact."""
-        return list(self.indexes.consumers_of.get(artifact_id, ()))
+        return list(self.index.consumers_of.get(artifact_id, ()))
 
     def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
         """Execution ids that produced an artifact."""
-        return list(self.indexes.producers_of.get(artifact_id, ()))
+        return list(self.index.producers_of.get(artifact_id, ()))
 
     def get_artifacts_by_id(self,
                             artifact_ids: Sequence[int]) -> list[Artifact]:
@@ -169,128 +211,101 @@ class MetadataClient:
         return self.get_many("execution", execution_ids)
 
     def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
-        """All artifacts attributed to a context — indexed."""
-        self.indexes.context(context_id)
-        return [self.indexes.artifacts[i]
-                for i in self.indexes.artifacts_in_context.get(
-                    context_id, ())]
+        """All artifacts attributed to a context."""
+        self.get_context(context_id)
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.artifacts_in_context.get(context_id, ())]
 
     def get_executions_by_context(self,
                                   context_id: int) -> list[Execution]:
-        """All executions associated with a context — indexed."""
-        self.indexes.context(context_id)
-        return [self.indexes.executions[i]
-                for i in self.indexes.executions_in_context.get(
-                    context_id, ())]
+        """All executions associated with a context."""
+        self.get_context(context_id)
+        index = self.index
+        return [index.executions_by_id[i]
+                for i in index.executions_in_context.get(context_id, ())]
 
     def get_contexts_by_execution(self,
                                   execution_id: int) -> list[Context]:
         """Contexts an execution belongs to."""
-        return [self.indexes.contexts[i]
-                for i in self.indexes.contexts_of_execution.get(
-                    execution_id, ())]
+        index = self.index
+        return [index.contexts_by_id[i]
+                for i in index.contexts_of_execution.get(execution_id, ())]
 
     def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
         """Contexts an artifact belongs to."""
-        return [self.indexes.contexts[i]
-                for i in self.indexes.contexts_of_artifact.get(
-                    artifact_id, ())]
+        index = self.index
+        return [index.contexts_by_id[i]
+                for i in index.contexts_of_artifact.get(artifact_id, ())]
 
     def get_attributions(self) -> list[tuple[int, int]]:
         """All (context_id, artifact_id) membership pairs."""
         return [(context_id, artifact_id)
                 for context_id, members in
-                self.indexes.artifacts_in_context.items()
+                self.index.artifacts_in_context.items()
                 for artifact_id in members]
 
     def get_associations(self) -> list[tuple[int, int]]:
         """All (context_id, execution_id) membership pairs."""
         return [(context_id, execution_id)
                 for context_id, members in
-                self.indexes.executions_in_context.items()
+                self.index.executions_in_context.items()
                 for execution_id in members]
 
     def get_telemetry(self, kind: str | None = None,
                       name: str | None = None) -> list[TelemetryRecord]:
         """All telemetry records, optionally filtered by kind and name."""
-        rows = self.indexes.telemetry.values()
-        if kind is not None:
-            rows = (r for r in rows if r.kind == kind)
-        if name is not None:
-            rows = (r for r in rows if r.name == name)
-        return list(rows)
+        return self.index.get_telemetry(kind, name)
 
     def get_telemetry_by_execution(self, execution_id: int
                                    ) -> list[TelemetryRecord]:
-        """Telemetry rows describing one execution — indexed."""
-        return [self.indexes.telemetry[i]
-                for i in self.indexes.telemetry_of_execution.get(
-                    execution_id, ())]
+        """Telemetry rows describing one execution."""
+        index = self.index
+        return [index.telemetry_by_id[i]
+                for i in index.telemetry_of_execution.get(execution_id, ())]
 
     def get_telemetry_by_context(self, context_id: int
                                  ) -> list[TelemetryRecord]:
-        """Telemetry rows attached to one context — indexed."""
-        return [self.indexes.telemetry[i]
-                for i in self.indexes.telemetry_of_context.get(
-                    context_id, ())]
+        """Telemetry rows attached to one context."""
+        index = self.index
+        return [index.telemetry_by_id[i]
+                for i in index.telemetry_of_context.get(context_id, ())]
 
     @property
     def num_artifacts(self) -> int:
         """Total artifacts."""
-        return len(self.indexes.artifacts)
+        return self.index.num_artifacts
 
     @property
     def num_executions(self) -> int:
         """Total executions."""
-        return len(self.indexes.executions)
+        return self.index.num_executions
 
     @property
     def num_events(self) -> int:
         """Total events."""
-        return len(self.indexes.events)
+        return self.index.num_events
 
     @property
     def num_telemetry(self) -> int:
         """Total telemetry records."""
-        return len(self.indexes.telemetry)
+        return self.index.num_telemetry
 
     # ------------------------------------------------- typed filtered reads
 
     def artifacts(self, type_name: str | None = None,
                   state: str | None = None) -> list[Artifact]:
-        """Artifacts filtered by type and/or state via secondary indexes."""
-        ids = self._filtered_ids(self.indexes.artifacts,
-                                 self.indexes.artifacts_by_type,
-                                 self.indexes.artifacts_by_state,
-                                 type_name, state)
-        return [self.indexes.artifacts[i] for i in ids]
+        """Artifacts of one type and/or state, in id order (a scan)."""
+        return _matching(self.index.artifacts_by_id, type_name, state)
 
     def executions(self, type_name: str | None = None,
                    state: str | None = None) -> list[Execution]:
-        """Executions filtered by type and/or state via secondary indexes."""
-        ids = self._filtered_ids(self.indexes.executions,
-                                 self.indexes.executions_by_type,
-                                 self.indexes.executions_by_state,
-                                 type_name, state)
-        return [self.indexes.executions[i] for i in ids]
+        """Executions of one type and/or state, in id order (a scan)."""
+        return _matching(self.index.executions_by_id, type_name, state)
 
     def contexts(self, type_name: str | None = None) -> list[Context]:
-        """Contexts filtered by type via the type index."""
-        if type_name is None:
-            return list(self.indexes.contexts.values())
-        return [self.indexes.contexts[i]
-                for i in self.indexes.contexts_by_type.get(type_name, ())]
-
-    @staticmethod
-    def _filtered_ids(all_nodes, by_type, by_state, type_name, state):
-        if type_name is None and state is None:
-            return list(all_nodes)
-        if type_name is not None and state is not None:
-            state_ids = by_state.get(state, ())
-            return [i for i in by_type.get(type_name, ()) if i in state_ids]
-        if type_name is not None:
-            return list(by_type.get(type_name, ()))
-        return list(by_state.get(state, ()))
+        """Contexts of one type, in id order (a scan)."""
+        return _matching(self.index.contexts_by_id, type_name, None)
 
     # ------------------------------------------------------- batched reads
 
@@ -301,16 +316,21 @@ class MetadataClient:
         anything else raises :class:`InvalidQueryError`. Missing ids
         raise :class:`NotFoundError`, like the point lookups.
         """
+        index = self.index
         if kind == "artifact":
-            lookup = self.indexes.artifact
+            nodes = index.artifacts_by_id
         elif kind == "execution":
-            lookup = self.indexes.execution
+            nodes = index.executions_by_id
         elif kind == "context":
-            lookup = self.indexes.context
+            nodes = index.contexts_by_id
         else:
             raise InvalidQueryError(
                 f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
-        return [lookup(i) for i in ids]
+        try:
+            return [nodes[i] for i in ids]
+        except KeyError as exc:
+            raise NotFoundError(f"{kind} id {exc.args[0]} not found") \
+                from None
 
     def neighbors_many(self, relation: str,
                        ids: Sequence[int]) -> dict[int, list[int]]:
@@ -322,14 +342,15 @@ class MetadataClient:
         :class:`InvalidQueryError`; unknown ids map to empty lists
         (a node with no edges is indistinguishable from one with none).
         """
+        index = self.index
         if relation == "inputs":
-            adjacency = self.indexes.inputs_of
+            adjacency = index.inputs_of
         elif relation == "outputs":
-            adjacency = self.indexes.outputs_of
+            adjacency = index.outputs_of
         elif relation == "consumers":
-            adjacency = self.indexes.consumers_of
+            adjacency = index.consumers_of
         elif relation == "producers":
-            adjacency = self.indexes.producers_of
+            adjacency = index.producers_of
         else:
             raise InvalidQueryError(
                 f"unknown relation {relation!r}; expected one of "
@@ -341,14 +362,13 @@ class MetadataClient:
     def segment_pipeline(self, context_id: int) -> list[Graphlet]:
         """Graphlets of one pipeline, LRU-cached on (context, version).
 
-        The cache key includes the current index version, so any store
-        mutation invalidates by staleness: re-segmenting an unchanged
-        pipeline is a dictionary hit, segmenting after a write recomputes.
-        Returned graphlets read through this client, so their feature
-        reads (waste extraction, diagnosis) hit the indexes too.
+        The cache key includes the store's current version, so any
+        store write invalidates by staleness: re-segmenting an unchanged
+        pipeline is a dictionary hit, segmenting after a write
+        recomputes. Returned graphlets read through this client.
         """
         from ..graphlets.segmentation import segment_pipeline
-        key = (context_id, self.indexes.version)
+        key = (context_id, self.version)
         cached = self._segment_cache.get(key)
         if cached is not None:
             self.segment_cache_hits += 1
@@ -357,7 +377,7 @@ class MetadataClient:
         self.segment_cache_misses += 1
         graphlets = segment_pipeline(self, context_id)
         self._segment_cache[key] = tuple(graphlets)
-        while len(self._segment_cache) > self._segment_cache_size:
+        while len(self._segment_cache) > SEGMENT_CACHE_SIZE:
             self._segment_cache.popitem(last=False)
         return graphlets
 
@@ -371,12 +391,12 @@ class MetadataClient:
     def span_digest(self, artifact_id: int) -> SpanDigest:
         """The similarity digest of one DataSpan artifact, decoded once.
 
-        The memo is dropped whenever the index version moves, like the
-        segmentation cache, so a digest never outlives a store write.
+        The memo is dropped whenever the store's version moves, like
+        the segmentation cache, so a digest never outlives a write.
         """
-        if self._digests_version != self.indexes.version:
+        if self._digests_version != self.version:
             self._digests.clear()
-            self._digests_version = self.indexes.version
+            self._digests_version = self.version
         digest = self._digests.get(artifact_id)
         if digest is None:
             from ..similarity.feature_metric import SpanDigest
@@ -386,13 +406,21 @@ class MetadataClient:
         return digest
 
 
+def _matching(nodes: dict, type_name: str | None,
+              state: str | None) -> list:
+    """The nodes of ``nodes`` with that type and state, in id order."""
+    return [node for node in nodes.values()
+            if (type_name is None or node.type_name == type_name)
+            and (state is None or node.state.value == state)]
+
+
 def as_client(store_or_client) -> MetadataClient:
     """Normalize a store-or-client argument to a :class:`MetadataClient`.
 
     Clients pass through untouched. A raw store gets a client built
-    (one full scan) and cached on the store instance, so repeated calls
-    — every analysis entry point funnels through here — share one
-    incrementally-maintained index set.
+    and cached on the store instance, so repeated calls — every
+    analysis entry point funnels through here — share one segmentation
+    cache and span-digest memo.
     """
     if isinstance(store_or_client, MetadataClient):
         return store_or_client

@@ -8,10 +8,8 @@ from repro.mlmd import (
     Event,
     EventType,
     Execution,
-    ExecutionState,
     MetadataStore,
     NotFoundError,
-    bulk_load,
     validate_properties,
 )
 
@@ -146,19 +144,6 @@ class TestContexts:
         span_id, _ = _linked(store)
         with pytest.raises(NotFoundError):
             store.put_attribution(5, span_id)
-
-
-class TestBulkLoad:
-    def test_bulk_load_roundtrip(self, store):
-        artifacts = [Artifact(type_name="DataSpan")]
-        executions = [Execution(type_name="Trainer",
-                                state=ExecutionState.COMPLETE)]
-        bulk_load(store, artifacts, executions, [])
-        store.put_event(Event(artifacts[0].id, executions[0].id,
-                              EventType.INPUT))
-        assert store.num_artifacts == 1
-        assert store.num_executions == 1
-        assert store.num_events == 1
 
 
 class TestExecutionDuration:
