@@ -105,18 +105,18 @@ def _data_analysis_closure(index: MetadataStore,
     while added:
         frontier, added = added, []
         for execution_id in frontier:
-            for artifact_ids in (inputs_of.get(execution_id, ()),
-                                 outputs_of.get(execution_id, ())):
-                for artifact_id in artifact_ids:
-                    for consumer in consumers_of.get(artifact_id, ()):
-                        if consumer in execution_ids \
-                                or executions[consumer].type_name \
-                                not in DATA_ANALYSIS_TYPES \
-                                or _foreign_model(index, artifact_id,
-                                                  execution_ids):
-                            continue
-                        execution_ids.add(consumer)
-                        added.append(consumer)
+            for artifact_id in (*inputs_of.get(execution_id, ()),
+                                *outputs_of.get(execution_id, ())):
+                for consumer in consumers_of.get(artifact_id, ()):
+                    if consumer in execution_ids:
+                        continue
+                    if executions[consumer].type_name \
+                            not in DATA_ANALYSIS_TYPES:
+                        continue
+                    if _foreign_model(index, artifact_id, execution_ids):
+                        continue
+                    execution_ids.add(consumer)
+                    added.append(consumer)
 
 
 def _io_artifacts(index: MetadataStore, execution_ids: set[int]
