@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.mlmd import (
+    AlreadyExistsError,
     Artifact,
     Context,
     Event,
@@ -20,6 +21,7 @@ from repro.mlmd import (
 )
 from repro.mlmd.sqlite_store import append_store, connect
 from repro.mlmd.types import TelemetryRecord
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 @pytest.fixture()
@@ -203,6 +205,132 @@ class TestAppendStore:
         with pytest.raises(FileNotFoundError):
             append_store(path, MetadataStore())
         assert not path.exists()
+
+
+#: Rows of ``_linked_store(1)`` saved to a file, per table.
+_LINKED_ROWS = {"artifacts": 5, "executions": 2, "contexts": 1,
+                "events": 3, "attributions": 5, "associations": 2,
+                "telemetry": 1}
+
+#: One planted row per check the loader keeps, against a saved
+#: ``_linked_store(1)``: (its table, its values, what loading raises,
+#: whether salvage drops it). Salvage keeps a row whose id-valued
+#: property dangles and strips the stale pointer instead.
+_PLANTED = {
+    "null_property": (
+        "artifacts", "(6, 'Blob', '', '', 'live', 0.0, '{\"bad\": null}')",
+        TypeError, True),
+    "object_property": (
+        "executions",
+        "(3, 'Trainer', '', 'complete', 0.0, 0.0, '{\"bad\": {\"a\": 1}}')",
+        TypeError, True),
+    "nested_list_property": (
+        "contexts", "(2, 'Pipeline', '', 0.0, '{\"bad\": [[1]]}')",
+        TypeError, True),
+    "telemetry_null_property": (
+        "telemetry",
+        "(2, 'node', 'x', NULL, NULL, 0.0, 0.0, 0.0, '{\"bad\": null}')",
+        TypeError, True),
+    "duplicate_name": (
+        "contexts", "(2, 'Pipeline', 'pipeline-1', 0.0, '{}')",
+        AlreadyExistsError, True),
+    "dangling_event": (
+        "events", "(999, 1, 'input', 0.0)", KeyError, True),
+    "dangling_attribution": (
+        "attributions", "(1, 999)", KeyError, True),
+    "dangling_association": (
+        "associations", "(999, 1)", KeyError, True),
+    "dangling_telemetry_execution": (
+        "telemetry", "(2, 'node', 'x', 999, NULL, 0.0, 0.0, 0.0, '{}')",
+        KeyError, True),
+    "dangling_telemetry_context": (
+        "telemetry", "(2, 'node', 'x', NULL, 999, 0.0, 0.0, 0.0, '{}')",
+        KeyError, True),
+    "dangling_retry_of": (
+        "executions",
+        "(3, 'Trainer', '', 'complete', 0.0, 0.0,"
+        " '{\"attempt\": 2, \"retry_of\": 999}')",
+        KeyError, False),
+    "dangling_source_statistics": (
+        "artifacts",
+        "(6, 'Schema', '', '', 'live', 0.0,"
+        " '{\"version\": 1, \"source_statistics\": 999}')",
+        KeyError, False),
+}
+
+
+@pytest.fixture(params=sorted(_PLANTED))
+def planted(request, tmp_path):
+    """A saved ``_linked_store(1)`` with one bad row planted behind the
+    foreign keys' back: (path, table, expected error, dropped)."""
+    table, values, error, dropped = _PLANTED[request.param]
+    path = tmp_path / "planted.db"
+    save_store(_linked_store(1), path)
+    raw = sqlite3.connect(path)  # FKs off
+    raw.execute(f"INSERT INTO {table} VALUES {values}")
+    raw.commit()
+    raw.close()
+    return path, table, error, dropped
+
+
+class TestLoaderChecks:
+    """Every check the loader keeps, on the trusted and salvage paths."""
+
+    def test_load_store_raises(self, planted):
+        path, _, error, _ = planted
+        with pytest.raises(error):
+            load_store(path)
+
+    def test_append_store_raises(self, planted):
+        path, _, error, _ = planted
+        with pytest.raises(error):
+            append_store(path, MetadataStore())
+
+    def test_salvage_drops_exactly_the_planted_row(self, planted):
+        path, table, _, dropped = planted
+        store, report = salvage_store(path)
+        loaded = dict(_LINKED_ROWS)
+        if dropped:
+            assert report.rows_dropped == {table: 1}
+        else:
+            assert report.rows_dropped == {}
+            loaded[table] += 1
+            # The row stays; its stale pointer does not.
+            kept = (store.get_executions() if table == "executions"
+                    else store.get_artifacts())[-1]
+            assert set(kept.properties) in ({"attempt"}, {"version"})
+        assert report.rows_loaded == loaded
+        assert (store.num_artifacts, store.num_executions,
+                store.num_events, store.num_telemetry) == (
+            loaded["artifacts"], loaded["executions"], loaded["events"],
+            loaded["telemetry"])
+
+    def test_name_taken_in_destination_raises(self, tmp_path):
+        path = tmp_path / "same.db"
+        save_store(_linked_store(0), path)
+        with pytest.raises(AlreadyExistsError):
+            append_store(path, _linked_store(0))
+
+
+class TestOpCounters:
+    def test_load_counts_one_put_per_row(self, tmp_path):
+        # --metrics-out after a load reports one mlmd.ops{op=put_*}
+        # per row of each table, as if every row had been put.
+        path = tmp_path / "trace.db"
+        save_store(_linked_store(1), path)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            load_store(path)
+        finally:
+            set_registry(previous)
+        ops = {record["labels"]["op"]: record["value"]
+               for record in registry.snapshot()
+               if record["name"] == "mlmd.ops" and record["value"]}
+        assert ops == {
+            "put_artifact": 5, "put_execution": 2, "put_context": 1,
+            "put_event": 3, "put_attribution": 5, "put_association": 2,
+            "put_telemetry": 1}
 
 
 class TestConnectionPragmas:
