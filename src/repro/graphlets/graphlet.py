@@ -118,10 +118,17 @@ class Graphlet:
 
     @property
     def pushed(self) -> bool:
-        """True when the graphlet deployed its model (Section 4.3.1)."""
-        return any(
-            self.store.get_artifact(a).type_name == A.PUSHED_MODEL
-            for a in self.artifact_ids)
+        """True when the graphlet deployed its model (Section 4.3.1).
+
+        The analyses read it many times per graphlet, so it is computed
+        once and cached on the graphlet, like the span sequence.
+        """
+        cached = getattr(self, "_pushed_cache", None)
+        if cached is None:
+            cached = self._pushed_cache = any(
+                self.store.get_artifact(a).type_name == A.PUSHED_MODEL
+                for a in self.artifact_ids)
+        return cached
 
     # ------------------------------------------------------------- data
 

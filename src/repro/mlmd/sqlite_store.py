@@ -10,7 +10,12 @@ Two access styles share one schema:
   in-memory store, and the one loader that appends a database's rows
   to a store with every id remapped. :func:`load_store` is that loader
   run on a fresh store; the fleet merges its shard files with it too
-  (a shard's ``shard-NNNN.db`` is how its rows travel home).
+  (a shard's ``shard-NNNN.db`` is how its rows travel home), and the
+  query client copies a live database with it. The loader reads each
+  table once, as columns: one ``json.loads`` per properties column,
+  whole-column type checks, enum and id remaps through dicts, and one
+  batch insert into the store's maps. Saving streams each table from
+  the store's maps into ``executemany``.
 * :class:`SqliteStore` — a *live* backend implementing the same
   :class:`~repro.mlmd.abstract.AbstractStore` contract as the in-memory
   store, reading and writing the database directly. Covering indexes
@@ -34,8 +39,9 @@ through :func:`connect`, which applies the robustness pragmas:
 
 For databases that were cut short mid-write (a killed worker, a full
 disk), :func:`integrity_check` reports what's wrong without loading,
-and :func:`salvage_store` recovers every internally-consistent row,
-dropping dangling edges instead of refusing the whole file.
+and :func:`salvage_store` recovers every internally-consistent row: it
+is the same loader, dropping and counting each bad row (a dangling
+edge, say) where :func:`append_store` raises.
 """
 
 from __future__ import annotations
@@ -212,57 +218,42 @@ def save_store(store: MetadataStore, path: str | Path) -> None:
 
 
 def _write_all(conn: sqlite3.Connection, store: MetadataStore) -> None:
+    # Each table streams from the store's own maps into executemany,
+    # so no table's rows are ever held as one list.
     conn.executescript(_SCHEMA)
     conn.executemany(
         "INSERT INTO artifacts VALUES (?,?,?,?,?,?,?)",
-        [
-            (a.id, a.type_name, a.name, a.uri, a.state.value,
-             a.create_time, json.dumps(a.properties))
-            for a in store.get_artifacts()
-        ],
-    )
+        ((a.id, a.type_name, a.name, a.uri, a.state.value, a.create_time,
+          json.dumps(a.properties))
+         for a in store.artifacts_by_id.values()))
     conn.executemany(
         "INSERT INTO executions VALUES (?,?,?,?,?,?,?)",
-        [
-            (e.id, e.type_name, e.name, e.state.value, e.start_time,
-             e.end_time, json.dumps(e.properties))
-            for e in store.get_executions()
-        ],
-    )
+        ((e.id, e.type_name, e.name, e.state.value, e.start_time,
+          e.end_time, json.dumps(e.properties))
+         for e in store.executions_by_id.values()))
     conn.executemany(
         "INSERT INTO contexts VALUES (?,?,?,?,?)",
-        [
-            (c.id, c.type_name, c.name, c.create_time,
-             json.dumps(c.properties))
-            for c in store.get_contexts()
-        ],
-    )
+        ((c.id, c.type_name, c.name, c.create_time,
+          json.dumps(c.properties))
+         for c in store.contexts_by_id.values()))
     conn.executemany(
         "INSERT INTO events VALUES (?,?,?,?)",
-        [
-            (ev.artifact_id, ev.execution_id, ev.type.value, ev.time)
-            for ev in store.get_events()
-        ],
-    )
-    attribution_rows = []
-    association_rows = []
-    for context in store.get_contexts():
-        for artifact in store.get_artifacts_by_context(context.id):
-            attribution_rows.append((context.id, artifact.id))
-        for execution in store.get_executions_by_context(context.id):
-            association_rows.append((context.id, execution.id))
-    conn.executemany("INSERT INTO attributions VALUES (?,?)",
-                     attribution_rows)
-    conn.executemany("INSERT INTO associations VALUES (?,?)",
-                     association_rows)
+        ((ev.artifact_id, ev.execution_id, ev.type.value, ev.time)
+         for ev in store.events))
+    # Memberships go in context-id order, each context's members in the
+    # order they were put.
+    for table, members in (("attributions", store.artifacts_in_context),
+                           ("associations", store.executions_in_context)):
+        conn.executemany(
+            f"INSERT INTO {table} VALUES (?,?)",
+            ((context_id, member)
+             for context_id in store.contexts_by_id
+             for member in members.get(context_id, ())))
     conn.executemany(
         "INSERT INTO telemetry VALUES (?,?,?,?,?,?,?,?,?)",
-        [
-            (t.id, t.kind, t.name, t.execution_id, t.context_id, t.value,
-             t.start_time, t.end_time, json.dumps(t.properties))
-            for t in store.get_telemetry()
-        ],
-    )
+        ((t.id, t.kind, t.name, t.execution_id, t.context_id, t.value,
+          t.start_time, t.end_time, json.dumps(t.properties))
+         for t in store.telemetry_by_id.values()))
     conn.commit()
 
 
@@ -297,19 +288,7 @@ def load_store(path: str | Path) -> MetadataStore:
     return store
 
 
-def _decode_properties(text: str) -> dict:
-    """A properties column with its keys and string values interned.
-
-    Writers share these strings (literal keys, enum-like values) across
-    rows; decoding each row separately would otherwise hold one copy
-    per row.
-    """
-    return {sys.intern(key):
-            sys.intern(value) if type(value) is str else value
-            for key, value in json.loads(text).items()}
-
-
-def append_store(path: str | Path, store: AbstractStore) -> IdMaps:
+def append_store(path: str | Path, store: MetadataStore) -> IdMaps:
     """Append every row of the database at ``path`` to ``store``.
 
     The store assigns fresh ids and every cross-reference is remapped
@@ -317,91 +296,262 @@ def append_store(path: str | Path, store: AbstractStore) -> IdMaps:
     join keys, ``retry_of`` and :data:`ID_VALUED_ARTIFACT_PROPERTIES`.
     Nodes are read in id order and edges in rowid order, so appending
     contiguous shards in shard order reproduces the ids of a single
-    sequential run. Rows go through the store's validating ``put_*``
-    API; a dangling reference raises :class:`KeyError` instead of
-    leaving a corrupt trace. A missing ``path`` raises
-    :class:`FileNotFoundError` and creates nothing.
+    sequential run. Each table is read once, as columns, and checked as
+    a whole before anything is written: a property value outside the
+    MLMD set raises :class:`TypeError`, a ``(type, name)`` the store
+    already holds raises :class:`AlreadyExistsError`, and a dangling
+    reference raises :class:`KeyError`; on any of these the store is
+    left as it was. A missing ``path`` raises :class:`FileNotFoundError`
+    and creates nothing.
     """
     if not Path(path).exists():
         raise FileNotFoundError(f"no trace database at {path}")
-    maps = IdMaps()
-    id_map_a, id_map_e, id_map_c = \
-        maps.artifacts, maps.executions, maps.contexts
-    edges = 0
     conn = connect(path)
     try:
-        for row in conn.execute(
-                "SELECT id, type_name, name, uri, state, create_time,"
-                " properties FROM artifacts ORDER BY id"):
-            properties = _decode_properties(row[6])
-            for key in ID_VALUED_ARTIFACT_PROPERTIES:
-                if key in properties:
-                    # The referenced artifact (an operator input) has a
-                    # smaller id, so the ORDER BY id scan mapped it.
-                    properties[key] = id_map_a[int(properties[key])]
-            id_map_a[row[0]] = store.put_artifact(Artifact(
-                type_name=sys.intern(row[1]), name=row[2], uri=row[3],
-                state=ArtifactState(row[4]), create_time=row[5],
-                properties=properties))
-        for row in conn.execute(
-                "SELECT id, type_name, name, state, start_time, end_time,"
-                " properties FROM executions ORDER BY id"):
-            properties = _decode_properties(row[6])
-            if "retry_of" in properties:
-                # Id-valued retry-provenance property (repro.faults):
-                # the prior attempt has a smaller id, so it is already
-                # mapped by the ORDER BY id scan.
-                properties["retry_of"] = id_map_e[
-                    int(properties["retry_of"])]
-            id_map_e[row[0]] = store.put_execution(Execution(
-                type_name=sys.intern(row[1]), name=row[2],
-                state=ExecutionState(row[3]), start_time=row[4],
-                end_time=row[5], properties=properties))
-        for row in conn.execute(
-                "SELECT id, type_name, name, create_time, properties"
-                " FROM contexts ORDER BY id"):
-            id_map_c[row[0]] = store.put_context(Context(
-                type_name=sys.intern(row[1]), name=row[2],
-                create_time=row[3], properties=_decode_properties(row[4])))
-        # Edge tables have no id column; rowid order is insertion order,
-        # which keeps save → load → save byte-stable (shard journals
-        # depend on round trips being deterministic).
-        for row in conn.execute(
-                "SELECT artifact_id, execution_id, type, time FROM events"
-                " ORDER BY rowid"):
-            store.put_event(Event(id_map_a[row[0]], id_map_e[row[1]],
-                                  EventType(row[2]), row[3]))
-            edges += 1
-        for row in conn.execute(
-                "SELECT context_id, artifact_id FROM attributions"
-                " ORDER BY rowid"):
-            store.put_attribution(id_map_c[row[0]], id_map_a[row[1]])
-            edges += 1
-        for row in conn.execute(
-                "SELECT context_id, execution_id FROM associations"
-                " ORDER BY rowid"):
-            store.put_association(id_map_c[row[0]], id_map_e[row[1]])
-            edges += 1
-        try:
-            telemetry_rows = conn.execute(
-                "SELECT kind, name, execution_id, context_id, value,"
-                " start_time, end_time, properties FROM telemetry"
-                " ORDER BY id").fetchall()
-        except sqlite3.OperationalError:
-            # Databases written before the telemetry table existed.
-            telemetry_rows = []
-        for row in telemetry_rows:
-            store.put_telemetry(TelemetryRecord(
-                kind=sys.intern(row[0]), name=sys.intern(row[1]),
-                execution_id=None if row[2] is None else id_map_e[row[2]],
-                context_id=None if row[3] is None else id_map_c[row[3]],
-                value=row[4], start_time=row[5], end_time=row[6],
-                properties=_decode_properties(row[7])))
+        return _append(conn, store, None)
     finally:
         conn.close()
-    maps.rows = (len(id_map_a) + len(id_map_e) + len(id_map_c) + edges
-                 + len(telemetry_rows))
+
+
+#: Property value types of the MLMD set (a value may also be a list of
+#: them); JSON decodes to exactly these types, never to subclasses.
+_SCALARS = frozenset((int, float, str, bool))
+
+_ARTIFACT_STATES = {state.value: state for state in ArtifactState}
+_EXECUTION_STATES = {state.value: state for state in ExecutionState}
+_EVENT_TYPES = {kind.value: kind for kind in EventType}
+
+
+def _artifact(row: tuple, node_id: int, properties: dict) -> Artifact:
+    return Artifact(type_name=sys.intern(row[1]), id=node_id, name=row[2],
+                    uri=row[3], state=_ARTIFACT_STATES[row[4]],
+                    create_time=row[5], properties=properties)
+
+
+def _execution(row: tuple, node_id: int, properties: dict) -> Execution:
+    return Execution(type_name=sys.intern(row[1]), id=node_id, name=row[2],
+                     state=_EXECUTION_STATES[row[3]], start_time=row[4],
+                     end_time=row[5], properties=properties)
+
+
+def _context(row: tuple, node_id: int, properties: dict) -> Context:
+    return Context(type_name=sys.intern(row[1]), id=node_id, name=row[2],
+                   create_time=row[3], properties=properties)
+
+
+#: Per node table: its kind in ``named_nodes``, the columns it is read
+#: with (id first, properties last) and the node built from one row.
+_NODE_TABLES = {
+    "artifacts": ("artifact", "id, type_name, name, uri, state,"
+                  " create_time, properties", _artifact),
+    "executions": ("execution", "id, type_name, name, state, start_time,"
+                   " end_time, properties", _execution),
+    "contexts": ("context", "id, type_name, name, create_time, properties",
+                 _context),
+}
+
+
+def _append(conn: sqlite3.Connection, store: MetadataStore,
+            report: SalvageReport | None) -> IdMaps:
+    """The one loader behind :func:`append_store` and
+    :func:`salvage_store`: read every table, check and remap its rows,
+    then write them with one ``MetadataStore._insert_batch``.
+
+    The two callers differ only in what happens to a bad row. With no
+    ``report`` (trusted) it raises; with one (salvage) it is dropped and
+    counted there, and a dangling id-valued property is stripped from
+    its row instead.
+    """
+    maps = IdMaps()
+    map_a, map_e, map_c = maps.artifacts, maps.executions, maps.contexts
+    # Ids continue the store's sequences: the n-th kept row of a table
+    # gets the store's next id plus n.
+    artifacts = _node_rows(conn, "artifacts", store._next_artifact_id,
+                           map_a, store, report)
+    executions = _node_rows(conn, "executions", store._next_execution_id,
+                            map_e, store, report)
+    contexts = _node_rows(conn, "contexts", store._next_context_id,
+                          map_c, store, report)
+    _remap_properties(artifacts, ID_VALUED_ARTIFACT_PROPERTIES, map_a,
+                      report)
+    # Retry provenance (repro.faults) points at the prior attempt.
+    _remap_properties(executions, ("retry_of",), map_e, report)
+
+    # Edge tables have no id column; rowid order is insertion order,
+    # which keeps save → load → save byte-stable (shard journals
+    # depend on round trips being deterministic).
+    events = []
+    for row in _rows(conn, "SELECT artifact_id, execution_id, type, time"
+                     " FROM events ORDER BY rowid", "events", report):
+        try:
+            events.append(Event(map_a[row[0]], map_e[row[1]],
+                                _EVENT_TYPES[row[2]], row[3]))
+        except KeyError as exc:
+            _drop(report, "events", exc)
+    attributions = _pairs(conn, "attributions", "artifact_id", map_a,
+                          map_c, report)
+    associations = _pairs(conn, "associations", "execution_id", map_e,
+                          map_c, report)
+    telemetry = []
+    rows = _rows(conn, "SELECT kind, name, execution_id, context_id,"
+                 " value, start_time, end_time, properties FROM telemetry"
+                 " ORDER BY id", "telemetry", report)
+    next_id = store._next_telemetry_id
+    for row, properties in zip(rows, _decode_column(rows, report)):
+        try:
+            telemetry.append(TelemetryRecord(
+                kind=sys.intern(row[0]), name=sys.intern(row[1]),
+                id=next_id + len(telemetry),
+                execution_id=None if row[2] is None else map_e[row[2]],
+                context_id=None if row[3] is None else map_c[row[3]],
+                value=row[4], start_time=row[5], end_time=row[6],
+                properties=_checked(properties)))
+        except Exception as exc:
+            _drop(report, "telemetry", exc)
+
+    tables = {"artifacts": artifacts, "executions": executions,
+              "contexts": contexts, "events": events,
+              "attributions": attributions, "associations": associations,
+              "telemetry": telemetry}
+    store._insert_batch(**tables)
+    maps.rows = sum(map(len, tables.values()))
+    if report is not None:
+        report.rows_loaded.update(
+            {table: len(rows) for table, rows in tables.items() if rows})
     return maps
+
+
+def _drop(report: SalvageReport | None, table: str,
+          exc: Exception) -> None:
+    """A bad row: raise ``exc`` on the trusted path, count it when
+    salvaging."""
+    if report is None:
+        raise exc
+    report.rows_dropped[table] = report.rows_dropped.get(table, 0) + 1
+
+
+def _rows(conn: sqlite3.Connection, sql: str, table: str,
+          report: SalvageReport | None) -> list[tuple]:
+    """Every row of one query. Salvage keeps the rows read before a
+    storage error and records the error; the trusted path raises it,
+    except for a missing telemetry table (databases written before it
+    existed)."""
+    rows: list[tuple] = []
+    try:
+        rows.extend(conn.execute(sql))
+    except sqlite3.Error as exc:
+        if report is not None:
+            report.errors.append(f"{table}: {type(exc).__name__}: {exc}")
+        elif table != "telemetry" \
+                or not isinstance(exc, sqlite3.OperationalError):
+            raise
+    return rows
+
+
+def _decode_column(rows: list[tuple], report: SalvageReport | None
+                   ) -> list:
+    """The properties (last) column of ``rows``, decoded as one JSON
+    array.
+
+    One ``json.loads`` over the whole column lets the scanner share each
+    key string across rows. If the column does not decode to one value
+    per row, each row is decoded alone: the trusted path then raises
+    the bad row's own error, salvage gets ``None`` for it.
+    """
+    texts = [row[-1] for row in rows]
+    try:
+        column = json.loads("[" + ",".join(texts) + "]")
+        if len(column) == len(texts):
+            return column
+    except (TypeError, ValueError):
+        pass
+    column = []
+    for text in texts:
+        try:
+            column.append(json.loads(text))
+        except (TypeError, ValueError):
+            if report is None:
+                raise
+            column.append(None)
+    return column
+
+
+def _checked(properties: dict) -> dict:
+    """``properties`` with its string values interned.
+
+    A value outside the MLMD set sends the row to
+    :func:`~repro.mlmd.types.validate_properties`, which raises the
+    usual :class:`TypeError`; a row that is not a JSON object fails on
+    ``items``.
+    """
+    for key, value in properties.items():
+        kind = type(value)
+        if kind is str:
+            properties[key] = sys.intern(value)
+        elif kind not in _SCALARS and (
+                kind is not list or not _SCALARS.issuperset(map(type, value))):
+            validate_properties(properties)
+    return properties
+
+
+def _node_rows(conn: sqlite3.Connection, table: str, first_id: int,
+               id_map: dict[int, int], store: MetadataStore,
+               report: SalvageReport | None) -> list:
+    """The nodes of a node table's rows that pass every check, in id
+    order, with ids counted from ``first_id`` and entered in
+    ``id_map``."""
+    kind, columns, make = _NODE_TABLES[table]
+    rows = _rows(conn, f"SELECT {columns} FROM {table} ORDER BY id",
+                 table, report)
+    named = store.named_nodes
+    seen: set[tuple[str, str, str]] = set()
+    nodes: list = []
+    for row, properties in zip(rows, _decode_column(rows, report)):
+        try:
+            node = make(row, first_id + len(nodes), _checked(properties))
+            if node.name:
+                key = (kind, node.type_name, node.name)
+                if key in named or key in seen:
+                    raise AlreadyExistsError(
+                        f"{kind} {node.type_name}/{node.name} exists")
+                seen.add(key)
+        except Exception as exc:
+            _drop(report, table, exc)
+            continue
+        id_map[row[0]] = node.id
+        nodes.append(node)
+    return nodes
+
+
+def _remap_properties(nodes: list, keys: Sequence[str],
+                      id_map: dict[int, int],
+                      report: SalvageReport | None) -> None:
+    """Remap id-valued properties through ``id_map``; a value with no
+    entry raises :class:`KeyError`, or is stripped when salvaging."""
+    for node in nodes:
+        properties = node.properties
+        for key in keys:
+            if key in properties:
+                try:
+                    properties[key] = id_map[int(properties[key])]
+                except (KeyError, TypeError, ValueError):
+                    if report is None:
+                        raise
+                    del properties[key]
+
+
+def _pairs(conn: sqlite3.Connection, table: str, member: str,
+           member_map: dict[int, int], context_map: dict[int, int],
+           report: SalvageReport | None) -> list[tuple[int, int]]:
+    """A membership table's (context id, member id) pairs, remapped."""
+    pairs = []
+    for row in _rows(conn, f"SELECT context_id, {member} FROM {table}"
+                     " ORDER BY rowid", table, report):
+        try:
+            pairs.append((context_map[row[0]], member_map[row[1]]))
+        except KeyError as exc:
+            _drop(report, table, exc)
+    return pairs
 
 
 # --------------------------------------------------- integrity / salvage
@@ -493,12 +643,15 @@ class SalvageReport:
 def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:
     """Best-effort load of a damaged or partially written database.
 
-    Node tables are read row by row (a malformed row drops that row,
-    not the table); edge rows referencing a node that didn't survive
-    are dropped rather than raising. The result is always an
-    internally consistent store — possibly smaller than the original,
-    never inconsistent. A missing ``path`` yields an empty store whose
-    report says ``file does not exist``; nothing is created there.
+    The same loader as :func:`load_store`, with the salvage policy: a
+    row that fails a check (a malformed property, a taken name, an edge
+    or telemetry key referencing a node that didn't survive) is dropped
+    and counted instead of raising, and a dangling id-valued property
+    is stripped from its row. A table that cannot be read keeps the rows
+    read before the error. The result is always an internally
+    consistent store — possibly smaller than the original, never
+    inconsistent. A missing ``path`` yields an empty store whose report
+    says ``file does not exist``; nothing is created there.
     """
     report = SalvageReport(path=str(path))
     store = MetadataStore()
@@ -510,129 +663,11 @@ def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:
     except sqlite3.Error as exc:
         report.errors.append(f"unopenable: {exc}")
         return store, report
-
-    id_map_a: dict[int, int] = {}
-    id_map_e: dict[int, int] = {}
-    id_map_c: dict[int, int] = {}
-
-    def rows_of(sql: str, table: str):
-        try:
-            yield from conn.execute(sql)
-        except sqlite3.Error as exc:
-            report.errors.append(f"{table}: {type(exc).__name__}: {exc}")
-
-    def keep(table: str) -> None:
-        report.rows_loaded[table] = report.rows_loaded.get(table, 0) + 1
-
-    def drop(table: str) -> None:
-        report.rows_dropped[table] = report.rows_dropped.get(table, 0) + 1
-
     try:
-        for row in rows_of(
-                "SELECT id, type_name, name, uri, state, create_time,"
-                " properties FROM artifacts ORDER BY id", "artifacts"):
-            try:
-                properties = json.loads(row[6])
-                for key in ID_VALUED_ARTIFACT_PROPERTIES:
-                    # Id-valued artifact properties: remap, or strip if
-                    # they point at a row that did not survive salvage.
-                    if key in properties:
-                        prior = id_map_a.get(int(properties[key]))
-                        if prior is None:
-                            del properties[key]
-                        else:
-                            properties[key] = prior
-                id_map_a[row[0]] = store.put_artifact(Artifact(
-                    type_name=row[1], name=row[2], uri=row[3],
-                    state=ArtifactState(row[4]), create_time=row[5],
-                    properties=properties))
-                keep("artifacts")
-            except Exception:
-                drop("artifacts")
-        for row in rows_of(
-                "SELECT id, type_name, name, state, start_time, end_time,"
-                " properties FROM executions ORDER BY id", "executions"):
-            try:
-                properties = json.loads(row[6])
-                if "retry_of" in properties:
-                    # Remap retry provenance; a retry_of pointing at a
-                    # dropped attempt is itself dangling and removed.
-                    prior = id_map_e.get(int(properties["retry_of"]))
-                    if prior is None:
-                        del properties["retry_of"]
-                    else:
-                        properties["retry_of"] = prior
-                id_map_e[row[0]] = store.put_execution(Execution(
-                    type_name=row[1], name=row[2],
-                    state=ExecutionState(row[3]), start_time=row[4],
-                    end_time=row[5], properties=properties))
-                keep("executions")
-            except Exception:
-                drop("executions")
-        for row in rows_of(
-                "SELECT id, type_name, name, create_time, properties"
-                " FROM contexts ORDER BY id", "contexts"):
-            try:
-                id_map_c[row[0]] = store.put_context(Context(
-                    type_name=row[1], name=row[2], create_time=row[3],
-                    properties=json.loads(row[4])))
-                keep("contexts")
-            except Exception:
-                drop("contexts")
-        for row in rows_of(
-                "SELECT artifact_id, execution_id, type, time FROM events"
-                " ORDER BY rowid", "events"):
-            if row[0] in id_map_a and row[1] in id_map_e:
-                try:
-                    store.put_event(Event(id_map_a[row[0]],
-                                          id_map_e[row[1]],
-                                          EventType(row[2]), row[3]))
-                    keep("events")
-                    continue
-                except Exception:
-                    pass
-            drop("events")
-        for row in rows_of(
-                "SELECT context_id, artifact_id FROM attributions"
-                " ORDER BY rowid", "attributions"):
-            if row[0] in id_map_c and row[1] in id_map_a:
-                store.put_attribution(id_map_c[row[0]], id_map_a[row[1]])
-                keep("attributions")
-            else:
-                drop("attributions")
-        for row in rows_of(
-                "SELECT context_id, execution_id FROM associations"
-                " ORDER BY rowid", "associations"):
-            if row[0] in id_map_c and row[1] in id_map_e:
-                store.put_association(id_map_c[row[0]], id_map_e[row[1]])
-                keep("associations")
-            else:
-                drop("associations")
-        for row in rows_of(
-                "SELECT kind, name, execution_id, context_id, value,"
-                " start_time, end_time, properties FROM telemetry"
-                " ORDER BY id", "telemetry"):
-            execution_ok = row[2] is None or row[2] in id_map_e
-            context_ok = row[3] is None or row[3] in id_map_c
-            if execution_ok and context_ok:
-                try:
-                    store.put_telemetry(TelemetryRecord(
-                        kind=row[0], name=row[1],
-                        execution_id=None if row[2] is None
-                        else id_map_e[row[2]],
-                        context_id=None if row[3] is None
-                        else id_map_c[row[3]],
-                        value=row[4], start_time=row[5], end_time=row[6],
-                        properties=json.loads(row[7])))
-                    keep("telemetry")
-                    continue
-                except Exception:
-                    pass
-            drop("telemetry")
+        _append(conn, store, report)
     finally:
         conn.close()
     return store, report
-
 
 # ------------------------------------------------------- live backend
 

@@ -235,6 +235,71 @@ class MetadataStore(AbstractStore):
         self.version += 1
         return record.id
 
+    def _insert_batch(self, artifacts: Sequence[Artifact],
+                      executions: Sequence[Execution],
+                      contexts: Sequence[Context],
+                      events: Sequence[Event],
+                      attributions: Sequence[tuple[int, int]],
+                      associations: Sequence[tuple[int, int]],
+                      telemetry: Sequence[TelemetryRecord]) -> None:
+        """Append one loaded database's rows: the bulk twin of ``put_*``.
+
+        The caller (:func:`repro.mlmd.sqlite_store.append_store`) has
+        made every check ``put_*`` makes: nodes and telemetry rows carry
+        ids that continue this store's sequences, names are unique,
+        properties are valid and every reference resolves. Edges are
+        appended in the given order. The op counters and ``version``
+        advance as if each row had been put.
+        """
+        named = self.named_nodes
+        for kind, nodes, by_id in (
+                ("artifact", artifacts, self.artifacts_by_id),
+                ("execution", executions, self.executions_by_id),
+                ("context", contexts, self.contexts_by_id)):
+            by_id.update({node.id: node for node in nodes})
+            named.update({(kind, node.type_name, node.name): node.id
+                          for node in nodes if node.name})
+        self._next_artifact_id += len(artifacts)
+        self._next_execution_id += len(executions)
+        self._next_context_id += len(contexts)
+        self.events.extend(events)
+        inputs_of, consumers_of = self.inputs_of, self.consumers_of
+        outputs_of, producers_of = self.outputs_of, self.producers_of
+        input_type = EventType.INPUT
+        for event in events:
+            if event.type is input_type:
+                inputs_of[event.execution_id].append(event.artifact_id)
+                consumers_of[event.artifact_id].append(event.execution_id)
+            else:
+                outputs_of[event.execution_id].append(event.artifact_id)
+                producers_of[event.artifact_id].append(event.execution_id)
+        for members, memberships, pairs in (
+                (self.artifacts_in_context, self.contexts_of_artifact,
+                 attributions),
+                (self.executions_in_context, self.contexts_of_execution,
+                 associations)):
+            for context_id, node_id in pairs:
+                members[context_id].append(node_id)
+                memberships[node_id].append(context_id)
+        self.telemetry_by_id.update({r.id: r for r in telemetry})
+        self._next_telemetry_id += len(telemetry)
+        for record in telemetry:
+            if record.execution_id is not None:
+                self.telemetry_of_execution[record.execution_id].append(
+                    record.id)
+            if record.context_id is not None:
+                self.telemetry_of_context[record.context_id].append(
+                    record.id)
+        for counter, rows in ((self._ops_put_artifact, artifacts),
+                              (self._ops_put_execution, executions),
+                              (self._ops_put_context, contexts),
+                              (self._ops_put_event, events),
+                              (self._ops_put_attribution, attributions),
+                              (self._ops_put_association, associations),
+                              (self._ops_put_telemetry, telemetry)):
+            counter.value += len(rows)
+            self.version += len(rows)
+
     # ------------------------------------------------------------------ get
 
     def get_artifact(self, artifact_id: int) -> Artifact:

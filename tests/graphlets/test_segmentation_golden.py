@@ -18,6 +18,7 @@ from repro.corpus import CorpusConfig, generate_corpus
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graphlets import segment_corpus
 from repro.mlmd.types import ExecutionState
+from repro.tfx import artifacts as A
 
 GOLDEN = "5630165eda764cedd5c1c2ab8743bfbf9f94ab257ba028bca51e97f543754fd0"
 
@@ -65,3 +66,17 @@ def test_segmentation_digest(corpus):
         count += 1
     assert count > 50
     assert h.hexdigest() == GOLDEN
+
+
+def test_pushed_matches_its_definition(corpus):
+    """The cached push flag equals the definition read off the store."""
+    store = corpus.store
+    graphlets = [g for graphlets in segment_corpus(store).values()
+                 for g in graphlets]
+    for graphlet in graphlets:
+        expected = any(store.get_artifact(a).type_name == A.PUSHED_MODEL
+                       for a in graphlet.artifact_ids)
+        assert graphlet.pushed is expected
+        assert graphlet.pushed is expected  # the second read is cached
+    flags = {g.pushed for g in graphlets}
+    assert flags == {True, False}
