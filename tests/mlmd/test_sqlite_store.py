@@ -1,5 +1,6 @@
 """SQLite round-trip, concurrency, integrity, and salvage tests."""
 
+import gc
 import sqlite3
 import threading
 
@@ -197,6 +198,24 @@ class TestAppendStore:
         retries = [e.get("retry_of") for e in dest.get_executions()
                    if e.get("retry_of") is not None]
         assert retries == [1, maps.executions[1]]
+
+    def test_collector_state_restored(self, tmp_path):
+        # The loader pauses the cyclic collector while it runs; a load,
+        # a failed load and a salvage leave it as they found it.
+        path = tmp_path / "trace.db"
+        save_store(_linked_store(0), path)
+        assert gc.isenabled()
+        load_store(path)
+        assert gc.isenabled()
+        with pytest.raises(AlreadyExistsError):
+            append_store(path, _linked_store(0))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            salvage_store(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_missing_file_raises_and_creates_nothing(self, tmp_path):
         path = tmp_path / "typo.db"
