@@ -14,8 +14,9 @@ Two access styles share one schema:
   query client copies a live database with it. The loader reads each
   table once, as columns: one ``json.loads`` per properties column,
   whole-column type checks, enum and id remaps through dicts, and one
-  batch insert into the store's maps. Saving streams each table from
-  the store's maps into ``executemany``.
+  batch insert into the store's maps, with the cyclic garbage collector
+  paused. Saving streams each table from the store's maps into
+  ``executemany``.
 * :class:`SqliteStore` — a *live* backend implementing the same
   :class:`~repro.mlmd.abstract.AbstractStore` contract as the in-memory
   store, reading and writing the database directly. Covering indexes
@@ -74,6 +75,7 @@ from .types import (
     Execution,
     ExecutionState,
     TelemetryRecord,
+    _ALLOWED_SCALARS,
     validate_properties,
 )
 
@@ -317,7 +319,7 @@ def append_store(path: str | Path, store: MetadataStore) -> IdMaps:
 
 #: Property value types of the MLMD set (a value may also be a list of
 #: them); JSON decodes to exactly these types, never to subclasses.
-_SCALARS = frozenset((int, float, str, bool))
+_SCALARS = frozenset(_ALLOWED_SCALARS)
 
 #: What a bad row raises while it is checked and built: an unknown enum
 #: value or dangling id (KeyError), a property outside the MLMD set or a
@@ -365,11 +367,12 @@ def _collector_paused() -> Iterator[None]:
 
     A load allocates containers by the hundred thousand and makes no
     reference cycle among them. Each allocation counts towards the
-    collector's thresholds, so a running collector would scan every
-    young object a few times and, with a large resident heap (the fleet
+    collector's thresholds, so a running collector scans the young
+    objects over and over and, beside a large resident heap (the fleet
     merge, the query client's copy beside the generated store), the
-    whole heap several times over, for nothing to free: about a third
-    of a load's time.
+    whole heap more than once, for nothing to free. Paused, the load
+    leaves the new objects to the collector's later passes, in whatever
+    allocates after it.
     """
     enabled = gc.isenabled()
     gc.disable()

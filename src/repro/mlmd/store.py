@@ -60,7 +60,8 @@ class MetadataStore(AbstractStore):
     def __init__(self) -> None:
         # The maps below are the provenance index: the query layer and
         # graphlet segmentation read them directly, so they are public.
-        # They are read-only outside this class; write through put_*.
+        # They are read-only outside this class; write through put_* (a
+        # loaded database goes in through _insert_batch).
         #: Write counter, bumped by every successful ``put_*``.
         self.version = 0
         self.artifacts_by_id: dict[int, Artifact] = {}

@@ -300,10 +300,17 @@ class TestLoaderChecks:
         with pytest.raises(error):
             load_store(path)
 
-    def test_append_store_raises(self, planted):
+    def test_append_store_raises_before_writing(self, planted):
         path, _, error, _ = planted
+        dest = _linked_store(0)
+        version = dest.version
         with pytest.raises(error):
-            append_store(path, MetadataStore())
+            append_store(path, dest)
+        # Every row is checked before the first one is written.
+        assert dest.version == version
+        assert (dest.num_artifacts, dest.num_executions, dest.num_events,
+                len(dest.contexts_by_id), dest.num_telemetry,
+                len(dest.named_nodes)) == (5, 2, 3, 1, 1, 1)
 
     def test_salvage_drops_exactly_the_planted_row(self, planted):
         path, table, _, dropped = planted
