@@ -451,7 +451,7 @@ def _append(conn: sqlite3.Connection, store: MetadataStore,
     maps.rows = sum(map(len, tables.values()))
     if report is not None:
         report.rows_loaded.update(
-            {table: len(rows) for table, rows in tables.items() if rows})
+            {table: len(kept) for table, kept in tables.items() if kept})
     return maps
 
 
