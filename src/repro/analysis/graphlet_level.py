@@ -19,7 +19,8 @@ from collections import defaultdict
 import numpy as np
 
 from ..graphlets import Graphlet, consecutive_pairs
-from ..similarity import SpanPairCache, jaccard_similarity
+from ..query import as_client
+from ..similarity import jaccard_similarity
 from .distributions import bucket_fractions
 
 #: Table 1's similarity ranges.
@@ -33,9 +34,9 @@ def similarity_table(graphlets_by_pipeline: dict[int, list[Graphlet]]
     Rows: ``jaccard`` (span-identity reuse), ``dataset`` (content
     similarity, Appendix B), ``avg_dataset`` (dataset similarity averaged
     within each pipeline first). Each row carries the Table-1 bucket
-    fractions and the mean.
+    fractions and the mean. Span pairs are scored through the store
+    client's shared memo (:attr:`~repro.query.MetadataClient.span_pairs`).
     """
-    cache = SpanPairCache()
     jaccard_values: list[float] = []
     dataset_values: list[float] = []
     per_pipeline_means: list[float] = []
@@ -46,8 +47,8 @@ def similarity_table(graphlets_by_pipeline: dict[int, list[Graphlet]]
                 jaccard_similarity(a.span_id_set(), b.span_id_set()))
             ids_a, seq_a = a.span_sequence_with_ids()
             ids_b, seq_b = b.span_sequence_with_ids()
-            similarity = cache.sequence_similarity(ids_a, seq_a,
-                                                   ids_b, seq_b)
+            similarity = as_client(a.store).span_pairs.sequence_similarity(
+                ids_a, seq_a, ids_b, seq_b)
             dataset_values.append(similarity)
             pipeline_values.append(similarity)
         if pipeline_values:
@@ -152,9 +153,9 @@ def push_vs_drift_table(graphlets_by_pipeline:
     For every graphlet with a predecessor, compare against the immediately
     preceding graphlet: the Appendix-B input similarity and whether the
     Trainer code version matches. Split means by the *successor's* push
-    outcome.
+    outcome. Span pairs are scored through the store client's shared
+    memo, as in :func:`similarity_table`.
     """
-    cache = SpanPairCache()
     rows = {"input_similarity": defaultdict(list),
             "code_match": defaultdict(list)}
     for graphlets in graphlets_by_pipeline.values():
@@ -162,8 +163,8 @@ def push_vs_drift_table(graphlets_by_pipeline:
             key = "pushed" if current.pushed else "unpushed"
             ids_a, seq_a = previous.span_sequence_with_ids()
             ids_b, seq_b = current.span_sequence_with_ids()
-            similarity = cache.sequence_similarity(ids_a, seq_a,
-                                                   ids_b, seq_b)
+            similarity = as_client(previous.store).span_pairs \
+                .sequence_similarity(ids_a, seq_a, ids_b, seq_b)
             rows["input_similarity"][key].append(similarity)
             rows["input_similarity"]["all"].append(similarity)
             match = float(previous.code_version == current.code_version)

@@ -10,9 +10,10 @@ assigns each feature family a compute cost.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
-from ..mlmd import MetadataStore
 from ..tfx.cost import POST_TRAINER_GROUPS, PRE_TRAINER_GROUPS, OperatorGroup
 from .graphlet import Graphlet
 
@@ -22,6 +23,7 @@ STAGE_TRAINER = "trainer"
 STAGE_POST = "post_trainer"
 
 
+@functools.cache
 def stage_of_group(group_value: str) -> str:
     """Map an operator group (string form) to its stage."""
     group = OperatorGroup(group_value)
@@ -76,19 +78,19 @@ class GraphletShape:
 
 def graphlet_shape(graphlet: Graphlet) -> GraphletShape:
     """Compute the shape summary of one graphlet."""
-    store: MetadataStore = graphlet.store
+    from ..query import as_client
+
+    # Executions of one operator, stage and input/output count are
+    # counted together; the buckets are filled in first-seen order.
+    kinds = Counter(facts[:4] for facts in as_client(
+        graphlet.store).execution_facts(graphlet.execution_ids))
     shape = GraphletShape()
-    for execution_id in graphlet.execution_ids:
-        execution = store.get_execution(execution_id)
-        op_name = execution.type_name
-        stage = stage_of_group(str(execution.get("group", "custom")))
+    for (op_name, stage, n_in, n_out), count in kinds.items():
         per_op = shape.by_operator.setdefault(op_name, OperatorShape())
         per_stage = shape.by_stage.setdefault(stage, {}).setdefault(
             op_name, OperatorShape())
-        n_in = len(store.get_input_artifact_ids(execution_id))
-        n_out = len(store.get_output_artifact_ids(execution_id))
         for bucket in (per_op, per_stage):
-            bucket.count += 1
-            bucket.total_inputs += n_in
-            bucket.total_outputs += n_out
+            bucket.count += count
+            bucket.total_inputs += count * n_in
+            bucket.total_outputs += count * n_out
     return shape

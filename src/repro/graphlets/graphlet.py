@@ -198,26 +198,26 @@ class Graphlet:
 
     # ------------------------------------------------------------- cost
 
-    def _cpu_of(self, execution_id: int) -> float:
-        return float(self.store.get_execution(execution_id).get(
-            "cpu_hours", 0.0))
+    def _execution_facts(self, execution_ids):
+        """Per-execution facts from the store client's memo."""
+        from ..query import as_client
+        return as_client(self.store).execution_facts(execution_ids)
 
     @property
     def total_cpu_hours(self) -> float:
         """Total compute of the graphlet's executions."""
-        return sum(self._cpu_of(e) for e in self.execution_ids)
+        return sum(facts.cpu_hours
+                   for facts in self._execution_facts(self.execution_ids))
 
     @property
     def training_cpu_hours(self) -> float:
         """The trainer execution's compute (Figure 9(d))."""
-        return self._cpu_of(self.trainer_execution_id)
+        return self._execution_facts((self.trainer_execution_id,))[0] \
+            .cpu_hours
 
     def cpu_hours_by_group(self) -> dict[str, float]:
         """Compute broken down by operator group."""
         out: dict[str, float] = {}
-        for execution_id in self.execution_ids:
-            execution = self.store.get_execution(execution_id)
-            group = str(execution.get("group", "custom"))
-            out[group] = out.get(group, 0.0) + float(
-                execution.get("cpu_hours", 0.0))
+        for facts in self._execution_facts(self.execution_ids):
+            out[facts.group] = out.get(facts.group, 0.0) + facts.cpu_hours
         return out

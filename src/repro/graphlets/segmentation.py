@@ -34,7 +34,7 @@ from ..mlmd import MetadataStore
 from ..mlmd.errors import InvalidQueryError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
-from .graphlet import DATA_ANALYSIS_TYPES, STOP_TYPES, Graphlet
+from .graphlet import STOP_TYPES, Graphlet
 
 
 def _ancestor_executions(index: MetadataStore, trainer_id: int
@@ -89,9 +89,13 @@ def _foreign_model(index: MetadataStore, artifact_id: int,
 
 
 def _data_analysis_closure(index: MetadataStore,
+                           analysis_consumers: dict[int, list[int]],
                            execution_ids: set[int]) -> None:
     """Rule (b): add data-analysis/validation executions that consume
     artifacts of ``execution_ids``, in place, to a fixpoint.
+    ``analysis_consumers`` maps an artifact to its data-analysis
+    consumers (:meth:`~repro.query.MetadataClient.analysis_consumers`),
+    so a span's many Trainer and Transform consumers are never scanned.
 
     Each round expands only the executions the previous round added, so
     analysis chains (span → statistics → schema → validation) are
@@ -100,18 +104,14 @@ def _data_analysis_closure(index: MetadataStore,
     because it is then an output of an added execution.
     """
     inputs_of, outputs_of = index.inputs_of, index.outputs_of
-    consumers_of, executions = index.consumers_of, index.executions_by_id
     added = list(execution_ids)
     while added:
         frontier, added = added, []
         for execution_id in frontier:
             for artifact_id in (*inputs_of.get(execution_id, ()),
                                 *outputs_of.get(execution_id, ())):
-                for consumer in consumers_of.get(artifact_id, ()):
+                for consumer in analysis_consumers.get(artifact_id, ()):
                     if consumer in execution_ids:
-                        continue
-                    if executions[consumer].type_name \
-                            not in DATA_ANALYSIS_TYPES:
                         continue
                     if _foreign_model(index, artifact_id, execution_ids):
                         continue
@@ -144,7 +144,7 @@ def segment_trainer(store: MetadataStore, trainer_id: int,
     executions = {trainer_id}
     executions |= _ancestor_executions(index, trainer_id)
     executions |= _descendant_executions(index, trainer_id)
-    _data_analysis_closure(index, executions)
+    _data_analysis_closure(index, client.analysis_consumers(), executions)
     return Graphlet(store=client, pipeline_context_id=pipeline_context_id,
                     trainer_execution_id=trainer_id,
                     execution_ids=executions,

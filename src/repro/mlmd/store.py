@@ -432,13 +432,14 @@ class MetadataStore(AbstractStore):
     def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
         """All artifacts attributed to a context."""
         self._require_context(context_id)
-        return [self.artifacts_by_id[i] for i in self.artifacts_in_context[context_id]]
+        return [self.artifacts_by_id[i]
+                for i in self.artifacts_in_context.get(context_id, ())]
 
     def get_executions_by_context(self, context_id: int) -> list[Execution]:
         """All executions associated with a context."""
         self._require_context(context_id)
         return [self.executions_by_id[i]
-                for i in self.executions_in_context[context_id]]
+                for i in self.executions_in_context.get(context_id, ())]
 
     def get_contexts_by_execution(self, execution_id: int) -> list[Context]:
         """Contexts an execution belongs to."""

@@ -17,9 +17,13 @@ store it reads one in-memory copy loaded from the database. It exposes
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
   ``(context_id, store version)`` so repeated segmentation of an
   unchanged pipeline is a dictionary hit;
-* a span-digest memo (:meth:`span_digest`): each DataSpan artifact's
-  similarity digest is decoded once per store version, however many
-  graphlet windows contain it.
+* the derived read-side facts, each built once per store version and
+  dropped when the version moves: the span-digest memo
+  (:meth:`span_digest`), one span-pair similarity memo shared by every
+  analysis (:attr:`span_pairs`), per-execution facts
+  (:meth:`execution_facts`) and the data-analysis consumers of each
+  artifact (:meth:`analysis_consumers`), which segmentation's rule (b)
+  reads.
 
 Use :func:`as_client` at API boundaries: it passes clients through
 untouched and lazily attaches (and caches) a client on a raw store, so
@@ -29,8 +33,8 @@ call sites accept either.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Collection, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..mlmd.abstract import AbstractStore
 from ..mlmd.errors import InvalidQueryError, NotFoundError
@@ -47,6 +51,7 @@ from ..mlmd.types import (
 if TYPE_CHECKING:
     from ..graphlets.graphlet import Graphlet
     from ..similarity.feature_metric import SpanDigest
+    from ..similarity.span_metric import SpanPairCache
 
 #: Attribute under which :func:`as_client` caches the default client on
 #: a raw store instance.
@@ -60,6 +65,20 @@ RELATIONS = ("inputs", "outputs", "consumers", "producers")
 
 #: Pipelines whose graphlet lists one client's segmentation cache keeps.
 SEGMENT_CACHE_SIZE = 64
+
+
+class ExecutionFacts(NamedTuple):
+    """What the graphlet analyses read of one execution."""
+
+    type_name: str
+    #: Feature-extraction stage of the execution's operator group.
+    stage: str
+    #: Input and output artifact counts.
+    n_in: int
+    n_out: int
+    #: Operator group (``"custom"`` when unrecorded).
+    group: str
+    cpu_hours: float
 
 
 class _SqliteCopy:
@@ -113,8 +132,8 @@ class MetadataClient:
             OrderedDict()
         self.segment_cache_hits = 0
         self.segment_cache_misses = 0
-        self._digests: dict[int, SpanDigest] = {}
-        self._digests_version = -1
+        self._memo_version = -1
+        self._fresh()
 
     @property
     def version(self) -> int:
@@ -386,17 +405,23 @@ class MetadataClient:
         return {context.id: self.segment_pipeline(context.id)
                 for context in self.contexts("Pipeline")}
 
-    # ------------------------------------------------- span digests
+    # ------------------------------------------------- derived facts
+
+    def _fresh(self) -> None:
+        """Drop every derived memo if the store's version has moved, so
+        no memo outlives a write."""
+        version = self.version
+        if self._memo_version == version:
+            return
+        self._memo_version = version
+        self._digests: dict[int, SpanDigest] = {}
+        self._span_pairs: SpanPairCache | None = None
+        self._facts: dict[int, ExecutionFacts] = {}
+        self._analysis_consumers: dict[int, list[int]] | None = None
 
     def span_digest(self, artifact_id: int) -> SpanDigest:
-        """The similarity digest of one DataSpan artifact, decoded once.
-
-        The memo is dropped whenever the store's version moves, like
-        the segmentation cache, so a digest never outlives a write.
-        """
-        if self._digests_version != self.version:
-            self._digests.clear()
-            self._digests_version = self.version
+        """The similarity digest of one DataSpan artifact, decoded once."""
+        self._fresh()
         digest = self._digests.get(artifact_id)
         if digest is None:
             from ..similarity.feature_metric import SpanDigest
@@ -404,6 +429,59 @@ class MetadataClient:
                 self.get_artifact(artifact_id).properties)
             self._digests[artifact_id] = digest
         return digest
+
+    @property
+    def span_pairs(self) -> SpanPairCache:
+        """The span-pair similarity memo (default weights) that Table 1,
+        Table 2 and the waste features share, so each distinct span pair
+        is scored once per store version."""
+        self._fresh()
+        if self._span_pairs is None:
+            from ..similarity.span_metric import SpanPairCache
+            self._span_pairs = SpanPairCache()
+        return self._span_pairs
+
+    def execution_facts(self, execution_ids: Collection[int]
+                        ) -> list[ExecutionFacts]:
+        """The :class:`ExecutionFacts` of each execution, in the given
+        order, each read off the store once. Missing ids raise
+        :class:`NotFoundError`."""
+        self._fresh()
+        facts = self._facts
+        try:
+            return [facts[i] for i in execution_ids]
+        except KeyError:
+            pass
+        from ..graphlets.features import stage_of_group
+        index = self.index
+        for i in execution_ids:
+            if i not in facts:
+                execution = self.get_execution(i)
+                group = str(execution.get("group", "custom"))
+                facts[i] = ExecutionFacts(
+                    execution.type_name, stage_of_group(group),
+                    len(index.inputs_of.get(i, ())),
+                    len(index.outputs_of.get(i, ())), group,
+                    float(execution.get("cpu_hours", 0.0)))
+        return [facts[i] for i in execution_ids]
+
+    def analysis_consumers(self) -> dict[int, list[int]]:
+        """Each artifact's data-analysis/validation consumers (the
+        executions segmentation's rule (b) adds), in consumer order;
+        artifacts without any are absent."""
+        self._fresh()
+        if self._analysis_consumers is None:
+            from ..graphlets.graphlet import DATA_ANALYSIS_TYPES
+            index = self.index
+            analysis = {i for i, execution in index.executions_by_id.items()
+                        if execution.type_name in DATA_ANALYSIS_TYPES}
+            consumers = {}
+            for artifact_id, executions in index.consumers_of.items():
+                found = [i for i in executions if i in analysis]
+                if found:
+                    consumers[artifact_id] = found
+            self._analysis_consumers = consumers
+        return self._analysis_consumers
 
 
 def _matching(nodes: dict, type_name: str | None,
@@ -420,7 +498,7 @@ def as_client(store_or_client) -> MetadataClient:
     Clients pass through untouched. A raw store gets a client built
     and cached on the store instance, so repeated calls — every
     analysis entry point funnels through here — share one segmentation
-    cache and span-digest memo.
+    cache and one set of derived-fact memos.
     """
     if isinstance(store_or_client, MetadataClient):
         return store_or_client

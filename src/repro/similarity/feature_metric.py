@@ -229,6 +229,64 @@ def _equal_size_total(d1: SpanDigest, d2: SpanDigest, alpha: float,
     return float(np.add.accumulate(terms)[-1])
 
 
+def counting_case(d1: SpanDigest, d2: SpanDigest) -> bool:
+    """True when, for ``alpha <= beta``, Eq. 2 only counts hash matches.
+
+    That is when the spans have as many features as each other (at
+    least one), names are unique within each span and no name is shared
+    between them: the two name tiers then never fire, and the score
+    depends only on the feature count ``n`` and ``K``, the sum over
+    ``(hash, type)`` buckets of the smaller of the two counts.
+    """
+    n = d1.feature_count
+    return (n > 0 and d2.feature_count == n and len(d1._index) == n
+            and len(d2._index) == n and d1._index.keys().isdisjoint(
+                d2._index))
+
+
+def counted_similarities(pairs: list[tuple[SpanDigest, SpanDigest]],
+                         alpha: float = ALPHA, beta: float = BETA
+                         ) -> list[float]:
+    """:func:`span_similarity` of many :func:`counting_case` pairs.
+
+    Requires ``alpha <= beta``. Every pair's ``K`` comes from one sort
+    of the bucket keys of all pairs, tagged by pair. The score is then
+    ``K`` terms of ``alpha / n`` summed in order, the same terms
+    :func:`_equal_size_total` sums, so each value equals
+    ``span_similarity(d1, d2, alpha, beta)`` bit for bit. A sequential
+    ``np.add.accumulate`` over ``max K`` terms gives every shorter sum
+    as a prefix, so one accumulation serves each feature count.
+    """
+    if alpha > beta:
+        raise ValueError("the counting case needs alpha <= beta")
+    if not pairs:
+        return []
+    buckets = [digest._bucket_counts() for pair in pairs
+               for digest in pair]
+    owner = np.repeat(np.arange(len(pairs)),
+                      [len(keys1) + len(keys2) for (keys1, _), (keys2, _)
+                       in zip(buckets[::2], buckets[1::2])])
+    keys = np.concatenate([keys for keys, _ in buckets])
+    counts = np.concatenate([counts for _, counts in buckets])
+    order = np.lexsort((keys, owner))
+    owner, keys, counts = owner[order], keys[order], counts[order]
+    # Keys are unique within a digest, so a key repeats in a pair's
+    # block exactly when both spans have that bucket.
+    both = (owner[1:] == owner[:-1]) & (keys[1:] == keys[:-1])
+    matched = np.zeros(len(pairs), dtype=np.int64)
+    if alpha > 0:
+        np.add.at(matched, owner[1:][both],
+                  np.minimum(counts[1:], counts[:-1])[both])
+    sizes = [d1.feature_count for d1, _ in pairs]
+    longest: dict[int, int] = {}
+    for n, k in zip(sizes, matched.tolist()):
+        longest[n] = max(longest.get(n, 0), k)
+    sums = {n: np.add.accumulate(np.full(k, 1.0 / n * alpha)).tolist()
+            for n, k in longest.items()}
+    return [float(min(max(sums[n][k - 1], 0.0), 1.0)) if k else 0.0
+            for n, k in zip(sizes, matched.tolist())]
+
+
 def _greedy_total(d1: SpanDigest, d2: SpanDigest, alpha: float,
                   beta: float) -> float:
     """The tiered greedy for every other pair: route mass pair by pair."""

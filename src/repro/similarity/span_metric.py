@@ -21,7 +21,14 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .feature_metric import ALPHA, BETA, SpanDigest, span_similarity
+from .feature_metric import (
+    ALPHA,
+    BETA,
+    SpanDigest,
+    counted_similarities,
+    counting_case,
+    span_similarity,
+)
 
 
 def jaccard_similarity(spans_a: set, spans_b: set) -> float:
@@ -58,12 +65,21 @@ class SpanPairCache:
     artifact ids turns the corpus-wide Table-1 computation from
     O(pairs × window) span comparisons into roughly O(distinct adjacent
     span pairs).
+
+    A pair in the :func:`~.feature_metric.counting_case` scores the same
+    either way round and is kept under its unordered id pair. Every
+    other pair is scored by :func:`~.feature_metric.span_similarity` in
+    the orientation the caller gives, whose greedy total can depend on
+    which span comes first, and is kept under that ordered pair.
     """
 
     def __init__(self, alpha: float = ALPHA, beta: float = BETA) -> None:
         self._alpha = alpha
         self._beta = beta
+        #: Counting-case scores by ``(smaller id, larger id)``.
         self._cache: dict[tuple[int, int], float] = {}
+        #: Every other score by ``(id_a, id_b)`` as the caller gave it.
+        self._oriented: dict[tuple[int, int], float] = {}
 
     def span_pair(self, id_a: int, digest_a: SpanDigest, id_b: int,
                   digest_b: SpanDigest) -> float:
@@ -79,28 +95,54 @@ class SpanPairCache:
         key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
         value = self._cache.get(key)
         if value is None:
+            value = self._oriented.get((id_a, id_b))
+        if value is None:
             value = span_similarity(digest_a, digest_b, self._alpha,
                                     self._beta)
-            self._cache[key] = value
+            if self._alpha <= self._beta \
+                    and counting_case(digest_a, digest_b):
+                self._cache[key] = value
+            else:
+                self._oriented[id_a, id_b] = value
         return value
 
     def sequence_similarity(self, ids_a: Sequence[int],
                             seq_a: Sequence[SpanDigest],
                             ids_b: Sequence[int],
                             seq_b: Sequence[SpanDigest]) -> float:
-        """Eq. 3 with cached pairwise terms."""
+        """Eq. 3 with cached pairwise terms.
+
+        The sequence's new counting-case pairs are scored first, all in
+        one :func:`~.feature_metric.counted_similarities` batch; the
+        other new pairs are scored one at a time by :meth:`span_pair`.
+        """
         if not seq_a or not seq_b:
             return 0.0
+        if self._alpha <= self._beta:
+            self._count_new_pairs(ids_a, seq_a, ids_b, seq_b)
         total = sum(
             self.span_pair(ia, a, ib, b)
             for ia, a, ib, b in zip(ids_a, seq_a, ids_b, seq_b)
         )
         return min(total / max(len(seq_a), len(seq_b)), 1.0)
 
+    def _count_new_pairs(self, ids_a, seq_a, ids_b, seq_b) -> None:
+        """Memoize the unmemoized counting-case pairs of two sequences."""
+        cache = self._cache
+        pending: dict[tuple[int, int], tuple[SpanDigest, SpanDigest]] = {}
+        for id_a, a, id_b, b in zip(ids_a, seq_a, ids_b, seq_b):
+            key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
+            if id_a != id_b and key not in cache and key not in pending \
+                    and counting_case(a, b):
+                pending[key] = (a, b)
+        if pending:
+            cache.update(zip(pending, counted_similarities(
+                list(pending.values()), self._alpha, self._beta)))
+
     @property
     def size(self) -> int:
         """Number of memoized span pairs."""
-        return len(self._cache)
+        return len(self._cache) + len(self._oriented)
 
 
 def bipartite_similarity(seq_a: Sequence[SpanDigest],

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphlets import Graphlet
-from ..similarity import SpanPairCache
 from .features import ALL_FAMILIES, DEFAULT_HISTORY_WINDOW, extract_features
 
 
@@ -95,13 +94,12 @@ def build_waste_dataset(graphlets_by_pipeline: dict[int, list[Graphlet]],
                                       for family in ALL_FAMILIES}
     stage_cost_totals: dict[str, float] = {}
     seen_executions: set[int] = set()
-    cache = SpanPairCache()
     for context_id, graphlets in graphlets_by_pipeline.items():
         if exclude_warmstart and pipeline_uses_warmstart(graphlets):
             continue
         for index, graphlet in enumerate(graphlets):
             features = extract_features(graphlet, graphlets[:index],
-                                        window=window, cache=cache)
+                                        window=window)
             dataset.rows.append(features)
             labels.append(1 if graphlet.pushed else 0)
             groups.append(context_id)
@@ -128,20 +126,16 @@ def build_waste_dataset(graphlets_by_pipeline: dict[int, list[Graphlet]],
 def _stage_costs(graphlet: Graphlet,
                  seen_executions: set[int]) -> dict[str, float]:
     """Stage costs of a graphlet's not-yet-counted executions."""
-    from ..graphlets.features import stage_of_group
     from ..query import as_client
 
-    client = as_client(graphlet.store)
     fresh = [e for e in graphlet.execution_ids if e not in seen_executions]
     seen_executions.update(fresh)
     out: dict[str, float] = {}
-    for execution in client.get_many("execution", fresh):
-        group = str(execution.get("group", "custom"))
-        stage = stage_of_group(group)
-        cost = float(execution.get("cpu_hours", 0.0))
-        out[stage] = out.get(stage, 0.0) + cost
-        if group == "data_ingestion":
-            out["ingestion_only"] = out.get("ingestion_only", 0.0) + cost
+    for facts in as_client(graphlet.store).execution_facts(fresh):
+        out[facts.stage] = out.get(facts.stage, 0.0) + facts.cpu_hours
+        if facts.group == "data_ingestion":
+            out["ingestion_only"] = out.get("ingestion_only", 0.0) \
+                + facts.cpu_hours
     return out
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from ..graphlets import Graphlet, graphlet_shape
 from ..graphlets.features import STAGE_POST, STAGE_PRE, STAGE_TRAINER
+from ..query import as_client
 from ..similarity import SpanPairCache, jaccard_similarity
 from ..tfx.model_types import DNN_ARCHITECTURES, ModelType
 
@@ -118,12 +119,12 @@ def extract_features(graphlet: Graphlet, history: list[Graphlet],
         history: Its predecessors in the same pipeline, oldest first
             (only the last ``window`` are consulted).
         window: History window size.
-        cache: Optional shared span-pair similarity cache (pass one per
-            corpus for a large speedup over rolling windows).
+        cache: Span-pair similarity cache; by default the memo the
+            graphlet's store client shares between analyses.
     """
     shape = graphlet_shape(graphlet)
     if cache is None:
-        cache = SpanPairCache()
+        cache = as_client(graphlet.store).span_pairs
     post = shape.stage_feature_dict({STAGE_POST})
     # The Pusher's output count *is* the push label; a feature set
     # containing it would be an oracle rather than a predictor. Its

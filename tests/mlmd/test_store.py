@@ -145,6 +145,17 @@ class TestContexts:
         with pytest.raises(NotFoundError):
             store.put_attribution(5, span_id)
 
+    def test_reading_an_empty_context_writes_nothing(self, store):
+        from repro.mlmd import Context
+        context_id = store.put_context(Context(type_name="Pipeline",
+                                               name="empty"))
+        version = store.version
+        assert store.get_artifacts_by_context(context_id) == []
+        assert store.get_executions_by_context(context_id) == []
+        assert dict(store.artifacts_in_context) == {}
+        assert dict(store.executions_in_context) == {}
+        assert store.version == version
+
 
 class TestExecutionDuration:
     def test_duration_zero_while_running(self):
