@@ -5,7 +5,7 @@ A fleet run with an output path ``corpus.db`` journals under
 
     manifest.json            run fingerprint + shard layout (written first)
     shard-0002.db            the shard's trace store (sqlite, worker-written)
-    shard-0002.pkl           pipeline records + tallies (worker-written)
+    shard-0002.tallies.json  pipeline records + tallies (worker-written)
     shard-0002.json          outcome entry (driver-written after the fact)
     shard-0002.spans.jsonl   the shard's trace spans (when tracing is on)
     shard-0002.folded        the shard's folded-stack profile (when profiling)
@@ -14,12 +14,15 @@ A fleet run with an output path ``corpus.db`` journals under
     supervision.jsonl        supervision event log (supervised runs)
     degradation.json         the DegradationReport of a partial run
 
-Workers persist their payload (``.db`` + ``.pkl``) the moment a shard
-finishes; the driver records the outcome entry as each result (or
+Workers persist their payload (``.db`` + ``.tallies.json``) the moment
+a shard finishes; the driver records the outcome entry as each result (or
 failure) lands. ``shard-NNNN.db`` is both the shard's transport and
 its payload: the driver merges every shard from that file, in the
 same run and on resume alike, while the result pipe carries only what
-``.pkl`` holds. A multi-shard run without a journal directory still
+``.tallies.json`` holds. That file keeps each pipeline record as plain
+ints; a record's archetype is a pure function of the corpus seed and
+the pipeline's global index, so resume re-samples it instead of
+storing it. A multi-shard run without a journal directory still
 journals, into a private temporary directory it removes on return. A
 later ``--resume`` run re-simulates only shards without a ``done``
 entry and merges every shard file in shard order — reproducing the
@@ -37,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -54,7 +56,7 @@ __all__ = ["JournalError", "ShardEntry", "ShardJournal",
 MANIFEST = "manifest.json"
 #: Bumped whenever the payload/extras schema changes; the fingerprint
 #: covers it, so ``--resume`` refuses a journal from an older layout
-#: instead of loading half-compatible pickles. v2: per-shard instrument
+#: instead of loading a half-compatible payload. v2: per-shard instrument
 #: state records + phase timings replaced the counter-only tallies.
 #: v3: attempt-versioned outcome entries (``attempt`` /
 #: ``rescheduled_from`` / per-attempt ``history``) plus a
@@ -62,8 +64,9 @@ MANIFEST = "manifest.json"
 #: journals still *parse* (missing fields default), but payload resume
 #: across versions stays refused via the fingerprint. v4: the extras
 #: no longer carry ``snapshot_bytes`` (the driver measures the shard
-#: file it merges).
-JOURNAL_VERSION = 4
+#: file it merges). v5: the extras are JSON (``.tallies.json``, was a
+#: pickle) and keep no archetypes; resume re-samples them.
+JOURNAL_VERSION = 5
 
 
 class JournalError(RuntimeError):
@@ -104,6 +107,16 @@ def _stem(shard_index: int) -> str:
     return f"shard-{shard_index:04d}"
 
 
+#: The :class:`~repro.corpus.generator.PipelineRecord` fields a shard's
+#: tallies keep per pipeline; the archetype is re-sampled on load.
+_RECORD_FIELDS = ("context_id", "n_runs", "n_train_runs", "n_models",
+                  "n_pushes")
+
+
+def _tallies_path(directory: str | Path, shard_index: int) -> Path:
+    return Path(directory) / (_stem(shard_index) + ".tallies.json")
+
+
 def shard_db_path(directory: str | Path, shard_index: int) -> Path:
     """Where a shard's trace store lives inside the journal dir."""
     return Path(directory) / (_stem(shard_index) + ".db")
@@ -139,15 +152,19 @@ def write_shard_payload(directory: str | Path, shard_index: int,
                         store: MetadataStore, extras: dict) -> None:
     """Persist a finished shard's store + tallies (worker side).
 
-    The sqlite file is written to a temp name and renamed into place,
-    so a crash mid-write leaves no plausible-but-truncated payload.
+    ``extras`` must be JSON-safe apart from its ``records``, which are
+    written as their :data:`_RECORD_FIELDS`. The sqlite file is written
+    to a temp name and renamed into place, so a crash mid-write leaves
+    no plausible-but-truncated payload.
     """
     db_path = shard_db_path(directory, shard_index)
     db_tmp = db_path.with_name(db_path.name + ".tmp")
     save_store(store, db_tmp)
     os.replace(db_tmp, db_path)
-    _atomic_write(Path(directory) / (_stem(shard_index) + ".pkl"),
-                  pickle.dumps(extras))
+    records = [{name: int(getattr(record, name)) for name in _RECORD_FIELDS}
+               for record in extras.get("records", ())]
+    _atomic_write(_tallies_path(directory, shard_index),
+                  json.dumps({**extras, "records": records}).encode())
 
 
 @dataclass
@@ -273,7 +290,7 @@ class ShardJournal:
         entry = self.entries.get(shard_index)
         return (entry is not None and entry.status == "done"
                 and shard_db_path(self.directory, shard_index).exists()
-                and (self.directory / (_stem(shard_index) + ".pkl")).exists())
+                and _tallies_path(self.directory, shard_index).exists())
 
     def record_done(self, shard_index: int, attempt: int = 1,
                     rescheduled_from: int = 0) -> None:
@@ -369,11 +386,24 @@ class ShardJournal:
 
     # ---------------------------------------------------------- payload
 
-    def load_payload(self, shard_index: int) -> dict:
-        """A completed shard's records and tallies (its ``.pkl``).
+    def load_payload(self, shard_index: int, config) -> dict:
+        """A completed shard's records and tallies (its
+        ``.tallies.json``), with each record's archetype re-sampled from
+        ``config`` and the pipeline's global index, as the worker
+        sampled it.
 
         The shard's rows stay in :func:`shard_db_path`, which the driver
         merges like any freshly written shard file.
         """
-        return pickle.loads(
-            (self.directory / (_stem(shard_index) + ".pkl")).read_bytes())
+        # Local import: repro.corpus imports repro.faults.
+        from ..corpus.generator import (PipelineRecord, pipeline_rng,
+                                        sample_pipeline_plan)
+        tallies = json.loads(
+            _tallies_path(self.directory, shard_index).read_text())
+        start = self.entries[shard_index].start
+        tallies["records"] = [
+            PipelineRecord(sample_pipeline_plan(
+                pipeline_rng(config.seed, index), config, index)[0],
+                **fields)
+            for index, fields in enumerate(tallies["records"], start)]
+        return tallies

@@ -782,7 +782,7 @@ class FleetSupervisor:
         awareness to read it.
         """
         stem = f"shard-{attempt.shard_index:04d}"
-        for suffix in (".db", ".pkl", ".spans.jsonl", ".folded",
+        for suffix in (".db", ".tallies.json", ".spans.jsonl", ".folded",
                        ".status.json"):
             source = attempt.directory / (stem + suffix)
             if source.exists():

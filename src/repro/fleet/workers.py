@@ -632,7 +632,8 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             for spec in shards:
                 if resume and journal.is_done(spec.shard_index):
                     result = ShardResult(
-                        spec=spec, **journal.load_payload(spec.shard_index))
+                        spec=spec,
+                        **journal.load_payload(spec.shard_index, config))
                     result.spans, result.trace_meta = _load_shard_spans(
                         journal.directory, spec.shard_index)
                     if profile:

@@ -5,17 +5,15 @@ a from-scratch reimplementation of the parts of MLMD the paper relies on:
 artifact/execution/context nodes, input/output events, lineage traversal,
 and durable storage.
 
-Two backends implement the shared :class:`AbstractStore` contract: the
-in-memory :class:`MetadataStore` (the generation hot path) and the live
-:class:`SqliteStore` (reads a serialized corpus in place). Indexed
-reads live in :mod:`repro.query`; the error taxonomy in
-:mod:`repro.mlmd.errors`.
+There is one store, the in-memory :class:`MetadataStore`. A sqlite
+file is only its saved form (:func:`save_store` / :func:`load_store`),
+and :class:`SqliteStore` is a read-only handle naming such a file for
+callers that pass a file where a store is expected. Indexed reads live
+in :mod:`repro.query`; the error taxonomy in :mod:`repro.mlmd.errors`.
 """
 
-from .abstract import AbstractStore
 from .errors import (
     AlreadyExistsError,
-    IntegrityError,
     InvalidArgumentError,
     InvalidQueryError,
     MetadataError,
@@ -65,7 +63,6 @@ from .types import (
 )
 
 __all__ = [
-    "AbstractStore",
     "AlreadyExistsError",
     "Artifact",
     "ArtifactState",
@@ -74,7 +71,6 @@ __all__ = [
     "EventType",
     "Execution",
     "ExecutionState",
-    "IntegrityError",
     "IntegrityReport",
     "InvalidArgumentError",
     "InvalidQueryError",

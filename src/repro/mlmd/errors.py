@@ -3,7 +3,7 @@
 Mirrors the error taxonomy of ML Metadata (MLMD): callers can catch the
 broad :class:`MetadataError` or a precise subclass. The taxonomy is the
 *only* error surface of :mod:`repro.mlmd` and :mod:`repro.query` —
-backends never leak bare ``ValueError`` / ``KeyError`` / ``sqlite3``
+the store never leaks bare ``ValueError`` / ``KeyError`` / ``sqlite3``
 exceptions:
 
 =======================  ==================================================
@@ -15,10 +15,6 @@ class                    raised when
 Error`                   registered type is inserted twice
 :class:`InvalidArgument  a request is structurally invalid (bad ids,
 Error`                   events without nodes, malformed bulk loads)
-:class:`IntegrityError`  the backend detects referential or storage-level
-                         corruption (dangling foreign keys, constraint
-                         violations that are neither NotFound nor
-                         AlreadyExists, damaged database files)
 :class:`InvalidQuery     a read/query request is malformed (unknown node
 Error`                   kind, unknown index, out-of-range graphlet,
                          unsupported filter combination)
@@ -48,15 +44,6 @@ class AlreadyExistsError(MetadataError):
 
 class InvalidArgumentError(MetadataError):
     """Raised when a request is structurally invalid (bad ids, bad state)."""
-
-
-class IntegrityError(MetadataError):
-    """Raised when a backend detects referential or storage corruption.
-
-    The sqlite backend maps constraint violations that are not simple
-    not-found / already-exists conditions (and damaged database files
-    encountered outside the salvage path) to this class.
-    """
 
 
 class InvalidQueryError(MetadataError, ValueError):

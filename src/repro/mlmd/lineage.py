@@ -9,8 +9,8 @@ The trace is a bipartite DAG: artifact and execution nodes, with events as
 edges. We expose traversals in terms of *execution* frontiers (as the
 paper's rules do) while carrying the artifacts along.
 
-Every function accepts either a raw :class:`~repro.mlmd.abstract.\
-AbstractStore` or a :class:`~repro.query.MetadataClient`; raw stores are
+Every function accepts either a raw :class:`~repro.mlmd.store.\
+MetadataStore` or a :class:`~repro.query.MetadataClient`; raw stores are
 normalized through :func:`repro.query.as_client`, and the ancestor and
 descendant walks read the adjacency maps of the client's in-memory
 store (:attr:`repro.query.MetadataClient.index`) directly.
@@ -20,18 +20,21 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
-from .abstract import AbstractStore
+if TYPE_CHECKING:
+    from ..query import MetadataClient
+    from .store import MetadataStore
 
 
-def _client(store: "AbstractStore"):
+def _client(store: MetadataStore | MetadataClient):
     # Local import: repro.query imports repro.mlmd.
     from ..query import as_client
     return as_client(store)
 
 
 def upstream_executions(
-    store: AbstractStore,
+    store: MetadataStore | MetadataClient,
     execution_id: int,
     stop: Callable[[int], bool] | None = None,
 ) -> set[int]:
@@ -60,7 +63,7 @@ def upstream_executions(
 
 
 def downstream_executions(
-    store: AbstractStore,
+    store: MetadataStore | MetadataClient,
     execution_id: int,
     stop: Callable[[int], bool] | None = None,
 ) -> set[int]:
@@ -86,7 +89,7 @@ def downstream_executions(
     return seen
 
 
-def artifacts_of_executions(store: AbstractStore,
+def artifacts_of_executions(store: MetadataStore | MetadataClient,
                             execution_ids: Iterable[int]) -> set[int]:
     """Union of input and output artifact ids across the executions."""
     store = _client(store)
@@ -97,7 +100,8 @@ def artifacts_of_executions(store: AbstractStore,
     return artifact_ids
 
 
-def connected_execution_components(store: AbstractStore) -> list[set[int]]:
+def connected_execution_components(store: MetadataStore | MetadataClient
+                                   ) -> list[set[int]]:
     """Partition all executions into weakly connected components.
 
     Two executions are connected if they share an artifact (directly or
@@ -133,7 +137,8 @@ def connected_execution_components(store: AbstractStore) -> list[set[int]]:
     return components
 
 
-def trace_node_count(store: AbstractStore, context_id: int) -> int:
+def trace_node_count(store: MetadataStore | MetadataClient,
+                     context_id: int) -> int:
     """Total artifact + execution nodes attributed to a context.
 
     This is the per-pipeline "trace size" statistic reported in
@@ -145,7 +150,8 @@ def trace_node_count(store: AbstractStore, context_id: int) -> int:
     return len(artifacts) + len(executions)
 
 
-def trace_lifespan_days(store: AbstractStore, context_id: int) -> float:
+def trace_lifespan_days(store: MetadataStore | MetadataClient,
+                        context_id: int) -> float:
     """Lifespan of a pipeline trace in days (Section 3.1 definition).
 
     The count of days between the timestamps of the newest and oldest

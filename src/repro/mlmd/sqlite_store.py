@@ -1,30 +1,25 @@
 """SQLite persistence for metadata traces.
 
-The in-memory :class:`~repro.mlmd.store.MetadataStore` is the hot path;
-this module adds durable round-tripping so corpora can be generated once
-and re-analyzed later (the paper's corpus is a durable MLMD database).
+The in-memory :class:`~repro.mlmd.store.MetadataStore` is the one
+store; a sqlite file is only its saved form, so corpora can be
+generated once and re-analyzed later (the paper's corpus is a durable
+MLMD database).
 
-Two access styles share one schema:
-
-* :func:`save_store` / :func:`append_store` — bulk serialization of an
-  in-memory store, and the one loader that appends a database's rows
+* :func:`save_store` streams each table from the store's maps into
+  ``executemany``.
+* :func:`append_store` is the one loader: it appends a database's rows
   to a store with every id remapped. :func:`load_store` is that loader
-  run on a fresh store; the fleet merges its shard files with it too
-  (a shard's ``shard-NNNN.db`` is how its rows travel home), and the
-  query client copies a live database with it. The loader reads each
-  table once, as columns: one ``json.loads`` per properties column,
+  run on a fresh store; the fleet merges its shard files with it too (a
+  shard's ``shard-NNNN.db`` is how its rows travel home), and the query
+  client copies a saved database with it. The loader reads each table
+  once, as columns: one ``json.loads`` per properties column,
   whole-column type checks, enum and id remaps through dicts, and one
   batch insert into the store's maps, with the cyclic garbage collector
-  paused. Saving streams each table from the store's maps into
-  ``executemany``.
-* :class:`SqliteStore` — a *live* backend implementing the same
-  :class:`~repro.mlmd.abstract.AbstractStore` contract as the in-memory
-  store, reading and writing the database directly. Covering indexes
-  (see ``_INDEXES``) and sqlite's prepared-statement cache (sized via
-  ``cached_statements``) keep point lookups and adjacency reads on the
-  index-only path, which is what lets the query layer treat both
-  backends interchangeably (the backend-parity suite asserts identical
-  results).
+  paused.
+* :class:`SqliteStore` is a read-only handle naming a saved database,
+  for callers that pass a file where a store is expected: a
+  :class:`~repro.query.MetadataClient` over it reads one
+  :func:`load_store` copy. Opening it writes nothing to the file.
 
 Property values are stored as JSON; enum states as their string values.
 
@@ -59,12 +54,7 @@ from collections.abc import Iterator, Sequence
 
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
-from .abstract import AbstractStore
-from .errors import (
-    AlreadyExistsError,
-    IntegrityError,
-    NotFoundError,
-)
+from .errors import AlreadyExistsError
 from .store import MetadataStore
 from .types import (
     Artifact,
@@ -135,60 +125,18 @@ CREATE TABLE IF NOT EXISTS telemetry (
 );
 """
 
-#: Covering + uniqueness indexes applied by the live :class:`SqliteStore`.
-#:
-#: The two event indexes cover both adjacency directions (execution →
-#: artifact ids and artifact → execution ids) so neighbor queries are
-#: index-only scans; the partial unique indexes enforce the same
-#: (type, name) uniqueness the in-memory store enforces via
-#: ``_named_nodes`` (unnamed nodes, name == '', stay unconstrained).
-#: ``save_store`` deliberately does not create them — the bulk
-#: serialization path stays lean and index builds happen on first open.
-_INDEXES = """
-CREATE INDEX IF NOT EXISTS idx_events_by_execution
-    ON events(execution_id, type, artifact_id);
-CREATE INDEX IF NOT EXISTS idx_events_by_artifact
-    ON events(artifact_id, type, execution_id);
-CREATE INDEX IF NOT EXISTS idx_artifacts_type ON artifacts(type_name);
-CREATE INDEX IF NOT EXISTS idx_executions_type ON executions(type_name);
-CREATE INDEX IF NOT EXISTS idx_contexts_type ON contexts(type_name);
-CREATE UNIQUE INDEX IF NOT EXISTS uq_artifacts_name
-    ON artifacts(type_name, name) WHERE name != '';
-CREATE UNIQUE INDEX IF NOT EXISTS uq_executions_name
-    ON executions(type_name, name) WHERE name != '';
-CREATE UNIQUE INDEX IF NOT EXISTS uq_contexts_name
-    ON contexts(type_name, name) WHERE name != '';
-CREATE INDEX IF NOT EXISTS idx_attributions_by_context
-    ON attributions(context_id, artifact_id);
-CREATE INDEX IF NOT EXISTS idx_attributions_by_artifact
-    ON attributions(artifact_id, context_id);
-CREATE INDEX IF NOT EXISTS idx_associations_by_context
-    ON associations(context_id, execution_id);
-CREATE INDEX IF NOT EXISTS idx_associations_by_execution
-    ON associations(execution_id, context_id);
-CREATE INDEX IF NOT EXISTS idx_telemetry_execution
-    ON telemetry(execution_id);
-CREATE INDEX IF NOT EXISTS idx_telemetry_context ON telemetry(context_id);
-CREATE INDEX IF NOT EXISTS idx_telemetry_kind ON telemetry(kind, name);
-"""
-
 _TABLES = ("artifacts", "executions", "contexts", "events",
            "attributions", "associations", "telemetry")
 
 
-def connect(path: str | Path,
-            cached_statements: int = 128) -> sqlite3.Connection:
+def connect(path: str | Path) -> sqlite3.Connection:
     """Open ``path`` with the robustness pragmas applied.
 
     This is the single chokepoint for *every* connection this module
     (and the shard journal) makes: WAL journaling, a busy timeout, and
     foreign-key enforcement are not happy-path options.
-    ``cached_statements`` sizes sqlite's per-connection prepared
-    statement cache; the live :class:`SqliteStore` raises it so its
-    small fixed set of point/adjacency statements is compiled once.
     """
-    conn = sqlite3.connect(Path(path), timeout=BUSY_TIMEOUT_MS / 1000,
-                           cached_statements=cached_statements)
+    conn = sqlite3.connect(Path(path), timeout=BUSY_TIMEOUT_MS / 1000)
     conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
     conn.execute("PRAGMA journal_mode = WAL")
     conn.execute("PRAGMA foreign_keys = ON")
@@ -701,435 +649,34 @@ def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:
         conn.close()
     return store, report
 
-# ------------------------------------------------------- live backend
+
+# ------------------------------------------------------------- handle
 
 
-def _map_sqlite_error(exc: sqlite3.Error):
-    """Translate a sqlite exception into the repro.mlmd taxonomy.
+class SqliteStore:
+    """A read-only handle on a database :func:`save_store` wrote.
 
-    UNIQUE violations are name collisions (AlreadyExistsError), FOREIGN
-    KEY violations are writes referencing nodes that don't exist
-    (NotFoundError, matching the in-memory backend); anything else is
-    genuine storage trouble (IntegrityError).
+    It names the file and does nothing else: a
+    :class:`~repro.query.MetadataClient` built over it reads one
+    :func:`load_store` copy, and ``version`` stays 0 because nothing
+    writes through the handle. A missing ``path`` raises
+    :class:`FileNotFoundError` and creates nothing; opening and closing
+    write nothing to the file.
     """
-    message = str(exc)
-    if isinstance(exc, sqlite3.IntegrityError):
-        if "UNIQUE" in message:
-            return AlreadyExistsError(message)
-        if "FOREIGN KEY" in message:
-            return NotFoundError(f"edge endpoint not found ({message})")
-    return IntegrityError(f"{type(exc).__name__}: {message}")
 
-
-class SqliteStore(AbstractStore):
-    """A live SQLite-backed metadata store.
-
-    Implements the same :class:`~repro.mlmd.abstract.AbstractStore`
-    contract as the in-memory store, against the same schema that
-    :func:`save_store` writes — so a serialized corpus can be opened
-    in place without loading it into memory. All statements go through
-    sqlite's prepared-statement cache (the connection is opened with a
-    raised ``cached_statements`` budget), and the covering indexes in
-    ``_INDEXES`` keep point lookups and adjacency reads index-only.
-
-    The connection runs in autocommit mode: with WAL journaling and
-    ``synchronous=NORMAL`` a commit is an in-memory WAL append, so
-    per-put durability costs no fsync on the happy path.
-    """
+    #: The handle never writes, so its version never moves.
+    version = 0
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._conn = connect(self.path, cached_statements=512)
-        self._conn.isolation_level = None  # autocommit
-        try:
-            self._conn.executescript(_SCHEMA)
-            self._conn.executescript(_INDEXES)
-        except sqlite3.Error as exc:
-            raise _map_sqlite_error(exc) from exc
-        #: Write counter, bumped by every successful ``put_*``.
-        self.version = 0
+        if not self.path.exists():
+            raise FileNotFoundError(f"no trace database at {path}")
 
     def close(self) -> None:
-        """Checkpoint the WAL and close the connection."""
-        try:
-            self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass
-        self._conn.close()
+        """Nothing to release: the handle holds no connection."""
 
     def __enter__(self) -> SqliteStore:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
-        try:
-            return self._conn.execute(sql, params)
-        except sqlite3.Error as exc:
-            raise _map_sqlite_error(exc) from exc
-
-    # ------------------------------------------------------------- puts
-
-    def put_artifact(self, artifact: Artifact) -> int:
-        validate_properties(artifact.properties)
-        created = artifact.id == -1
-        if created:
-            cur = self._execute(
-                "INSERT INTO artifacts(type_name, name, uri, state,"
-                " create_time, properties) VALUES (?,?,?,?,?,?)",
-                (artifact.type_name, artifact.name, artifact.uri,
-                 artifact.state.value, artifact.create_time,
-                 json.dumps(artifact.properties)))
-            artifact.id = cur.lastrowid
-        else:
-            cur = self._execute(
-                "UPDATE artifacts SET type_name=?, name=?, uri=?, state=?,"
-                " create_time=?, properties=? WHERE id=?",
-                (artifact.type_name, artifact.name, artifact.uri,
-                 artifact.state.value, artifact.create_time,
-                 json.dumps(artifact.properties), artifact.id))
-            if cur.rowcount == 0:
-                raise NotFoundError(f"artifact id {artifact.id} not found")
-        self.version += 1
-        return artifact.id
-
-    def put_execution(self, execution: Execution) -> int:
-        validate_properties(execution.properties)
-        created = execution.id == -1
-        if created:
-            cur = self._execute(
-                "INSERT INTO executions(type_name, name, state, start_time,"
-                " end_time, properties) VALUES (?,?,?,?,?,?)",
-                (execution.type_name, execution.name, execution.state.value,
-                 execution.start_time, execution.end_time,
-                 json.dumps(execution.properties)))
-            execution.id = cur.lastrowid
-        else:
-            cur = self._execute(
-                "UPDATE executions SET type_name=?, name=?, state=?,"
-                " start_time=?, end_time=?, properties=? WHERE id=?",
-                (execution.type_name, execution.name, execution.state.value,
-                 execution.start_time, execution.end_time,
-                 json.dumps(execution.properties), execution.id))
-            if cur.rowcount == 0:
-                raise NotFoundError(
-                    f"execution id {execution.id} not found")
-        self.version += 1
-        return execution.id
-
-    def put_context(self, context: Context) -> int:
-        validate_properties(context.properties)
-        created = context.id == -1
-        if created:
-            cur = self._execute(
-                "INSERT INTO contexts(type_name, name, create_time,"
-                " properties) VALUES (?,?,?,?)",
-                (context.type_name, context.name, context.create_time,
-                 json.dumps(context.properties)))
-            context.id = cur.lastrowid
-        else:
-            cur = self._execute(
-                "UPDATE contexts SET type_name=?, name=?, create_time=?,"
-                " properties=? WHERE id=?",
-                (context.type_name, context.name, context.create_time,
-                 json.dumps(context.properties), context.id))
-            if cur.rowcount == 0:
-                raise NotFoundError(f"context id {context.id} not found")
-        self.version += 1
-        return context.id
-
-    def put_event(self, event: Event) -> None:
-        self._execute(
-            "INSERT INTO events(artifact_id, execution_id, type, time)"
-            " VALUES (?,?,?,?)",
-            (event.artifact_id, event.execution_id, event.type.value,
-             event.time))
-        self.version += 1
-
-    def put_attribution(self, context_id: int, artifact_id: int) -> None:
-        self._execute(
-            "INSERT INTO attributions(context_id, artifact_id)"
-            " VALUES (?,?)", (context_id, artifact_id))
-        self.version += 1
-
-    def put_association(self, context_id: int, execution_id: int) -> None:
-        self._execute(
-            "INSERT INTO associations(context_id, execution_id)"
-            " VALUES (?,?)", (context_id, execution_id))
-        self.version += 1
-
-    def put_telemetry(self, record: TelemetryRecord) -> int:
-        validate_properties(record.properties)
-        fresh = record.id == -1
-        if fresh:
-            cur = self._execute(
-                "INSERT INTO telemetry(kind, name, execution_id,"
-                " context_id, value, start_time, end_time, properties)"
-                " VALUES (?,?,?,?,?,?,?,?)",
-                (record.kind, record.name, record.execution_id,
-                 record.context_id, record.value, record.start_time,
-                 record.end_time, json.dumps(record.properties)))
-            record.id = cur.lastrowid
-        else:
-            cur = self._execute(
-                "UPDATE telemetry SET kind=?, name=?, execution_id=?,"
-                " context_id=?, value=?, start_time=?, end_time=?,"
-                " properties=? WHERE id=?",
-                (record.kind, record.name, record.execution_id,
-                 record.context_id, record.value, record.start_time,
-                 record.end_time, json.dumps(record.properties),
-                 record.id))
-            if cur.rowcount == 0:
-                raise NotFoundError(f"telemetry id {record.id} not found")
-        self.version += 1
-        return record.id
-
-    # ------------------------------------------------------- node reads
-
-    _ARTIFACT_COLS = ("id, type_name, name, uri, state, create_time,"
-                      " properties")
-    _EXECUTION_COLS = ("id, type_name, name, state, start_time, end_time,"
-                       " properties")
-    _CONTEXT_COLS = "id, type_name, name, create_time, properties"
-    _TELEMETRY_COLS = ("id, kind, name, execution_id, context_id, value,"
-                       " start_time, end_time, properties")
-
-    @staticmethod
-    def _artifact(row) -> Artifact:
-        return Artifact(id=row[0], type_name=row[1], name=row[2],
-                        uri=row[3], state=ArtifactState(row[4]),
-                        create_time=row[5], properties=json.loads(row[6]))
-
-    @staticmethod
-    def _execution(row) -> Execution:
-        return Execution(id=row[0], type_name=row[1], name=row[2],
-                         state=ExecutionState(row[3]), start_time=row[4],
-                         end_time=row[5], properties=json.loads(row[6]))
-
-    @staticmethod
-    def _context(row) -> Context:
-        return Context(id=row[0], type_name=row[1], name=row[2],
-                       create_time=row[3], properties=json.loads(row[4]))
-
-    @staticmethod
-    def _telemetry_record(row) -> TelemetryRecord:
-        return TelemetryRecord(id=row[0], kind=row[1], name=row[2],
-                               execution_id=row[3], context_id=row[4],
-                               value=row[5], start_time=row[6],
-                               end_time=row[7], properties=json.loads(row[8]))
-
-    def get_artifact(self, artifact_id: int) -> Artifact:
-        row = self._execute(
-            f"SELECT {self._ARTIFACT_COLS} FROM artifacts WHERE id=?",
-            (artifact_id,)).fetchone()
-        if row is None:
-            raise NotFoundError(f"artifact id {artifact_id} not found")
-        return self._artifact(row)
-
-    def get_execution(self, execution_id: int) -> Execution:
-        row = self._execute(
-            f"SELECT {self._EXECUTION_COLS} FROM executions WHERE id=?",
-            (execution_id,)).fetchone()
-        if row is None:
-            raise NotFoundError(f"execution id {execution_id} not found")
-        return self._execution(row)
-
-    def get_context(self, context_id: int) -> Context:
-        row = self._execute(
-            f"SELECT {self._CONTEXT_COLS} FROM contexts WHERE id=?",
-            (context_id,)).fetchone()
-        if row is None:
-            raise NotFoundError(f"context id {context_id} not found")
-        return self._context(row)
-
-    def get_artifacts(self) -> list[Artifact]:
-        rows = self._execute(
-            f"SELECT {self._ARTIFACT_COLS} FROM artifacts ORDER BY id")
-        return [self._artifact(r) for r in rows]
-
-    def get_executions(self) -> list[Execution]:
-        rows = self._execute(
-            f"SELECT {self._EXECUTION_COLS} FROM executions ORDER BY id")
-        return [self._execution(r) for r in rows]
-
-    def get_contexts(self) -> list[Context]:
-        rows = self._execute(
-            f"SELECT {self._CONTEXT_COLS} FROM contexts ORDER BY id")
-        return [self._context(r) for r in rows]
-
-    def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
-        row = self._execute(
-            f"SELECT {self._ARTIFACT_COLS} FROM artifacts"
-            " WHERE type_name=? AND name=?", (type_name, name)).fetchone()
-        if row is None:
-            raise NotFoundError(f"artifact {type_name}/{name} not found")
-        return self._artifact(row)
-
-    def get_events(self) -> list[Event]:
-        return [Event(artifact_id=r[0], execution_id=r[1],
-                      type=EventType(r[2]), time=r[3])
-                for r in self._execute(
-                    "SELECT artifact_id, execution_id, type, time"
-                    " FROM events ORDER BY rowid")]
-
-    # ----------------------------------------------------- batch reads
-
-    def get_artifacts_by_id(self,
-                            artifact_ids: Sequence[int]) -> list[Artifact]:
-        if not artifact_ids:
-            return []
-        placeholders = ",".join("?" * len(set(artifact_ids)))
-        by_id = {r[0]: self._artifact(r) for r in self._execute(
-            f"SELECT {self._ARTIFACT_COLS} FROM artifacts"
-            f" WHERE id IN ({placeholders})", tuple(set(artifact_ids)))}
-        try:
-            return [by_id[i] for i in artifact_ids]
-        except KeyError as exc:
-            raise NotFoundError(f"artifact id {exc.args[0]} not found") \
-                from None
-
-    def get_executions_by_id(self, execution_ids: Sequence[int]
-                             ) -> list[Execution]:
-        if not execution_ids:
-            return []
-        placeholders = ",".join("?" * len(set(execution_ids)))
-        by_id = {r[0]: self._execution(r) for r in self._execute(
-            f"SELECT {self._EXECUTION_COLS} FROM executions"
-            f" WHERE id IN ({placeholders})", tuple(set(execution_ids)))}
-        try:
-            return [by_id[i] for i in execution_ids]
-        except KeyError as exc:
-            raise NotFoundError(f"execution id {exc.args[0]} not found") \
-                from None
-
-    # ------------------------------------------------------- adjacency
-
-    def get_input_artifact_ids(self, execution_id: int) -> list[int]:
-        return [r[0] for r in self._execute(
-            "SELECT artifact_id FROM events WHERE execution_id=? AND"
-            " type=? ORDER BY rowid",
-            (execution_id, EventType.INPUT.value))]
-
-    def get_output_artifact_ids(self, execution_id: int) -> list[int]:
-        return [r[0] for r in self._execute(
-            "SELECT artifact_id FROM events WHERE execution_id=? AND"
-            " type=? ORDER BY rowid",
-            (execution_id, EventType.OUTPUT.value))]
-
-    def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
-        return [r[0] for r in self._execute(
-            "SELECT execution_id FROM events WHERE artifact_id=? AND"
-            " type=? ORDER BY rowid",
-            (artifact_id, EventType.INPUT.value))]
-
-    def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
-        return [r[0] for r in self._execute(
-            "SELECT execution_id FROM events WHERE artifact_id=? AND"
-            " type=? ORDER BY rowid",
-            (artifact_id, EventType.OUTPUT.value))]
-
-    # -------------------------------------------------------- contexts
-
-    def _require_context(self, context_id: int) -> None:
-        row = self._execute("SELECT 1 FROM contexts WHERE id=?",
-                            (context_id,)).fetchone()
-        if row is None:
-            raise NotFoundError(f"context id {context_id} not found")
-
-    def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
-        self._require_context(context_id)
-        cols = ", ".join(f"a.{c.strip()}"
-                         for c in self._ARTIFACT_COLS.split(","))
-        return [self._artifact(r) for r in self._execute(
-            f"SELECT {cols} FROM attributions t JOIN artifacts a"
-            " ON a.id = t.artifact_id WHERE t.context_id=?"
-            " ORDER BY t.rowid", (context_id,))]
-
-    def get_executions_by_context(self,
-                                  context_id: int) -> list[Execution]:
-        self._require_context(context_id)
-        cols = ", ".join(f"e.{c.strip()}"
-                         for c in self._EXECUTION_COLS.split(","))
-        return [self._execution(r) for r in self._execute(
-            f"SELECT {cols} FROM associations t JOIN executions e"
-            " ON e.id = t.execution_id WHERE t.context_id=?"
-            " ORDER BY t.rowid", (context_id,))]
-
-    def get_contexts_by_execution(self,
-                                  execution_id: int) -> list[Context]:
-        cols = ", ".join(f"c.{col.strip()}"
-                         for col in self._CONTEXT_COLS.split(","))
-        return [self._context(r) for r in self._execute(
-            f"SELECT {cols} FROM associations t JOIN contexts c"
-            " ON c.id = t.context_id WHERE t.execution_id=?"
-            " ORDER BY t.rowid", (execution_id,))]
-
-    def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
-        cols = ", ".join(f"c.{col.strip()}"
-                         for col in self._CONTEXT_COLS.split(","))
-        return [self._context(r) for r in self._execute(
-            f"SELECT {cols} FROM attributions t JOIN contexts c"
-            " ON c.id = t.context_id WHERE t.artifact_id=?"
-            " ORDER BY t.rowid", (artifact_id,))]
-
-    def get_attributions(self) -> list[tuple[int, int]]:
-        return [(r[0], r[1]) for r in self._execute(
-            "SELECT context_id, artifact_id FROM attributions"
-            " ORDER BY context_id, rowid")]
-
-    def get_associations(self) -> list[tuple[int, int]]:
-        return [(r[0], r[1]) for r in self._execute(
-            "SELECT context_id, execution_id FROM associations"
-            " ORDER BY context_id, rowid")]
-
-    # ------------------------------------------------------- telemetry
-
-    def get_telemetry(self, kind: str | None = None,
-                      name: str | None = None) -> list[TelemetryRecord]:
-        sql = f"SELECT {self._TELEMETRY_COLS} FROM telemetry"
-        clauses, params = [], []
-        if kind is not None:
-            clauses.append("kind=?")
-            params.append(kind)
-        if name is not None:
-            clauses.append("name=?")
-            params.append(name)
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY id"
-        return [self._telemetry_record(r)
-                for r in self._execute(sql, tuple(params))]
-
-    def get_telemetry_by_execution(self, execution_id: int
-                                   ) -> list[TelemetryRecord]:
-        return [self._telemetry_record(r) for r in self._execute(
-            f"SELECT {self._TELEMETRY_COLS} FROM telemetry"
-            " WHERE execution_id=? ORDER BY id", (execution_id,))]
-
-    def get_telemetry_by_context(self, context_id: int
-                                 ) -> list[TelemetryRecord]:
-        return [self._telemetry_record(r) for r in self._execute(
-            f"SELECT {self._TELEMETRY_COLS} FROM telemetry"
-            " WHERE context_id=? ORDER BY id", (context_id,))]
-
-    # ---------------------------------------------------------- counts
-
-    def _count(self, table: str) -> int:
-        return self._execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-
-    @property
-    def num_artifacts(self) -> int:
-        return self._count("artifacts")
-
-    @property
-    def num_executions(self) -> int:
-        return self._count("executions")
-
-    @property
-    def num_events(self) -> int:
-        return self._count("events")
-
-    @property
-    def num_telemetry(self) -> int:
-        return self._count("telemetry")

@@ -1,20 +1,20 @@
 """In-memory metadata store.
 
-This is the hot-path backend: the corpus generator writes millions of
-nodes through this API, and every analysis module reads through the
-:class:`repro.query.MetadataClient` facade built on top of it. The store
-keeps adjacency indexes (artifact → consuming/producing executions and
-vice versa) so lineage traversals are O(degree), which is what makes
-graphlet segmentation over large traces feasible. These maps are the
-one provenance index of a run: the client and the segmenter read them
-directly instead of keeping a copy, and ``version`` (bumped by every
-``put_*``) tells them when a cached result has gone stale.
+This is the one metadata store: the corpus generator writes millions of
+nodes through this API, a sqlite file is only its saved form
+(:mod:`repro.mlmd.sqlite_store`), and every analysis module reads
+through the :class:`repro.query.MetadataClient` facade built on top of
+it. The store keeps adjacency indexes (artifact → consuming/producing
+executions and vice versa) so lineage traversals are O(degree), which
+is what makes graphlet segmentation over large traces feasible. These
+maps are the one provenance index of a run: the client and the
+segmenter read them directly instead of keeping a copy, and
+``version`` (bumped by every ``put_*``) tells them when a cached
+result has gone stale.
 
 The public surface intentionally mirrors ML Metadata's
 ``metadata_store.MetadataStore``: ``put_*`` / ``get_*`` methods over
-artifacts, executions, events, and contexts — the exact contract is
-:class:`repro.mlmd.abstract.AbstractStore`, which the sqlite backend
-implements too.
+artifacts, executions, events, and contexts.
 
 Bulk reads return everything: the deprecated type-filtered scans
 (``get_artifacts("Model")`` etc.) and the pre-unification kwarg
@@ -30,7 +30,6 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
 from ..obs.metrics import get_registry
-from .abstract import AbstractStore
 from .errors import AlreadyExistsError, NotFoundError
 from .types import (
     Artifact,
@@ -43,7 +42,7 @@ from .types import (
 )
 
 
-class MetadataStore(AbstractStore):
+class MetadataStore:
     """An in-memory MLMD-compatible metadata store.
 
     Example:

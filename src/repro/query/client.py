@@ -3,10 +3,12 @@
 Every analysis in the paper — graphlet segmentation, lineage walks,
 pipeline-level statistics, diagnosis, waste features — is a read over
 the metadata store. :class:`MetadataClient` is the versioned query API
-those layers consume. It keeps no index of its own: over an in-memory
+those layers consume. It keeps no index of its own: over the in-memory
 :class:`~repro.mlmd.store.MetadataStore` it reads that store's
-adjacency, membership and telemetry maps directly, and over a sqlite
-store it reads one in-memory copy loaded from the database. It exposes
+adjacency, membership and telemetry maps directly, and over a
+:class:`~repro.mlmd.sqlite_store.SqliteStore` handle on a saved
+database it reads one in-memory copy, loaded when the client is built.
+It exposes
 
 * the full store *read* protocol (``get_artifact`` … ``num_telemetry``)
   so a client can be passed anywhere a store is read from — including
@@ -36,9 +38,8 @@ from collections import OrderedDict
 from collections.abc import Collection, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..mlmd.abstract import AbstractStore
 from ..mlmd.errors import InvalidQueryError, NotFoundError
-from ..mlmd.sqlite_store import load_store
+from ..mlmd.sqlite_store import SqliteStore, load_store
 from ..mlmd.store import MetadataStore
 from ..mlmd.types import (
     Artifact,
@@ -81,26 +82,6 @@ class ExecutionFacts(NamedTuple):
     cpu_hours: float
 
 
-class _SqliteCopy:
-    """``MetadataClient.index`` over a sqlite store: one
-    :func:`~repro.mlmd.sqlite_store.load_store` copy of the database,
-    reloaded when the store's ``version`` has moved since the load.
-
-    A non-data descriptor, so a client over a
-    :class:`~repro.mlmd.store.MetadataStore` shadows it with a plain
-    instance attribute (the store itself) and its reads pay no check.
-    """
-
-    def __get__(self, client, owner=None):
-        if client is None:
-            return self
-        store = client.store
-        if client._copy_version != store.version:
-            client._copy = load_store(store.path)
-            client._copy_version = store.version
-        return client._copy
-
-
 class MetadataClient:
     """Read-only query facade over one metadata store.
 
@@ -108,26 +89,19 @@ class MetadataClient:
     :class:`~repro.mlmd.store.MetadataStore`. Over a ``MetadataStore``
     that is the store itself: the client reads its maps and holds no
     copy of them. Over a :class:`~repro.mlmd.sqlite_store.SqliteStore`
-    it is one :func:`~repro.mlmd.sqlite_store.load_store` copy of the
-    database, which keeps the database's ids (a live store only ever
-    appends rows, so its ids run 1..n); the copy is reloaded when the
-    store's ``version`` has moved, so writes made through that store
-    after the client was built still show up.
+    handle it is one :func:`~repro.mlmd.sqlite_store.load_store` copy of
+    the database, taken here; it keeps the database's ids, and since
+    nothing writes through the handle it never goes stale.
     """
 
     #: Version of the query API surface. Bumped on breaking changes;
     #: tools/api_snapshot.py guards the surface itself.
-    API_VERSION = 2
+    API_VERSION = 3
 
-    index = _SqliteCopy()
-
-    def __init__(self, store: AbstractStore) -> None:
+    def __init__(self, store: MetadataStore | SqliteStore) -> None:
         self.store = store
-        if isinstance(store, MetadataStore):
-            self.index = store
-        else:
-            self._copy_version = -1
-            self.index  # Load the copy now, not on the first read.
+        self.index = store if isinstance(store, MetadataStore) \
+            else load_store(store.path)
         self._segment_cache: OrderedDict[tuple[int, int], tuple] = \
             OrderedDict()
         self.segment_cache_hits = 0

@@ -13,6 +13,7 @@ import pytest
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, JournalError, ShardJournal
 from repro.fleet import generate_corpus_fleet
+from repro.obs.metrics import MetricsRegistry
 
 # Shard 1 of 3 raises after finishing its first pipeline.
 CRASH_PLAN = "transient:Trainer:0.4;worker_crash:1:1"
@@ -80,12 +81,42 @@ class TestCrashDegradesToPartial:
         failed = json.loads((journal_dir / "shard-0001.json").read_text())
         assert done["status"] == "done"
         assert (journal_dir / "shard-0000.db").exists()
-        assert (journal_dir / "shard-0000.pkl").exists()
+        assert (journal_dir / "shard-0000.tallies.json").exists()
         assert failed["status"] == "failed"
         assert failed["error_kind"] == "worker_crash"
         assert failed["crashes"] == 1
         # The crashed worker never reached its payload write.
         assert not (journal_dir / "shard-0001.db").exists()
+
+
+class TestJsonTallies:
+    def test_resume_rebuilds_records_and_instruments(self, tmp_path,
+                                                     monkeypatch):
+        """Every shard resumed from its ``.tallies.json`` gives the
+        records (archetypes re-sampled) and the instrument states the
+        run that wrote the journal held in memory."""
+        folded = []
+        fold = MetricsRegistry.fold
+
+        def recording_fold(registry, records):
+            folded.append(records)
+            fold(registry, records)
+
+        monkeypatch.setattr(MetricsRegistry, "fold", recording_fold)
+        journal_dir = tmp_path / "corpus.db.shards"
+        fresh, _ = generate_corpus_fleet(_config(), workers=3,
+                                         in_process=True,
+                                         journal_dir=journal_dir)
+        fresh_folded = list(folded)
+        folded.clear()
+        resumed, report = generate_corpus_fleet(
+            _config(), workers=3, in_process=True,
+            journal_dir=journal_dir, resume=True)
+        assert report.resumed_shards == 3
+        assert len(resumed.records) == 6
+        assert resumed.records == fresh.records
+        assert len(folded) == 3
+        assert folded == fresh_folded
 
 
 class TestResume:

@@ -287,7 +287,7 @@ class TestSingleShardDirect:
             _tiny_config(), workers=1, journal_dir=journal_dir)
         assert report.merge_rows == 0
         assert (journal_dir / "shard-0000.db").exists()
-        assert (journal_dir / "shard-0000.pkl").exists()
+        assert (journal_dir / "shard-0000.tallies.json").exists()
         # Resuming the finished journal merges its payload back.
         monkeypatch.undo()
         resumed, report = generate_corpus_fleet(

@@ -1,10 +1,11 @@
-"""Backend parity: MetadataClient over in-memory vs sqlite backends.
+"""Backend parity: MetadataClient over the store vs its saved file.
 
-The same generated corpus is saved with :func:`save_store` and opened
-in place as a live :class:`SqliteStore`, a :class:`MetadataClient` is
-built over each backend, and every client operation must return
-identical results. This is the contract that lets
-the analysis layers treat the backend as an implementation detail.
+The same generated corpus is saved with :func:`save_store` and named by
+a read-only :class:`SqliteStore` handle, a :class:`MetadataClient` is
+built over the in-memory store and over the handle, and every client
+operation must return identical results. This is the contract that
+lets the analysis layers read a saved corpus as if it were the store
+that wrote it.
 """
 
 from __future__ import annotations
@@ -152,16 +153,15 @@ def test_error_parity(backends):
 
 
 def test_store_level_error_parity(backends):
-    """The backends themselves raise the same taxonomy on bad writes."""
-    memory, sqlite = backends
-    for client in backends:
-        store = client.store
-        duplicate = client.get_artifacts()[0]
-        clone = Artifact(type_name=duplicate.type_name,
-                         name=duplicate.name)
-        if duplicate.name:
-            with pytest.raises(AlreadyExistsError):
-                store.put_artifact(clone)
-        missing = Artifact(type_name="DataSpan", id=10**9)
-        with pytest.raises(NotFoundError):
-            store.put_artifact(missing)
+    """The store raises the taxonomy on bad writes (the handle has no
+    writes)."""
+    memory, _ = backends
+    store = memory.store
+    duplicate = memory.get_artifacts()[0]
+    clone = Artifact(type_name=duplicate.type_name, name=duplicate.name)
+    if duplicate.name:
+        with pytest.raises(AlreadyExistsError):
+            store.put_artifact(clone)
+    missing = Artifact(type_name="DataSpan", id=10**9)
+    with pytest.raises(NotFoundError):
+        store.put_artifact(missing)

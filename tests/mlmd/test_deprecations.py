@@ -3,7 +3,7 @@
 Store-side type-filtered scans (``get_artifacts("Model")``) and the
 pre-unification ``*_type=`` keyword spellings went through their
 one-release ``DeprecationWarning`` window (DESIGN 6.x) and are gone.
-These tests pin the removal on both backends: the old spellings raise
+These tests pin the removal on the store: the old spellings raise
 ``TypeError``, and the surviving unfiltered bulk reads are warning-free.
 Filtered reads live in :class:`repro.query.MetadataClient`.
 """
@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mlmd import MetadataStore, SqliteStore
+from repro.mlmd import MetadataStore
 from repro.mlmd.types import Artifact, Context, Execution
 from repro.query import as_client
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def store(request, tmp_path):
-    if request.param == "memory":
-        yield MetadataStore()
-        return
-    backend = SqliteStore(tmp_path / "store.db")
-    yield backend
-    backend.close()
+@pytest.fixture(params=["memory"])
+def store(request):
+    return MetadataStore()
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 """SQLite round-trip, concurrency, integrity, and salvage tests."""
 
 import gc
+import hashlib
 import sqlite3
 import threading
 
@@ -15,6 +16,7 @@ from repro.mlmd import (
     Execution,
     ExecutionState,
     MetadataStore,
+    SqliteStore,
     integrity_check,
     load_store,
     salvage_store,
@@ -23,6 +25,7 @@ from repro.mlmd import (
 from repro.mlmd.sqlite_store import append_store, connect
 from repro.mlmd.types import TelemetryRecord
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.query import MetadataClient
 
 
 @pytest.fixture()
@@ -224,6 +227,31 @@ class TestAppendStore:
         with pytest.raises(FileNotFoundError):
             append_store(path, MetadataStore())
         assert not path.exists()
+
+
+class TestHandle:
+    """A :class:`SqliteStore` only names a saved database: opening it,
+    reading it through a client and closing it write nothing."""
+
+    def test_missing_file_raises_and_creates_nothing(self, tmp_path):
+        path = tmp_path / "typo.db"
+        with pytest.raises(FileNotFoundError):
+            SqliteStore(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_open_read_close_leaves_file_unchanged(self, populated_store,
+                                                  tmp_path):
+        path = tmp_path / "trace.db"
+        save_store(populated_store, path)
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        with SqliteStore(path) as handle:
+            client = MetadataClient(handle)
+            assert client.num_artifacts == populated_store.num_artifacts
+            assert [e.id for e in client.executions("Trainer")] \
+                == [e.id for e in populated_store.get_executions()]
+            assert client.get_events() == populated_store.get_events()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 #: Rows of ``_linked_store(1)`` saved to a file, per table.

@@ -38,7 +38,6 @@ def test_snapshot_covers_the_query_surface():
     tool = _load_tool()
     surface = tool.snapshot()
     assert "MetadataClient" in surface["repro.query"]
-    assert "AbstractStore" in surface["repro.mlmd"]
     assert "SqliteStore" in surface["repro.mlmd"]
     client = surface["repro.query"]["MetadataClient"]
     for operation in ("get_many", "neighbors_many", "segment_pipeline",

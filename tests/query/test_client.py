@@ -56,7 +56,7 @@ class TestAsClient:
         assert as_client(client) is client
 
     def test_api_version_is_stable(self):
-        assert MetadataClient.API_VERSION == 2
+        assert MetadataClient.API_VERSION == 3
 
 
 class TestIncrementalMaintenance:
@@ -107,29 +107,6 @@ class TestIncrementalMaintenance:
         rows = client.get_telemetry_by_execution(populated["trainer_id"])
         assert [r.value for r in rows] == [2.5]
         assert client.num_telemetry == 1
-
-
-class TestSqliteStoreWrites:
-    def test_write_through_store_after_build_is_visible(self, tmp_path):
-        from repro.mlmd import SqliteStore
-        store = SqliteStore(tmp_path / "trace.db")
-        try:
-            store.put_artifact(Artifact(type_name="DataSpan", name="s-1"))
-            client = MetadataClient(store)
-            assert client.num_artifacts == 1
-            late = Artifact(type_name="Schema", name="late",
-                            properties={"n": 3})
-            late_id = store.put_artifact(late)
-            assert late_id == 2
-            found = client.get_artifact(late_id)
-            assert (found.id, found.type_name, found.name,
-                    found.properties) == (late_id, "Schema", "late",
-                                          {"n": 3})
-            assert [a.id for a in client.artifacts(type_name="Schema")] \
-                == [late_id]
-            assert client.num_artifacts == 2
-        finally:
-            store.close()
 
 
 class TestReadProtocol:
