@@ -405,13 +405,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if measured:
         rows = [(u.operator, u.count, f"{u.wall_seconds:.3g}",
                  f"{u.cpu_seconds:.3g}", f"{u.cpu_fraction:.0%}",
-                 "-" if u.alloc_kb is None else f"{u.alloc_kb:+,.0f}",
                  u.verdict)
                 for u in measured]
         print()
         print(format_table(
-            ("operator", "count", "wall s", "cpu s", "cpu%", "alloc KB",
-             "verdict"), rows,
+            ("operator", "count", "wall s", "cpu s", "cpu%", "verdict"),
+            rows,
             title="Resource attribution (persisted node telemetry)"))
 
     if diagnosis.failures:

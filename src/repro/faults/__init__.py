@@ -35,7 +35,6 @@ from .journal import (
     degradation_path,
     folded_path,
     journal_dir_for,
-    supervision_log_path,
     write_shard_payload,
 )
 from .plan import FaultKind, FaultPlan, FaultSpec
@@ -58,6 +57,5 @@ __all__ = [
     "folded_path",
     "hint_fault",
     "journal_dir_for",
-    "supervision_log_path",
     "write_shard_payload",
 ]

@@ -11,7 +11,6 @@ A fleet run with an output path ``corpus.db`` journals under
     shard-0002.folded        the shard's folded-stack profile (when profiling)
     shard-0002.status.json   live heartbeat (:mod:`repro.obs.fleetwatch`)
     attempts/                per-attempt scratch dirs (worker processes)
-    supervision.jsonl        supervision event log (supervised runs)
     degradation.json         the DegradationReport of a partial run
 
 Workers persist their payload (``.db`` + ``.tallies.json``) the moment
@@ -41,7 +40,6 @@ import hashlib
 import json
 import os
 import shutil
-import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -51,7 +49,7 @@ from ..mlmd.store import MetadataStore
 __all__ = ["JournalError", "ShardEntry", "ShardJournal",
            "config_fingerprint", "degradation_path", "folded_path",
            "journal_dir_for", "shard_db_path", "spans_path",
-           "supervision_log_path", "write_shard_payload"]
+           "write_shard_payload"]
 
 MANIFEST = "manifest.json"
 #: Bumped whenever the payload/extras schema changes; the fingerprint
@@ -125,11 +123,6 @@ def shard_db_path(directory: str | Path, shard_index: int) -> Path:
 def spans_path(directory: str | Path, shard_index: int) -> Path:
     """Where a shard's trace spans live inside the journal dir."""
     return Path(directory) / (_stem(shard_index) + ".spans.jsonl")
-
-
-def supervision_log_path(directory: str | Path) -> Path:
-    """Where the supervisor's event log lives inside the journal dir."""
-    return Path(directory) / "supervision.jsonl"
 
 
 def degradation_path(directory: str | Path) -> Path:
@@ -334,38 +327,7 @@ class ShardJournal:
         entry.attempt = attempt
         self._write_entry(entry)
 
-    # ------------------------------------------------------- supervision
-
-    def record_event(self, event: str, **data) -> None:
-        """Append one supervision event to ``supervision.jsonl``.
-
-        Events are advisory diagnostics (reschedules, hedges,
-        quarantines, budget exhaustion) — an unwritable log never
-        fails the run.
-        """
-        record = {"ts": time.time(), "event": event, **data}
-        try:
-            with open(supervision_log_path(self.directory), "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-        except OSError:
-            pass
-
-    def load_events(self) -> list[dict]:
-        """The supervision event log (empty if absent or torn)."""
-        events: list[dict] = []
-        try:
-            lines = supervision_log_path(
-                self.directory).read_text().splitlines()
-        except OSError:
-            return events
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                events.append(record)
-        return events
+    # ------------------------------------------------------- degradation
 
     def write_degradation(self, report: dict) -> None:
         """Persist a partial run's DegradationReport (atomic)."""
@@ -374,15 +336,6 @@ class ShardJournal:
                           json.dumps(report, indent=2).encode())
         except OSError:
             pass
-
-    def load_degradation(self) -> dict | None:
-        """The persisted DegradationReport, or ``None``."""
-        try:
-            payload = json.loads(
-                degradation_path(self.directory).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
 
     # ---------------------------------------------------------- payload
 

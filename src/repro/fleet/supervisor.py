@@ -39,8 +39,10 @@ The supervisor is also the fleet's only multi-shard executor. With no
 policy (``policy=None``) it runs *unsupervised*: one attempt per shard,
 a failed shard is journaled ``failed`` and reported as a plain
 :class:`~repro.fleet.workers.ShardFailure`, and there is no stall
-detection, hedging, quarantine, ``supervision.jsonl`` or
-``degradation.json`` — recovery is left to ``--resume``.
+detection, hedging, quarantine or ``degradation.json`` — recovery is
+left to ``--resume``. Either way the run's one record of what happened
+to a shard is its journal entry (``shard-NNNN.json``: ``attempt``,
+``rescheduled_from``, per-attempt ``history``, ``crashes``).
 
 Attempts run as dedicated ``multiprocessing.Process`` workers, not a
 process pool: a pool cannot terminate one hung member, which is
@@ -299,7 +301,6 @@ class _ShardState:
     last_kind: str = ""
     last_message: str = ""
     last_failed_attempt: int = 0
-    winning_attempt: int = 0
 
 
 class FleetSupervisor:
@@ -310,7 +311,7 @@ class FleetSupervisor:
     ``supervise=True``); :meth:`run` simulates the shards that still
     need it, each writing its shard file into ``journal``.
     ``policy=None`` runs them unsupervised (one attempt each, no
-    supervision records).
+    degradation report).
     """
 
     def __init__(self, config: CorpusConfig, journal: ShardJournal,
@@ -371,12 +372,6 @@ class FleetSupervisor:
         self._armed_first = dict(armed)
         if not to_run:
             return self.results, self.failures, self._finalize()
-        self._event(
-            "supervision_started", shards=len(to_run),
-            max_attempts=self.policy.max_attempts,
-            stall_after=self.policy.stall_after,
-            hedge_after=self.policy.hedge_after,
-            fault_budget=self.policy.fault_budget)
         if self.in_process:
             self._run_inline(to_run)
         else:
@@ -444,9 +439,6 @@ class FleetSupervisor:
         state.live.append(_Attempt(
             spec=spec, attempt=attempt, process=process, conn=recv_conn,
             directory=attempt_dir, started=time.time(), hedge=hedge))
-        self._event(
-            "attempt_started", shard=spec.shard_index, attempt=attempt,
-            hedge=hedge, armed=armed, pid=process.pid)
 
     def _poll(self) -> bool:
         """Drain attempt outcomes; returns whether anything resolved.
@@ -514,10 +506,6 @@ class FleetSupervisor:
                 if now - last <= self.policy.stall_after:
                     continue
                 self._report.stalls_detected += 1
-                self._event(
-                    "stall_detected", shard=attempt.shard_index,
-                    attempt=attempt.attempt,
-                    silent_seconds=round(now - last, 3))
                 self._reap(attempt, terminate=True)
                 state.live.remove(attempt)
                 self._attempt_failed(
@@ -552,12 +540,6 @@ class FleetSupervisor:
                 continue
             hedge_attempt = state.attempts_used + 1
             self._report.hedges += 1
-            self._event(
-                "hedged", shard=state.spec.shard_index,
-                straggler_attempt=attempt.attempt,
-                hedge_attempt=hedge_attempt,
-                straggler_elapsed=round(now - attempt.started, 3),
-                threshold=round(threshold, 3))
             # Hedges run disarmed: they are recovery copies, and an
             # identical injected fault would just burn the budget.
             self._launch(state.spec, attempt=hedge_attempt,
@@ -584,10 +566,6 @@ class FleetSupervisor:
             while not state.done and not state.given_up:
                 attempt = state.attempts_used + 1
                 state.attempts_used = attempt
-                self._event(
-                    "attempt_started", shard=spec.shard_index,
-                    attempt=attempt, hedge=False, armed=armed,
-                    pid=os.getpid())
                 shim = _Attempt(spec=spec, attempt=attempt,
                                 process=None, conn=None,
                                 directory=self._journal_dir,
@@ -616,12 +594,8 @@ class FleetSupervisor:
         if state.done:
             # A sibling (hedge) already won; this copy's work is moot.
             self._report.lost_cpu_seconds += result.elapsed_seconds
-            self._event(
-                "hedge_lost", shard=attempt.shard_index,
-                attempt=attempt.attempt, outcome="finished_second")
             return
         state.done = True
-        state.winning_attempt = attempt.attempt
         result.transfer_seconds = max(
             0.0, time.time() - result.finished_unix)
         self.results[attempt.shard_index] = result
@@ -632,11 +606,6 @@ class FleetSupervisor:
         self.journal.record_done(attempt.shard_index,
                                  attempt=attempt.attempt,
                                  rescheduled_from=rescheduled_from)
-        self._event(
-            "attempt_completed", shard=attempt.shard_index,
-            attempt=attempt.attempt, hedge=attempt.hedge,
-            elapsed=round(result.elapsed_seconds, 3),
-            rescheduled_from=rescheduled_from)
         self._report.merged_pipelines += attempt.spec.n_pipelines
         if attempt.attempt > 1:
             self._report.recovered_pipelines += attempt.spec.n_pipelines
@@ -647,9 +616,6 @@ class FleetSupervisor:
         for sibling in list(state.live):
             self._report.lost_cpu_seconds += \
                 time.time() - sibling.started
-            self._event(
-                "hedge_lost", shard=sibling.shard_index,
-                attempt=sibling.attempt, outcome="terminated")
             self._reap(sibling, terminate=True)
             state.live.remove(sibling)
 
@@ -669,9 +635,6 @@ class FleetSupervisor:
         self.journal.record_failure(
             attempt.shard_index, kind, message, crashed=crashed,
             attempt=attempt.attempt, rescheduled_from=rescheduled_from)
-        self._event(
-            "attempt_failed", shard=attempt.shard_index,
-            attempt=attempt.attempt, failure_kind=kind, message=message)
         if state.live:
             # A hedge copy is still running — it may yet deliver, and
             # its own failure will re-enter this path with the live
@@ -697,11 +660,6 @@ class FleetSupervisor:
     def _reschedule(self, state: _ShardState) -> None:
         next_attempt = state.attempts_used + 1
         self._report.reschedules += 1
-        self._event(
-            "rescheduled", shard=state.spec.shard_index,
-            attempt=next_attempt,
-            rescheduled_from=state.last_failed_attempt,
-            failure_kind=state.last_kind)
         if self._inline:
             # The inline while-loop re-attempts any shard left neither
             # done nor given up; launching here would double-run it.
@@ -722,10 +680,6 @@ class FleetSupervisor:
         self.journal.record_quarantine(
             spec.shard_index, state.last_kind, state.last_message,
             attempt=state.attempts_used)
-        self._event(
-            "quarantined", shard=spec.shard_index,
-            attempts=state.attempts_used, reason=reason,
-            failure_kind=state.last_kind)
         _log.warning("shard_quarantined", shard=spec.shard_index,
                      attempts=state.attempts_used, reason=reason,
                      kind=state.last_kind)
@@ -754,11 +708,6 @@ class FleetSupervisor:
         return spec is not None and spec.repeat
 
     # ---------------------------------------------------------- plumbing
-
-    def _event(self, event: str, **data) -> None:
-        """Journal a supervision event (supervised runs only)."""
-        if self.supervised:
-            self.journal.record_event(event, **data)
 
     def _reap(self, attempt: _Attempt, terminate: bool = False) -> None:
         if attempt.process is not None:
@@ -803,10 +752,4 @@ class FleetSupervisor:
             # Partial run: the journal outlives the run, so the report
             # does too (fleet-status renders it post-mortem).
             self.journal.write_degradation(report.to_dict())
-        self._event(
-            "supervision_finished", merged=report.merged_pipelines,
-            lost=report.lost_pipelines, reschedules=report.reschedules,
-            hedges=report.hedges, quarantined=len(report.quarantined),
-            budget_spent=report.budget_spent,
-            budget_exhausted=report.budget_exhausted)
         return report

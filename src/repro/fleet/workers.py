@@ -419,7 +419,6 @@ class FleetReport:
     merge_rows: int = 0
     spans_adopted: int = 0
     profile_folded: dict = field(default_factory=dict)
-    supervised: bool = False
     #: :class:`~repro.fleet.supervisor.DegradationReport` of a
     #: supervised run (None when unsupervised or nothing ran).
     degradation: object | None = None
@@ -622,8 +621,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 journal = ShardJournal(journal_dir, fingerprint)
                 journal.open(shards, resume=resume, meta={
                     "stall_after": stall_after
-                    if stall_after is not None else DEFAULT_STALL_AFTER,
-                    "supervised": bool(supervise)})
+                    if stall_after is not None else DEFAULT_STALL_AFTER})
             _log.info("fleet_generation_started",
                       pipelines=config.n_pipelines, workers=len(shards),
                       seed=config.seed, exec_cache=exec_cache,
@@ -735,7 +733,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                              exec_cache=exec_cache,
                              used_processes=used_processes,
                              resumed_shards=resumed,
-                             supervised=supervise,
                              degradation=degradation,
                              journal_dir=str(journal.directory)
                              if journal is not None and scratch is None

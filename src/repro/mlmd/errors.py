@@ -1,10 +1,13 @@
 """Exception taxonomy for the metadata store and query layers.
 
 Mirrors the error taxonomy of ML Metadata (MLMD): callers can catch the
-broad :class:`MetadataError` or a precise subclass. The taxonomy is the
-*only* error surface of :mod:`repro.mlmd` and :mod:`repro.query` —
-the store never leaks bare ``ValueError`` / ``KeyError`` / ``sqlite3``
-exceptions:
+broad :class:`MetadataError` or a precise subclass. The store and the
+query layer raise only these classes, with one exception: reading a
+saved database (:func:`~repro.mlmd.sqlite_store.load_store` /
+:func:`~repro.mlmd.sqlite_store.append_store`) raises a bare
+``KeyError`` for a dangling reference and a bare ``TypeError`` for a
+property value outside the MLMD set, as ``append_store`` documents
+(``salvage_store`` drops such rows instead):
 
 =======================  ==================================================
 class                    raised when

@@ -18,10 +18,10 @@ traces to explain where pipelines spend and waste compute:
 * :func:`operator_stats` / :func:`find_regressions` — fleet-level
   per-operator-type distributions from persisted ``node`` telemetry,
   and p95 drift detection between two corpus runs.
-* :func:`resource_attribution` — per-operator wall vs CPU vs allocation
-  decomposition from the ``cpu_seconds`` / ``alloc_kb`` properties the
-  runtime persists (see :mod:`repro.obs.resources`), labelling each
-  operator cpu-bound, alloc-bound, mixed, or idle.
+* :func:`resource_attribution` — per-operator wall vs CPU
+  decomposition from the ``cpu_seconds`` property the runtime persists
+  (see :mod:`repro.obs.resources`), labelling each operator cpu-bound,
+  mixed, or idle.
 * :func:`diagnose_pipeline` — the one-call roll-up behind
   ``repro diagnose``.
 """
@@ -284,24 +284,20 @@ def operator_stats(store: MetadataStore, metric: str = "wall_seconds"
 CPU_BOUND_FRACTION = 0.65
 #: cpu/wall below this → the operator mostly waits.
 IDLE_FRACTION = 0.25
-#: net KiB allocated per wall second above this → allocation dominates.
-ALLOC_BOUND_KB_PER_SEC = 4096.0
 
 
 @dataclass
 class ResourceUsage:
-    """One operator type's aggregated wall/CPU/allocation telemetry.
+    """One operator type's aggregated wall/CPU telemetry.
 
-    ``cpu_seconds`` / ``alloc_kb`` are ``None`` when no persisted row
-    carried the property (telemetry from before the resource
-    observatory, or allocation tracking off).
+    ``cpu_seconds`` is ``None`` when no persisted row carried the
+    property (telemetry from before the resource observatory).
     """
 
     operator: str
     count: int
     wall_seconds: float
     cpu_seconds: float | None = None
-    alloc_kb: float | None = None
 
     @property
     def cpu_fraction(self) -> float | None:
@@ -312,19 +308,11 @@ class ResourceUsage:
 
     @property
     def verdict(self) -> str:
-        """``cpu-bound`` / ``alloc-bound`` / ``mixed`` / ``idle``.
-
-        Allocation pressure is checked first: an operator can burn CPU
-        *because* it churns memory, and "alloc-bound" is the verdict
-        that points at the fix (buffer reuse, streaming).
-        """
+        """``cpu-bound`` / ``mixed`` / ``idle`` (``unmeasured`` without
+        CPU telemetry)."""
         fraction = self.cpu_fraction
         if fraction is None:
             return "unmeasured"
-        if self.alloc_kb is not None and self.wall_seconds > 0 \
-                and self.alloc_kb / self.wall_seconds \
-                >= ALLOC_BOUND_KB_PER_SEC:
-            return "alloc-bound"
         if fraction >= CPU_BOUND_FRACTION:
             return "cpu-bound"
         if fraction <= IDLE_FRACTION:
@@ -345,9 +333,6 @@ def _aggregate_resources(node_rows) -> list[ResourceUsage]:
         cpu = record.get("cpu_seconds")
         if cpu is not None:
             usage.cpu_seconds = (usage.cpu_seconds or 0.0) + float(cpu)
-        alloc = record.get("alloc_kb")
-        if alloc is not None:
-            usage.alloc_kb = (usage.alloc_kb or 0.0) + float(alloc)
     return sorted(by_operator.values(),
                   key=lambda u: (-u.wall_seconds, u.operator))
 
@@ -355,7 +340,7 @@ def _aggregate_resources(node_rows) -> list[ResourceUsage]:
 def resource_attribution(store: MetadataStore,
                          context_id: int | None = None
                          ) -> list[ResourceUsage]:
-    """Per-operator wall/CPU/allocation usage from persisted telemetry.
+    """Per-operator wall/CPU usage from persisted telemetry.
 
     Scoped to one pipeline when ``context_id`` is given, fleet-wide
     otherwise; heaviest wall time first.

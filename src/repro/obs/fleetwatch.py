@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..faults.journal import degradation_path
 from .resources import peak_rss_mb
 
 __all__ = [
@@ -253,8 +254,7 @@ def collect_fleet_status(journal_dir: str | Path,
     status = FleetStatus(journal_dir=journal_dir,
                          stall_after=stall_after)
     try:
-        degradation = json.loads(
-            (journal_dir / "degradation.json").read_text())
+        degradation = json.loads(degradation_path(journal_dir).read_text())
         status.degradation = degradation \
             if isinstance(degradation, dict) else None
     except (OSError, json.JSONDecodeError):

@@ -60,16 +60,14 @@ class TelemetrySink:
                     wall_seconds: float, status: str,
                     context_id: int | None = None,
                     run_index: int = 0, run_kind: str = "",
-                    cpu_seconds: float | None = None,
-                    alloc_kb: float | None = None) -> int:
+                    cpu_seconds: float | None = None) -> int:
         """Persist one operator execution's measurement.
 
         cpu_hours and the simulated start/end are read off the
         execution itself, so callers only supply what the store does
         not already know (real wall time, status, run coordinates, and
-        — when measured — real CPU seconds and net allocation, the
-        properties ``repro diagnose`` uses to split wall time into
-        cpu-bound vs idle).
+        — when measured — real CPU seconds, the property ``repro
+        diagnose`` uses to split wall time into cpu-bound vs idle).
         """
         execution = self.store.get_execution(execution_id)
         properties = {
@@ -80,8 +78,6 @@ class TelemetrySink:
         }
         if cpu_seconds is not None:
             properties["cpu_seconds"] = float(cpu_seconds)
-        if alloc_kb is not None:
-            properties["alloc_kb"] = float(alloc_kb)
         return self.store.put_telemetry(TelemetryRecord(
             kind=NODE_KIND,
             name=operator,

@@ -19,8 +19,8 @@ pieces, all stdlib-only and graceful on platforms missing a probe:
   across one span, written into the span's attrs (``cpu_ms``,
   ``rss_peak_mb``, ``alloc_kb``). ``Tracer(resources=True)`` applies it
   to every context-manager span; ``repro telemetry --timeline`` renders
-  the columns so "slow" decomposes into cpu-bound vs alloc-bound vs
-  idle.
+  the columns so "slow" decomposes into CPU, memory growth and
+  allocation.
 """
 
 from __future__ import annotations

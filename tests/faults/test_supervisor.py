@@ -40,6 +40,23 @@ def _rows(store):
     return executions, artifacts, events
 
 
+def _assert_quarantine_journaled(journal_dir):
+    """Shard 1 of a ``worker_crash:1:1:repeat`` run with two attempts.
+
+    The shard's journal entry is the run's one record of its attempts;
+    no separate event log is written.
+    """
+    entry = json.loads((journal_dir / "shard-0001.json").read_text())
+    assert entry["status"] == "quarantined"
+    assert entry["attempt"] == 2
+    assert entry["crashes"] == 2
+    assert entry["history"] == [
+        {"attempt": attempt, "failure_kind": "worker_crash",
+         "message": "injected worker crash in shard 1 after 1 pipeline(s)"}
+        for attempt in (1, 2)]
+    assert not (journal_dir / "supervision.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def baseline():
     corpus, report = generate_corpus_fleet(_config(), workers=1)
@@ -56,7 +73,7 @@ class TestInlineRecovery:
             _config(), workers=3, in_process=True, supervise=True,
             fault_plan=plan, journal_dir=tmp_path / "j")
         assert report.complete
-        assert report.supervised
+        assert report.degradation is not None
         d = report.degradation
         assert d.reschedules == 1
         assert not d.degraded
@@ -81,18 +98,10 @@ class TestInlineRecovery:
         _, report = generate_corpus_fleet(
             _config(), workers=3, in_process=True, supervise=True,
             max_attempts=2, fault_plan=plan, journal_dir=journal_dir)
-        entry = json.loads((journal_dir / "shard-0001.json").read_text())
-        assert entry["status"] == "quarantined"
-        assert entry["attempt"] == 2
-        assert [h["attempt"] for h in entry["history"]] == [1, 2]
-        assert all(h["failure_kind"] == "worker_crash"
-                   for h in entry["history"])
-        events = [json.loads(line) for line in
-                  (journal_dir / "supervision.jsonl")
-                  .read_text().splitlines()]
-        kinds = [e["event"] for e in events]
-        assert "rescheduled" in kinds
-        assert "quarantined" in kinds
+        _assert_quarantine_journaled(journal_dir)
+        assert report.degradation.reschedules == 1
+        assert [q.shard_index for q in report.degradation.quarantined] \
+            == [1]
 
     def test_quarantine_partitions_the_plan(self, tmp_path):
         plan = FaultPlan.parse("worker_crash:0:1:repeat", seed=3)
@@ -159,6 +168,17 @@ class TestInlineRecovery:
 
 class TestProcessRecovery:
     """Real worker processes: kills, hangs, stall detection, hedging."""
+
+    def test_attempt_provenance_journaled(self, tmp_path):
+        plan = FaultPlan.parse("worker_crash:1:1:repeat", seed=3)
+        journal_dir = tmp_path / "j"
+        _, report = generate_corpus_fleet(
+            _config(), workers=3, supervise=True, max_attempts=2,
+            fault_plan=plan, journal_dir=journal_dir)
+        _assert_quarantine_journaled(journal_dir)
+        assert report.degradation.reschedules == 1
+        if not report.used_processes:
+            pytest.skip("sandbox denied processes; inline fallback ran")
 
     def test_survives_crash_and_hang_row_identical(self, tmp_path,
                                                    baseline):

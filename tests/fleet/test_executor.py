@@ -2,7 +2,7 @@
 
 Unsupervised runs are the supervisor without a policy: one attempt per
 shard, a failed shard journaled ``failed`` and reported as a plain
-``ShardFailure``, and no supervision records. These tests pin that
+``ShardFailure``, and no degradation report. These tests pin that
 contract for inline runs, real worker processes, and a sandbox that
 denies process spawn.
 """
@@ -51,7 +51,6 @@ def _entry(journal_dir, shard_index):
 
 
 def _assert_unsupervised_records(journal_dir):
-    assert not (journal_dir / "supervision.jsonl").exists()
     assert not (journal_dir / "degradation.json").exists()
 
 
@@ -89,7 +88,6 @@ class TestUnsupervisedProcesses:
             _config(), workers=3, fault_plan=plan,
             journal_dir=journal_dir)
         assert report.used_processes
-        assert not report.supervised
         assert report.degradation is None
         assert [(f.shard_index, f.kind) for f in report.failed_shards] \
             == [(1, "worker_killed")]
@@ -129,7 +127,6 @@ class TestSpawnDenied:
             journal_dir=journal_dir)
         assert report.used_processes is False
         assert report.complete
-        assert report.supervised is supervise
         assert (report.degradation is not None) is supervise
         assert not (journal_dir / "attempts").exists()
         assert _rows(corpus.store) == baseline

@@ -16,12 +16,14 @@ from repro.obs.diagnosis import (
     CostSplit,
     CriticalPath,
     RegressionFlag,
+    ResourceUsage,
     critical_path,
     diagnose_pipeline,
     execution_dag,
     find_regressions,
     operator_stats,
     pipeline_cost_split,
+    resource_attribution,
     top_cost_sinks,
 )
 
@@ -201,6 +203,74 @@ class TestOperatorStats:
         flag = RegressionFlag("Trainer", "cpu_hours", 0.0, 1.0)
         assert flag.ratio == float("inf")
         assert RegressionFlag("Trainer", "cpu_hours", 0.0, 0.0).ratio == 1.0
+
+
+class TestResourceAttribution:
+    """Verdicts on each side of ``CPU_BOUND_FRACTION`` (0.65) and
+    ``IDLE_FRACTION`` (0.25), from synthetic node rows."""
+
+    @pytest.mark.parametrize("cpu_seconds, verdict", [
+        (3.0, "cpu-bound"),
+        (2.6, "cpu-bound"),     # exactly 0.65 of wall
+        (2.56, "mixed"),        # 0.64
+        (1.04, "mixed"),        # 0.26
+        (1.0, "idle"),          # exactly 0.25
+        (0.0, "idle"),
+        (None, "unmeasured"),
+    ])
+    def test_verdict(self, cpu_seconds, verdict):
+        usage = ResourceUsage("Trainer", count=1, wall_seconds=4.0,
+                              cpu_seconds=cpu_seconds)
+        assert usage.verdict == verdict
+
+    def test_zero_wall_is_unmeasured(self):
+        usage = ResourceUsage("Trainer", count=1, wall_seconds=0.0,
+                              cpu_seconds=1.0)
+        assert usage.cpu_fraction is None
+        assert usage.verdict == "unmeasured"
+
+    def test_folds_node_rows_per_operator(self):
+        store = MetadataStore()
+        context_id = store.put_context(Context(type_name="Pipeline",
+                                               name="p"))
+        rows = [("Trainer", 2.0, 1.3), ("Trainer", 2.0, 1.3),
+                ("Pusher", 2.0, 0.5), ("Transform", 1.0, 0.64),
+                ("ExampleGen", 0.5, 0.13), ("Evaluator", 0.25, None)]
+        for operator, wall, cpu in rows:
+            properties = {} if cpu is None else {"cpu_seconds": cpu}
+            store.put_telemetry(TelemetryRecord(
+                "node", operator, context_id=context_id, value=wall,
+                properties=properties))
+        # Only node rows count.
+        store.put_telemetry(TelemetryRecord(
+            "run", "Trainer", context_id=context_id, value=100.0))
+        usage = resource_attribution(store)
+        assert [(u.operator, u.count, u.wall_seconds, u.verdict)
+                for u in usage] == [
+            ("Trainer", 2, 4.0, "cpu-bound"),
+            ("Pusher", 1, 2.0, "idle"),
+            ("Transform", 1, 1.0, "mixed"),
+            ("ExampleGen", 1, 0.5, "mixed"),
+            ("Evaluator", 1, 0.25, "unmeasured"),
+        ]
+        assert usage[0].cpu_seconds == pytest.approx(2.6)
+        assert usage[-1].cpu_seconds is None
+
+    def test_scoped_to_one_pipeline(self):
+        store = MetadataStore()
+        ours, other = (store.put_context(Context(type_name="Pipeline",
+                                                 name=name))
+                       for name in ("p", "q"))
+        store.put_telemetry(TelemetryRecord(
+            "node", "Trainer", context_id=ours, value=1.0,
+            properties={"cpu_seconds": 0.1}))
+        store.put_telemetry(TelemetryRecord(
+            "node", "Trainer", context_id=other, value=1.0,
+            properties={"cpu_seconds": 0.9}))
+        [usage] = resource_attribution(store, context_id=ours)
+        assert (usage.count, usage.verdict) == (1, "idle")
+        [usage] = resource_attribution(store)
+        assert (usage.count, usage.verdict) == (2, "mixed")
 
 
 class TestDiagnosePipeline:
