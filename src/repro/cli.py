@@ -99,14 +99,12 @@ def _resume_command(args: argparse.Namespace) -> str:
         parts += ["--retries", str(args.retries)]
     if args.profile_out is not None:
         parts += ["--profile-out", shlex.quote(args.profile_out)]
-    if args.supervise:
-        parts.append("--supervise")
-        if args.max_attempts != 3:
-            parts += ["--max-attempts", str(args.max_attempts)]
-        if args.hedge_after is not None:
-            parts += ["--hedge-after", str(args.hedge_after)]
-        if args.fault_budget is not None:
-            parts += ["--fault-budget", str(args.fault_budget)]
+    if args.max_attempts != 3:
+        parts += ["--max-attempts", str(args.max_attempts)]
+    if args.hedge_after is not None:
+        parts += ["--hedge-after", str(args.hedge_after)]
+    if args.fault_budget is not None:
+        parts += ["--fault-budget", str(args.fault_budget)]
     if args.stall_after is not None:
         parts += ["--stall-after", str(args.stall_after)]
     parts.append("--resume")
@@ -131,7 +129,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
           f"(seed {args.seed}, {args.workers} workers"
           f"{', exec cache' if args.exec_cache else ''}"
           f"{', faults: ' + fault_plan.describe() if fault_plan else ''}"
-          f"{', supervised' if args.supervise else ''}"
           f"{', resume' if args.resume else ''}) ...")
     journal_dir = journal_dir_for(args.out)
     try:
@@ -143,7 +140,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 fault_plan=fault_plan, retry_policy=retry_policy,
                 journal_dir=journal_dir, resume=args.resume,
                 profile=args.profile_out is not None,
-                supervise=args.supervise,
                 max_attempts=args.max_attempts,
                 stall_after=args.stall_after,
                 hedge_after=args.hedge_after,
@@ -155,8 +151,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
           f"{fleet.wall_seconds:.1f}s"
           + (f" ({fleet.resumed_shards} resumed from journal)"
              if fleet.resumed_shards else "")
-          + ("" if fleet.used_processes
-             or fleet.workers - fleet.resumed_shards <= 1
+          + ("" if fleet.used_processes or fleet.degradation is None
              else " (process spawn unavailable; ran in-process)"))
     print("phases: " + ", ".join(
         f"{name} {seconds:.2f}s"
@@ -873,22 +868,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sample every worker's stacks and write "
                                "the merged folded-stack profile "
                                "(flamegraph format)")
-    generate.add_argument("--supervise", action="store_true",
-                          help="in-run supervision: reschedule crashed "
-                               "or hung workers, hedge stragglers, and "
-                               "quarantine poison shards instead of "
-                               "aborting")
     generate.add_argument("--max-attempts", type=int, default=3,
                           metavar="N",
-                          help="supervised attempts per shard before "
-                               "it is quarantined for this run "
-                               "(default 3)")
+                          help="attempts per shard before it is "
+                               "quarantined for this run (default 3; "
+                               "1 fails a shard at its first failure "
+                               "and leaves a partial run for --resume)")
     generate.add_argument("--stall-after", type=float, default=None,
                           metavar="SECONDS",
-                          help="heartbeat silence before a supervised "
-                               "worker counts as hung and is "
-                               "rescheduled (default 30; also recorded "
-                               "in the journal for fleet-status)")
+                          help="heartbeat silence before a worker "
+                               "counts as hung and is rescheduled "
+                               "(default 30; also recorded in the "
+                               "journal for fleet-status)")
     generate.add_argument("--hedge-after", type=float, default=None,
                           metavar="FACTOR",
                           help="hedge a straggling shard once its "
@@ -898,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "hedging)")
     generate.add_argument("--fault-budget", type=int, default=None,
                           metavar="N",
-                          help="cap total supervised recovery attempts "
+                          help="cap total recovery attempts "
                                "(reschedules + hedges); exhaustion "
                                "quarantines the rest — fail fast on "
                                "systemic breakage (default: unlimited)")

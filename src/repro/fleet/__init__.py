@@ -14,16 +14,14 @@ The subsystem has two parts, surfaced via
   Section 5) into replayed ``CACHED`` executions with measured saved
   cpu-hours.
 
-Fleet runs are crash-safe: with a shard journal
-(:mod:`repro.faults.journal`) a killed or crashing worker degrades the
-run to a partial-but-valid merged store plus structured
-:class:`ShardFailure` records, and ``resume=True`` re-simulates only
-the failed shards. Every multi-shard run executes through the
-:class:`~repro.fleet.supervisor.FleetSupervisor`; with
-``supervise=True`` it goes further and recovers *in-run*: crashed
-or hung workers are rescheduled, stragglers hedged, and poison shards
-quarantined behind a structured
-:class:`~repro.fleet.supervisor.DegradationReport`.
+Fleet runs recover in-run: every multi-shard run executes through the
+:class:`~repro.fleet.supervisor.FleetSupervisor`, which reschedules
+crashed or hung workers, hedges stragglers and quarantines a shard
+that fails ``max_attempts`` times. A quarantine leaves a
+partial-but-valid merged store, a :class:`ShardFailure` per lost shard
+and a :class:`~repro.fleet.supervisor.DegradationReport`; with a shard
+journal (:mod:`repro.faults.journal`) ``resume=True`` re-simulates
+only the lost shards.
 """
 
 from .cache import CacheEntry, CachedOutput, ExecutionCache

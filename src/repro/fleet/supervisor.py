@@ -1,11 +1,9 @@
 """In-run fleet supervision: reschedule, hedge, quarantine.
 
-Before this module, a fleet run *detected* worker failure (the shard
-journal records it, ``fleet-status`` renders it) but could only act on
-it across runs: exit 3, human re-runs with ``--resume``. Production
-corpora at paper scale (7.7M executions) cannot assume a fault-free
-multi-hour run, so the :class:`FleetSupervisor` closes the detect → act
-loop *inside* the run:
+Production corpora at paper scale (7.7M executions) cannot assume a
+fault-free multi-hour run, so every multi-shard fleet run goes through
+the :class:`FleetSupervisor`, which acts on a worker failure *inside*
+the run:
 
 * **Reschedule** — a worker that crashes (raises, is killed, or dies
   without a result) or whose heartbeat goes silent beyond
@@ -28,21 +26,18 @@ loop *inside* the run:
   (quarantined shards, lost pipelines, attempts histogram,
   recovered-vs-lost compute) is persisted as ``degradation.json`` in
   the journal and rendered by ``repro fleet-status``. A later
-  ``--resume`` re-arms quarantined shards with fresh attempts.
+  ``--resume`` re-arms quarantined shards with fresh attempts, so
+  ``max_attempts=1`` is the way to fail a shard at its first failure
+  and leave a partial run for ``--resume``.
 * **Fault budget** — ``fault_budget`` caps total recovery attempts
   (reschedules + hedges) across the run. A systemically broken run
   (every worker dying) exhausts the budget after a handful of
   attempts and fails fast with a diagnosis instead of thrashing
   through ``shards × max_attempts`` doomed re-runs.
 
-The supervisor is also the fleet's only multi-shard executor. With no
-policy (``policy=None``) it runs *unsupervised*: one attempt per shard,
-a failed shard is journaled ``failed`` and reported as a plain
-:class:`~repro.fleet.workers.ShardFailure`, and there is no stall
-detection, hedging, quarantine or ``degradation.json`` — recovery is
-left to ``--resume``. Either way the run's one record of what happened
-to a shard is its journal entry (``shard-NNNN.json``: ``attempt``,
-``rescheduled_from``, per-attempt ``history``, ``crashes``).
+The run's one record of what happened to a shard is its journal entry
+(``shard-NNNN.json``: ``attempt``, ``rescheduled_from``, per-attempt
+``history``, ``crashes``).
 
 Attempts run as dedicated ``multiprocessing.Process`` workers, not a
 process pool: a pool cannot terminate one hung member, which is
@@ -92,7 +87,9 @@ _KILL_EXIT_CODE = 17
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """The supervision knobs, CLI-surfaced as ``generate --supervise``.
+    """The supervision knobs, CLI-surfaced as ``generate``'s
+    ``--max-attempts`` / ``--stall-after`` / ``--hedge-after`` /
+    ``--fault-budget``.
 
     ``hedge_after`` is a straggler factor, not seconds: a shard is
     hedged when its running attempt is older than ``hedge_after ×
@@ -138,7 +135,7 @@ class QuarantinedShard:
 
 @dataclass
 class DegradationReport:
-    """How far a supervised run degraded from the fault-free ideal.
+    """How far a fleet run degraded from the fault-free ideal.
 
     The pipeline accounting is an exact partition:
     ``merged_pipelines + lost_pipelines == planned_pipelines`` — every
@@ -297,7 +294,7 @@ class _ShardState:
     attempts_used: int = 0
     live: list = field(default_factory=list)
     done: bool = False
-    given_up: bool = False  # quarantined, or failed when unsupervised
+    quarantined: bool = False
     last_kind: str = ""
     last_message: str = ""
     last_failed_attempt: int = 0
@@ -307,15 +304,13 @@ class FleetSupervisor:
     """Coordinator-side executor for the shards of one fleet run.
 
     Constructed by :func:`~repro.fleet.workers.generate_corpus_fleet`
-    for every run with more than one shard to simulate (or with
-    ``supervise=True``); :meth:`run` simulates the shards that still
-    need it, each writing its shard file into ``journal``.
-    ``policy=None`` runs them unsupervised (one attempt each, no
-    degradation report).
+    for every run except a one-shard plan simulated in the driver;
+    :meth:`run` simulates the shards that still need it, each writing
+    its shard file into ``journal``.
     """
 
     def __init__(self, config: CorpusConfig, journal: ShardJournal,
-                 policy: SupervisorPolicy | None = None, *,
+                 policy: SupervisorPolicy, *,
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
@@ -323,8 +318,7 @@ class FleetSupervisor:
                  in_process: bool = False) -> None:
         self.config = config
         self.journal = journal
-        self.supervised = policy is not None
-        self.policy = policy or SupervisorPolicy(max_attempts=1)
+        self.policy = policy
         self.telemetry = telemetry
         self.exec_cache = exec_cache
         self.fault_plan = fault_plan
@@ -357,7 +351,7 @@ class FleetSupervisor:
         Returns ``(results, failures, report)``: completed
         :class:`~repro.fleet.workers.ShardResult` and
         :class:`~repro.fleet.workers.ShardFailure` by shard index, plus
-        the :class:`DegradationReport` (``None`` when unsupervised).
+        the :class:`DegradationReport`.
         """
         self._state = {spec.shard_index: _ShardState(spec=spec)
                        for spec in to_run}
@@ -399,16 +393,15 @@ class FleetSupervisor:
                 state.live.clear()
             self._cleanup_attempt_dirs()
             self._run_inline([s.spec for s in self._state.values()
-                              if not s.done and not s.given_up])
+                              if not s.done and not s.quarantined])
             return
         if launched_any:
             self.used_processes = True
         while any(state.live for state in self._state.values()):
             progressed = self._poll()
-            if self.supervised:
-                now = time.time()
-                self._check_stalls(now)
-                self._maybe_hedge(now)
+            now = time.time()
+            self._check_stalls(now)
+            self._maybe_hedge(now)
             if not progressed:
                 time.sleep(self.policy.poll_interval)
         self._cleanup_attempt_dirs()
@@ -530,7 +523,7 @@ class FleetSupervisor:
             return
         threshold = self.policy.hedge_after * statistics.median(durations)
         for state in self._state.values():
-            if state.done or state.given_up or len(state.live) != 1:
+            if state.done or state.quarantined or len(state.live) != 1:
                 continue
             attempt = state.live[0]
             if now - attempt.started <= threshold:
@@ -556,14 +549,14 @@ class FleetSupervisor:
         ``run_shard`` (inline shards must never hang the driver) and
         lands in the same ``worker_hang`` failure path. The while loop
         *is* the rescheduler: ``_attempt_failed`` only decides
-        reschedule vs give-up, and a shard left neither done nor given
-        up is re-attempted.
+        reschedule vs quarantine, and a shard left neither done nor
+        quarantined is re-attempted.
         """
         self._inline = True
         for spec in to_run:
             state = self._state[spec.shard_index]
             armed = self._armed_first.get(spec.shard_index, True)
-            while not state.done and not state.given_up:
+            while not state.done and not state.quarantined:
                 attempt = state.attempts_used + 1
                 state.attempts_used = attempt
                 shim = _Attempt(spec=spec, attempt=attempt,
@@ -640,13 +633,6 @@ class FleetSupervisor:
             # its own failure will re-enter this path with the live
             # list empty.
             return
-        if not self.supervised:
-            self._give_up(state, ShardFailure(
-                attempt.shard_index, state.spec.start, state.spec.stop,
-                kind, message))
-            _log.warning("fleet_shard_failed", shard=attempt.shard_index,
-                         kind=kind, reason=message)
-            return
         _log.warning("supervised_attempt_failed",
                      shard=attempt.shard_index, attempt=attempt.attempt,
                      kind=kind, reason=message)
@@ -662,16 +648,12 @@ class FleetSupervisor:
         self._report.reschedules += 1
         if self._inline:
             # The inline while-loop re-attempts any shard left neither
-            # done nor given up; launching here would double-run it.
+            # done nor quarantined; launching here would double-run it.
             return
         # The injected worker fault fired once already; only a
         # ``repeat`` spec (systemically broken shard) re-arms it.
         self._launch(state.spec, attempt=next_attempt,
                      armed=self._repeat_fault(state.spec.shard_index))
-
-    def _give_up(self, state: _ShardState, failure: ShardFailure) -> None:
-        state.given_up = True
-        self.failures[failure.shard_index] = failure
 
     def _quarantine(self, state: _ShardState, reason: str) -> None:
         spec = state.spec
@@ -683,10 +665,11 @@ class FleetSupervisor:
         _log.warning("shard_quarantined", shard=spec.shard_index,
                      attempts=state.attempts_used, reason=reason,
                      kind=state.last_kind)
-        self._give_up(state, ShardFailure(
+        state.quarantined = True
+        self.failures[spec.shard_index] = ShardFailure(
             spec.shard_index, spec.start, spec.stop, state.last_kind,
             f"quarantined after {state.attempts_used} attempt(s) "
-            f"({reason}): {state.last_message}"))
+            f"({reason}): {state.last_message}")
         self._report.quarantined.append(QuarantinedShard(
             shard_index=spec.shard_index, start=spec.start,
             stop=spec.stop, attempts=state.attempts_used,
@@ -741,9 +724,7 @@ class FleetSupervisor:
     def _cleanup_attempt_dirs(self) -> None:
         shutil.rmtree(self._journal_dir / "attempts", ignore_errors=True)
 
-    def _finalize(self) -> DegradationReport | None:
-        if not self.supervised:
-            return None
+    def _finalize(self) -> DegradationReport:
         report = self._report
         for state in self._state.values():
             report.attempts_histogram[state.attempts_used] = \

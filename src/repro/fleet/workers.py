@@ -35,26 +35,28 @@ Worker discipline:
   resumed, hedged and inline shards all merge the same way, and the
   file a run merges is the file a later ``resume=True`` reloads.
 
-Executors: a run with exactly one shard to simulate and no supervision
-calls :func:`run_shard` directly. When that shard is the whole plan
-(one worker, nothing resumed) it simulates straight into the
-destination store and nothing is merged (a journal still gets its
+Executors: a one-shard plan with something to run calls
+:func:`run_shard` in the driver, in one attempt, straight into the
+destination store, and nothing is merged (a journal still gets its
 payload). Every other run goes through
 :class:`~repro.fleet.supervisor.FleetSupervisor`, the one code path
 that starts worker processes (or, where spawn is unavailable, runs
-their shards inline).
+their shards inline), with stall detection, rescheduling and
+quarantine always on.
 
 Because shard files are the transport, every multi-shard run
 journals: into ``journal_dir`` when given, otherwise into a private
 temporary directory that the run removes before it returns.
 
-Crash safety (:mod:`repro.faults`): a worker that raises — or is
-killed outright — loses only its own shard. The driver records a
-:class:`ShardFailure` per lost shard and merges every completed shard
-into a partial-but-valid store. With a caller's journal directory the
-finished shards' payloads outlive the run, so a later ``resume=True``
-run re-simulates *only* the failed or missing shards and converges on
-the exact store a fault-free run produces.
+Crash safety (:mod:`repro.faults`): a worker that raises, is killed
+outright or hangs costs only its own attempt; the supervisor re-runs
+the shard up to ``max_attempts`` times. A shard that runs out of
+attempts is quarantined: the driver records a :class:`ShardFailure`
+for it and merges every completed shard into a partial-but-valid
+store. With a caller's journal directory the finished shards' payloads
+outlive the run, so a later ``resume=True`` run re-simulates *only*
+the quarantined or missing shards and converges on the exact store a
+fault-free run produces.
 """
 
 from __future__ import annotations
@@ -419,8 +421,9 @@ class FleetReport:
     merge_rows: int = 0
     spans_adopted: int = 0
     profile_folded: dict = field(default_factory=dict)
-    #: :class:`~repro.fleet.supervisor.DegradationReport` of a
-    #: supervised run (None when unsupervised or nothing ran).
+    #: :class:`~repro.fleet.supervisor.DegradationReport` of the
+    #: supervisor (None when no shard ran under it: a one-shard plan,
+    #: or nothing left to run).
     degradation: object | None = None
 
     @property
@@ -514,7 +517,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                           journal_dir: str | Path | None = None,
                           resume: bool = False,
                           profile: bool = False,
-                          supervise: bool = False,
+                          supervise: bool = True,
                           max_attempts: int = 3,
                           stall_after: float | None = None,
                           hedge_after: float | None = None,
@@ -558,21 +561,19 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             ``report.profile_folded`` (and journaled per shard). A
             resumed shard contributes its journaled profile, if any —
             the flag is not part of the journal fingerprint.
-        supervise: Give the
-            :class:`~repro.fleet.supervisor.FleetSupervisor` a policy —
-            crashed / hung / straggling workers are rescheduled,
-            hedged, or quarantined *during* the run instead of
-            failing their shard. Requires a ``journal_dir``.
-        max_attempts: Supervised attempts per shard before it is
-            quarantined for this run.
-        stall_after: Seconds without a heartbeat before a supervised
-            worker counts as hung (also recorded in the journal
-            manifest so ``fleet-status`` uses the same threshold).
-            ``None`` uses :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER`.
+        supervise: Accepted for old callers; every multi-shard run is
+            supervised. ``False`` raises :class:`ValueError`.
+        max_attempts: Attempts per shard before it is quarantined for
+            this run. ``1`` fails a shard at its first failure and
+            leaves a partial run for ``resume=True``.
+        stall_after: Seconds without a heartbeat before a worker
+            counts as hung (also recorded in the journal manifest so
+            ``fleet-status`` uses the same threshold). ``None`` uses
+            :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER`.
         hedge_after: Straggler factor: hedge a running shard once its
             attempt is older than ``hedge_after`` × the median
             completed-attempt duration. ``None`` disables hedging.
-        fault_budget: Cap on total supervised recovery attempts
+        fault_budget: Cap on total recovery attempts
             (reschedules + hedges); exhaustion quarantines remaining
             failures — fail-fast on systemic breakage. ``None`` is
             unlimited.
@@ -580,15 +581,25 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     Returns:
         The merged :class:`Corpus` plus a :class:`FleetReport`. A run
         with failed shards still returns a valid (partial) corpus;
-        inspect ``report.failed_shards`` / ``report.complete`` (and
-        ``report.degradation`` when supervised).
+        inspect ``report.failed_shards`` / ``report.complete`` and
+        ``report.degradation``.
     """
+    from .supervisor import FleetSupervisor, SupervisorPolicy
+
     config = config or CorpusConfig()
     if resume and journal_dir is None:
         raise ValueError("resume=True requires a journal_dir")
-    if supervise and journal_dir is None:
-        raise ValueError("supervise=True requires a journal_dir "
-                         "(heartbeats and attempt provenance live there)")
+    if not supervise:
+        raise ValueError(
+            "every multi-shard run is supervised; pass max_attempts=1 "
+            "to fail a shard at its first failure and leave a partial "
+            "run for resume=True")
+    if stall_after is None:
+        stall_after = DEFAULT_STALL_AFTER
+    policy = SupervisorPolicy(max_attempts=max_attempts,
+                              stall_after=stall_after,
+                              hedge_after=hedge_after,
+                              fault_budget=fault_budget)
     started = perf_counter()
     tracer = get_tracer()
     registry = get_registry()
@@ -619,9 +630,8 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                     telemetry=telemetry, fault_plan=fault_plan,
                     retry_policy=retry_policy)
                 journal = ShardJournal(journal_dir, fingerprint)
-                journal.open(shards, resume=resume, meta={
-                    "stall_after": stall_after
-                    if stall_after is not None else DEFAULT_STALL_AFTER})
+                journal.open(shards, resume=resume,
+                             meta={"stall_after": stall_after})
             _log.info("fleet_generation_started",
                       pipelines=config.n_pipelines, workers=len(shards),
                       seed=config.seed, exec_cache=exec_cache,
@@ -667,50 +677,35 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                                 worker=worker)
 
         store = _new_store(telemetry)
-        # A plan of one shard with nothing resumed simulates straight
-        # into the destination store: there is nothing to merge.
-        direct = shards[0] if len(shards) == 1 and to_run \
-            and not supervise else None
+        # A one-shard plan with something to run simulates in the
+        # driver, in one attempt, straight into the destination store:
+        # there is nothing to merge.
+        direct = shards[0] if len(shards) == 1 and to_run else None
         used_processes = False
         degradation = None
         with _timed_phase(phases, "simulate", shards=len(to_run)):
-            if len(to_run) == 1 and not supervise:
-                spec = to_run[0]
+            if direct is not None:
                 try:
                     result = run_shard(
-                        spec, config, telemetry, exec_cache, fault_plan,
-                        retry_policy, payload_dir,
-                        allow_crash[spec.shard_index],
-                        trace_ctx=trace_ctx_for(spec), profile=profile,
-                        store=store if spec is direct else None)
-                except Exception as exc:  # A worker bug loses one shard.
-                    if spec is direct:
-                        # Drop the lost shard's partial rows.
-                        store = _new_store(telemetry)
+                        direct, config, telemetry, exec_cache, fault_plan,
+                        retry_policy, payload_dir, allow_crash[0],
+                        trace_ctx=trace_ctx_for(direct), profile=profile,
+                        store=store)
+                except Exception as exc:  # A worker bug loses the shard.
+                    store = _new_store(telemetry)  # Drop partial rows.
                     kind, message = classify_failure(exc)
-                    failures[spec.shard_index] = ShardFailure(
-                        spec.shard_index, spec.start, spec.stop, kind,
-                        message)
+                    failures[0] = ShardFailure(0, direct.start,
+                                               direct.stop, kind, message)
                     if journal is not None:
-                        journal.record_failure(spec.shard_index, kind,
-                                               message,
+                        journal.record_failure(0, kind, message,
                                                crashed=kind != "error")
-                    _log.warning("fleet_shard_failed",
-                                 shard=spec.shard_index, kind=kind,
-                                 reason=message)
+                    _log.warning("fleet_shard_failed", shard=0,
+                                 kind=kind, reason=message)
                 else:
-                    results[spec.shard_index] = result
+                    results[0] = result
                     if journal is not None:
-                        journal.record_done(spec.shard_index)
+                        journal.record_done(0)
             elif to_run:
-                from .supervisor import FleetSupervisor, SupervisorPolicy
-
-                policy = SupervisorPolicy(
-                    max_attempts=max_attempts,
-                    stall_after=stall_after
-                    if stall_after is not None else DEFAULT_STALL_AFTER,
-                    hedge_after=hedge_after,
-                    fault_budget=fault_budget) if supervise else None
                 supervisor = FleetSupervisor(
                     config, journal, policy,
                     telemetry=telemetry, exec_cache=exec_cache,

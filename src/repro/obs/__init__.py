@@ -5,7 +5,7 @@ package makes the reproduction emit its own. Three pieces:
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters, gauges, and streaming histograms (p50/p95/p99), with timer
-  context managers and a ``@timed`` decorator.
+  context managers.
 * :mod:`repro.obs.tracing` — nested span tracing with ``contextvars``
   propagation and JSONL export; a :class:`NullTracer` keeps the
   disabled path near-free.
@@ -48,7 +48,6 @@ from .metrics import (
     Timer,
     get_registry,
     set_registry,
-    timed,
 )
 from .tracing import (
     NullTracer,
@@ -126,6 +125,5 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "span",
-    "timed",
     *sorted(_LAZY_EXPORTS),
 ]

@@ -24,7 +24,6 @@ Design notes:
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import threading
@@ -40,7 +39,6 @@ __all__ = [
     "Timer",
     "get_registry",
     "set_registry",
-    "timed",
 ]
 
 #: Reservoir size bounding per-histogram memory.
@@ -397,13 +395,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     _registry = registry
     return previous
 
-
-def timed(name: str, **labels: str):
-    """Decorator timing every call into the current global registry."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with get_registry().timer(name, **labels):
-                return fn(*args, **kwargs)
-        return wrapper
-    return decorate

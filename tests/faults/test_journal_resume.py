@@ -1,6 +1,7 @@
 """Crash-safe fleet runs: shard journal, partial stores, --resume.
 
-The acceptance bar: a seeded fault plan that crashes a worker yields a
+The acceptance bar: a seeded fault plan that crashes a worker, in a run
+that gives each shard one attempt (``max_attempts=1``), yields a
 partial-but-valid store, and the resumed run converges on a store
 row-identical to what the same plan produces at ``workers=1`` (where
 the crash spec targets a shard that does not exist).
@@ -46,7 +47,7 @@ def crashed_run(tmp_path):
     journal_dir = tmp_path / "corpus.db.shards"
     corpus, report = generate_corpus_fleet(
         _config(), workers=3, in_process=True, fault_plan=plan,
-        journal_dir=journal_dir)
+        journal_dir=journal_dir, max_attempts=1)
     return corpus, report, journal_dir, plan
 
 
@@ -78,13 +79,13 @@ class TestCrashDegradesToPartial:
         manifest = json.loads((journal_dir / "manifest.json").read_text())
         assert manifest["fingerprint"]
         done = json.loads((journal_dir / "shard-0000.json").read_text())
-        failed = json.loads((journal_dir / "shard-0001.json").read_text())
+        lost = json.loads((journal_dir / "shard-0001.json").read_text())
         assert done["status"] == "done"
         assert (journal_dir / "shard-0000.db").exists()
         assert (journal_dir / "shard-0000.tallies.json").exists()
-        assert failed["status"] == "failed"
-        assert failed["error_kind"] == "worker_crash"
-        assert failed["crashes"] == 1
+        assert lost["status"] == "quarantined"
+        assert lost["error_kind"] == "worker_crash"
+        assert lost["crashes"] == 1
         # The crashed worker never reached its payload write.
         assert not (journal_dir / "shard-0001.db").exists()
 

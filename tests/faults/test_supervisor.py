@@ -1,7 +1,7 @@
 """Self-healing fleet runs: reschedule, hedge, quarantine, budget.
 
-The acceptance bar: a supervised run that survives one crash and one
-hang completes without degradation, and its merged store is
+Every multi-shard run is supervised. The acceptance bar: a default run
+that survives one crash and one hang completes without degradation, and its merged store is
 row-identical to the fault-free run; a shard that fails past
 ``max_attempts`` is quarantined behind a DegradationReport whose
 pipeline counts exactly partition the plan.
@@ -70,8 +70,8 @@ class TestInlineRecovery:
     def test_crash_rescheduled_row_identical(self, tmp_path, baseline):
         plan = FaultPlan.parse("worker_crash:1:1", seed=3)
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
-            fault_plan=plan, journal_dir=tmp_path / "j")
+            _config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=tmp_path / "j")
         assert report.complete
         assert report.degradation is not None
         d = report.degradation
@@ -86,8 +86,8 @@ class TestInlineRecovery:
         # raises WorkerHangError and lands in the reschedule path.
         plan = FaultPlan.parse("worker_hang:2:1", seed=3)
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
-            fault_plan=plan, journal_dir=tmp_path / "j")
+            _config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=tmp_path / "j")
         assert report.complete
         assert report.degradation.reschedules == 1
         assert _rows(corpus.store) == _rows(baseline.store)
@@ -96,7 +96,7 @@ class TestInlineRecovery:
         plan = FaultPlan.parse("worker_crash:1:1:repeat", seed=3)
         journal_dir = tmp_path / "j"
         _, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
+            _config(), workers=3, in_process=True,
             max_attempts=2, fault_plan=plan, journal_dir=journal_dir)
         _assert_quarantine_journaled(journal_dir)
         assert report.degradation.reschedules == 1
@@ -107,7 +107,7 @@ class TestInlineRecovery:
         plan = FaultPlan.parse("worker_crash:0:1:repeat", seed=3)
         journal_dir = tmp_path / "j"
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
+            _config(), workers=3, in_process=True,
             max_attempts=2, fault_plan=plan, journal_dir=journal_dir)
         assert not report.complete
         d = report.degradation
@@ -127,7 +127,7 @@ class TestInlineRecovery:
     def test_fault_budget_exhaustion_fails_fast(self, tmp_path):
         plan = FaultPlan.parse("worker_crash:0:1;worker_crash:2:1", seed=3)
         _, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
+            _config(), workers=3, in_process=True,
             fault_budget=1, fault_plan=plan, journal_dir=tmp_path / "j")
         d = report.degradation
         assert d.budget_spent == 1
@@ -147,23 +147,25 @@ class TestInlineRecovery:
         plan = FaultPlan.parse("worker_crash:0:1", seed=3)
         journal_dir = tmp_path / "j"
         _, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
+            _config(), workers=3, in_process=True,
             fault_budget=0, fault_plan=plan, journal_dir=journal_dir)
         assert not report.complete
         assert report.degradation.quarantined[0].reason == "fault_budget"
         assert (journal_dir / "degradation.json").exists()
         corpus, resumed = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, supervise=True,
+            _config(), workers=3, in_process=True,
             fault_budget=0, fault_plan=plan, journal_dir=journal_dir,
             resume=True)
         assert resumed.complete
         assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == _rows(baseline.store)
 
-    def test_supervise_requires_journal(self):
-        with pytest.raises(ValueError, match="supervise"):
+    def test_supervise_false_refused(self):
+        # There is one recovery mode; a one-attempt run is spelled
+        # max_attempts=1, which the error points to.
+        with pytest.raises(ValueError, match="max_attempts=1"):
             generate_corpus_fleet(_config(), workers=2, in_process=True,
-                                  supervise=True)
+                                  supervise=False)
 
 
 class TestProcessRecovery:
@@ -173,7 +175,7 @@ class TestProcessRecovery:
         plan = FaultPlan.parse("worker_crash:1:1:repeat", seed=3)
         journal_dir = tmp_path / "j"
         _, report = generate_corpus_fleet(
-            _config(), workers=3, supervise=True, max_attempts=2,
+            _config(), workers=3, max_attempts=2,
             fault_plan=plan, journal_dir=journal_dir)
         _assert_quarantine_journaled(journal_dir)
         assert report.degradation.reschedules == 1
@@ -183,11 +185,12 @@ class TestProcessRecovery:
     def test_survives_crash_and_hang_row_identical(self, tmp_path,
                                                    baseline):
         # The headline acceptance: one kill-mode crash plus one hang in
-        # the same run, recovered in-run, store row-identical.
+        # the same default run (no supervision option asked for),
+        # recovered in-run, store row-identical.
         plan = FaultPlan.parse("worker_crash:1:1:kill;worker_hang:2:1",
                                seed=3)
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, supervise=True, stall_after=2.0,
+            _config(), workers=3, stall_after=2.0,
             fault_plan=plan, journal_dir=tmp_path / "j")
         assert report.complete
         d = report.degradation
@@ -204,7 +207,7 @@ class TestProcessRecovery:
         # known, the straggler gets a disarmed copy that wins.
         plan = FaultPlan.parse("worker_hang:2:1", seed=3)
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, supervise=True, stall_after=300.0,
+            _config(), workers=3, stall_after=300.0,
             hedge_after=1.5, fault_plan=plan,
             journal_dir=tmp_path / "j")
         if not report.used_processes:

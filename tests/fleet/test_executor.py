@@ -1,10 +1,11 @@
 """The one shard executor: every multi-shard run goes through the supervisor.
 
-Unsupervised runs are the supervisor without a policy: one attempt per
-shard, a failed shard journaled ``failed`` and reported as a plain
-``ShardFailure``, and no degradation report. These tests pin that
-contract for inline runs, real worker processes, and a sandbox that
-denies process spawn.
+``max_attempts=1`` is how a run fails a shard at its first failure and
+leaves a partial run for ``resume=True``: the shard is quarantined
+(journal status ``quarantined``, its failure kind and crash counted),
+``degradation.json`` records the loss, and the report's counts
+partition the plan. These tests pin that contract for inline runs,
+real worker processes, and a sandbox that denies process spawn.
 """
 
 import json
@@ -50,61 +51,63 @@ def _entry(journal_dir, shard_index):
         (journal_dir / f"shard-{shard_index:04d}.json").read_text())
 
 
-def _assert_unsupervised_records(journal_dir):
-    assert not (journal_dir / "degradation.json").exists()
+def _assert_quarantined_once(journal_dir, report, shard_index, kind):
+    """One shard of three lost after its only attempt, recorded as such."""
+    entry = _entry(journal_dir, shard_index)
+    assert entry["status"] == "quarantined"
+    assert entry["error_kind"] == kind
+    assert entry["crashes"] == 1
+    assert entry["attempt"] == 1
+    assert [f.shard_index for f in report.failed_shards] == [shard_index]
+    assert report.failed_shards[0].kind == kind
+    d = report.degradation
+    assert [(q.shard_index, q.attempts, q.failure_kind, q.reason)
+            for q in d.quarantined] == [(shard_index, 1, kind,
+                                         "max_attempts")]
+    assert d.reschedules == 0
+    assert d.merged_pipelines + d.lost_pipelines \
+        == d.planned_pipelines == 6
+    assert d.lost_pipelines == report.missing_pipelines == 2
+    persisted = json.loads((journal_dir / "degradation.json").read_text())
+    assert persisted["lost_pipelines"] == 2
+    assert not (journal_dir / "attempts").exists()
 
 
-class TestUnsupervisedInline:
+class TestOneAttemptInline:
     def test_hang_is_labelled_worker_hang(self, tmp_path, baseline):
         plan = FaultPlan.parse("worker_hang:1:1", seed=3)
         journal_dir = tmp_path / "j"
         _, report = generate_corpus_fleet(
             _config(), workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal_dir)
-        assert [f.shard_index for f in report.failed_shards] == [1]
-        assert report.failed_shards[0].kind == "worker_hang"
+            journal_dir=journal_dir, max_attempts=1)
         assert "shard 1" in report.failed_shards[0].message
-        assert report.degradation is None
-        entry = _entry(journal_dir, 1)
-        assert entry["status"] == "failed"
-        assert entry["error_kind"] == "worker_hang"
-        assert entry["crashes"] == 1
-        _assert_unsupervised_records(journal_dir)
+        _assert_quarantined_once(journal_dir, report, 1, "worker_hang")
 
         corpus, resumed = generate_corpus_fleet(
             _config(), workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal_dir, resume=True)
+            journal_dir=journal_dir, resume=True, max_attempts=1)
         assert resumed.complete
         assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == baseline
 
 
-class TestUnsupervisedProcesses:
+class TestOneAttemptProcesses:
     def test_kill_loses_only_its_shard_then_resumes(self, tmp_path,
                                                     baseline):
         plan = FaultPlan.parse("worker_crash:1:1:kill", seed=3)
         journal_dir = tmp_path / "j"
         corpus, report = generate_corpus_fleet(
             _config(), workers=3, fault_plan=plan,
-            journal_dir=journal_dir)
+            journal_dir=journal_dir, max_attempts=1)
         assert report.used_processes
-        assert report.degradation is None
-        assert [(f.shard_index, f.kind) for f in report.failed_shards] \
-            == [(1, "worker_killed")]
         assert len(corpus.records) == 4
-        entry = _entry(journal_dir, 1)
-        assert entry["status"] == "failed"
-        assert entry["crashes"] == 1
-        assert entry["attempt"] == 1
         assert [_entry(journal_dir, i)["status"] for i in (0, 2)] \
             == ["done", "done"]
-        _assert_unsupervised_records(journal_dir)
-        # No attempt scratch directory outlives the run.
-        assert not (journal_dir / "attempts").exists()
+        _assert_quarantined_once(journal_dir, report, 1, "worker_killed")
 
         corpus, resumed = generate_corpus_fleet(
             _config(), workers=3, fault_plan=plan,
-            journal_dir=journal_dir, resume=True)
+            journal_dir=journal_dir, resume=True, max_attempts=1)
         assert resumed.complete
         assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == baseline
@@ -118,15 +121,31 @@ class TestSpawnDenied:
 
         monkeypatch.setattr(multiprocessing.Process, "start", denied)
 
-    @pytest.mark.parametrize("supervise", [False, True])
-    def test_falls_back_inline(self, tmp_path, baseline, no_spawn,
-                               supervise):
+    def test_falls_back_inline(self, tmp_path, baseline, no_spawn):
         journal_dir = tmp_path / "j"
         corpus, report = generate_corpus_fleet(
-            _config(), workers=3, supervise=supervise,
-            journal_dir=journal_dir)
+            _config(), workers=3, journal_dir=journal_dir)
         assert report.used_processes is False
         assert report.complete
-        assert (report.degradation is not None) is supervise
+        assert report.degradation is not None
+        assert not report.degradation.degraded
         assert not (journal_dir / "attempts").exists()
+        assert _rows(corpus.store) == baseline
+
+    def test_one_attempt_quarantines_then_resumes(self, tmp_path,
+                                                  baseline, no_spawn):
+        plan = FaultPlan.parse("worker_crash:2:1:kill", seed=3)
+        journal_dir = tmp_path / "j"
+        _, report = generate_corpus_fleet(
+            _config(), workers=3, fault_plan=plan,
+            journal_dir=journal_dir, max_attempts=1)
+        assert report.used_processes is False
+        # Inline, a kill-mode crash raises instead of exiting the driver.
+        _assert_quarantined_once(journal_dir, report, 2, "worker_crash")
+
+        corpus, resumed = generate_corpus_fleet(
+            _config(), workers=3, fault_plan=plan,
+            journal_dir=journal_dir, resume=True, max_attempts=1)
+        assert resumed.complete
+        assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == baseline

@@ -51,7 +51,7 @@ class TestFleetProfiles:
         config = _config()
         _, report = generate_corpus_fleet(
             config, workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal, profile=True)
+            journal_dir=journal, profile=True, max_attempts=1)
         assert report.failed_shards
         _, resumed = generate_corpus_fleet(
             config, workers=3, in_process=True, fault_plan=plan,
@@ -71,7 +71,7 @@ class TestFleetProfiles:
         config = _config()
         _, report = generate_corpus_fleet(
             config, workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal)
+            journal_dir=journal, max_attempts=1)
         assert report.failed_shards
         _, resumed = generate_corpus_fleet(
             config, workers=3, in_process=True, fault_plan=plan,

@@ -156,7 +156,7 @@ class TestJournaledSpans:
         config = _tiny_config()
         _, report = generate_corpus_fleet(
             config, workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal)
+            journal_dir=journal, max_attempts=1)
         assert report.failed_shards
         span_files = sorted(journal.glob("shard-*.spans.jsonl"))
         assert span_files

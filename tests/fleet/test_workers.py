@@ -179,7 +179,8 @@ class TestShardFailureDegradation:
     def test_crashed_worker_loses_only_its_shard(self):
         plan = FaultPlan.parse("worker_crash:0:1")
         corpus, report = generate_corpus_fleet(
-            _tiny_config(), workers=3, in_process=True, fault_plan=plan)
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan,
+            max_attempts=1)
         assert not report.complete
         assert [f.kind for f in report.failed_shards] == ["worker_crash"]
         assert report.failed_shards[0].shard_index == 0
@@ -191,7 +192,8 @@ class TestShardFailureDegradation:
     def test_failure_message_names_the_shard(self):
         plan = FaultPlan.parse("worker_crash:2:1")
         _, report = generate_corpus_fleet(
-            _tiny_config(), workers=3, in_process=True, fault_plan=plan)
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan,
+            max_attempts=1)
         failure = report.failed_shards[0]
         assert "shard 2" in failure.message
 
@@ -204,7 +206,8 @@ class TestShardFailureDegradation:
         journal_dir = journal_dir_for(tmp_path / "corpus.db")
         before = counter.value
         generate_corpus_fleet(_tiny_config(), workers=3, in_process=True,
-                              fault_plan=plan, journal_dir=journal_dir)
+                              fault_plan=plan, journal_dir=journal_dir,
+                              max_attempts=1)
         assert counter.value == before + 4  # crashed shard lost its 2
         before = counter.value
         generate_corpus_fleet(_tiny_config(), workers=3, in_process=True,
@@ -330,7 +333,7 @@ class TestOneLoader:
         plan = FaultPlan.parse("worker_crash:1:1")
         _, report = generate_corpus_fleet(
             _tiny_config(), workers=3, in_process=True, fault_plan=plan,
-            journal_dir=journal_dir)
+            journal_dir=journal_dir, max_attempts=1)
         assert not report.complete
         assert loaded == ["shard-0000.db", "shard-0002.db"]
         loaded.clear()
@@ -352,7 +355,7 @@ class TestOneLoader:
         during = []
         _, report = generate_corpus_fleet(
             _tiny_config(), workers=3, in_process=True, fault_plan=plan,
-            progress_callback=lambda done, total, store:
+            max_attempts=1, progress_callback=lambda done, total, store:
                 during.append(len(list(tmp_path.iterdir()))))
         assert during and all(during)  # the run journaled under tmp_path
         assert report.complete is (fault is None)

@@ -391,19 +391,19 @@ class TestFleetStatusCLI:
         code = main(["generate", "--pipelines", "6", "--seed", "11",
                      "--max-graphlets", "8", "--workers", "3",
                      "--fault-plan", "worker_crash:1",
-                     "--out", str(out)])
+                     "--max-attempts", "1", "--out", str(out)])
         assert code == 3  # partial run
         assert "repro fleet-status" in capsys.readouterr().out
         assert main(["fleet-status", str(out)]) == 0
         rendered = capsys.readouterr().out
-        assert "failed" in rendered
+        assert "quarantined" in rendered
         assert "--resume" in rendered
         # --json emits the machine shape; the .shards dir works too.
         assert main(["fleet-status", str(out) + ".shards",
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["needs_resume"]
-        assert payload["counts"].get("failed") == 1
+        assert payload["counts"].get("quarantined") == 1
 
     def test_parser_flags(self):
         args = build_parser().parse_args(
@@ -508,13 +508,14 @@ def faulted_corpus(tmp_path_factory):
 
 
 class TestChaosEndToEnd:
-    """Satellite (f) locally: crash → partial (exit 3) → resume →
-    store identical to the fault-free workers=1 run."""
+    """The chaos drill locally: crash with one attempt per shard →
+    partial (exit 3) → resume → store identical to the fault-free
+    workers=1 run."""
 
     def test_crash_resume_converges(self, tmp_path, capsys):
         crashed = tmp_path / "crashed.db"
         code = main(["generate", *CHAOS_ARGS, "--workers", "3",
-                     "--out", str(crashed)])
+                     "--max-attempts", "1", "--out", str(crashed)])
         out = capsys.readouterr().out
         assert code == 3
         assert "PARTIAL RUN" in out
@@ -523,7 +524,8 @@ class TestChaosEndToEnd:
         assert journal.exists()
 
         code = main(["generate", *CHAOS_ARGS, "--workers", "3",
-                     "--resume", "--out", str(crashed)])
+                     "--max-attempts", "1", "--resume",
+                     "--out", str(crashed)])
         out = capsys.readouterr().out
         assert code == 0
         assert "resumed" in out
@@ -537,16 +539,16 @@ class TestChaosEndToEnd:
         assert _dump(crashed) == _dump(baseline)
 
     def test_supervised_crash_recovers_in_run(self, tmp_path, capsys):
-        # The self-healing counterpart: same chaos plan, but with
-        # --supervise the crash is rescheduled in-run — no exit 3, no
-        # manual resume, and the saved store matches the fault-free
-        # workers=1 baseline byte for byte.
+        # The self-healing counterpart: same chaos plan at the default
+        # --max-attempts, so the crash is rescheduled in-run — no exit
+        # 3, no manual resume, and the saved store matches the
+        # fault-free workers=1 baseline byte for byte.
         healed = tmp_path / "healed.db"
         code = main(["generate", *CHAOS_ARGS, "--workers", "3",
-                     "--supervise", "--out", str(healed)])
+                     "--out", str(healed)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "supervised" in out
+        assert "supervision:" in out
         assert "recovered run" in out
         assert "1 reschedule(s)" in out
         baseline = tmp_path / "baseline.db"
@@ -562,7 +564,7 @@ class TestChaosEndToEnd:
                 "--no-telemetry",
                 "--fault-plan", "worker_crash:0:1:repeat",
                 "--fault-seed", "3",
-                "--supervise", "--max-attempts", "2",
+                "--max-attempts", "2",
                 "--out", str(out_db)]
         code = main(argv)
         out = capsys.readouterr().out
@@ -574,7 +576,7 @@ class TestChaosEndToEnd:
                           if line.strip().startswith("repro generate")]
         # The printed command replays every flag of this invocation
         # plus --resume; running it (minus the binary name) converges.
-        assert "--supervise" in resume_line
+        assert "--supervise" not in resume_line
         assert "--max-attempts 2" in resume_line
         assert resume_line.endswith("--resume")
         assert main(["fleet-status", str(out_db)]) == 0
@@ -585,17 +587,20 @@ class TestChaosEndToEnd:
         assert main(shlex.split(resume_line)[1:]) == 0
 
     def test_parser_supervision_flags(self):
+        # Supervision is not an option: the flag that asked for it is
+        # gone, and only its knobs remain.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["generate", "--supervise"])
         args = build_parser().parse_args(["generate"])
-        assert not args.supervise
+        assert not hasattr(args, "supervise")
         assert args.max_attempts == 3
         assert args.stall_after is None
         assert args.hedge_after is None
         assert args.fault_budget is None
         args = build_parser().parse_args(
-            ["generate", "--supervise", "--max-attempts", "5",
+            ["generate", "--max-attempts", "5",
              "--stall-after", "12", "--hedge-after", "2.5",
              "--fault-budget", "4"])
-        assert args.supervise
         assert args.max_attempts == 5
         assert args.stall_after == 12.0
         assert args.hedge_after == 2.5

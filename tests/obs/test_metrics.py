@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     set_registry,
-    timed,
 )
 
 
@@ -121,18 +120,6 @@ class TestTimer:
             with registry.timer("t"):
                 raise RuntimeError("boom")
         assert registry.histogram("t").count == 1
-
-    def test_timed_decorator_uses_global_registry(self, registry):
-        previous = set_registry(registry)
-        try:
-            @timed("calls", fn="f")
-            def f():
-                return 41 + 1
-
-            assert f() == 42
-            assert registry.histogram("calls", fn="f").count == 1
-        finally:
-            set_registry(previous)
 
 
 class TestRegistry:
