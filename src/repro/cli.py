@@ -115,7 +115,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from .corpus import CorpusConfig
     from .faults.journal import JournalError, journal_dir_for
     from .fleet import generate_corpus_fleet
+    from .fleet.supervisor import SupervisorPolicy
     from .mlmd import save_store
+    from .obs.fleetwatch import DEFAULT_STALL_AFTER
     from .obs.tracing import span
 
     config = CorpusConfig(n_pipelines=args.pipelines, seed=args.seed,
@@ -124,6 +126,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         fault_plan, retry_policy = _parse_fault_options(args)
     except (ValueError, OSError) as exc:
         _log.error("bad_fault_plan", reason=str(exc))
+        return 2
+    try:
+        # The policy the run builds, built first: a bad supervision
+        # flag is refused before any shard starts.
+        SupervisorPolicy(max_attempts=args.max_attempts,
+                         stall_after=(DEFAULT_STALL_AFTER
+                                      if args.stall_after is None
+                                      else args.stall_after),
+                         hedge_after=args.hedge_after,
+                         fault_budget=args.fault_budget)
+    except ValueError as exc:
+        _log.error("bad_supervision_option", reason=str(exc))
         return 2
     print(f"generating {args.pipelines} pipelines "
           f"(seed {args.seed}, {args.workers} workers"

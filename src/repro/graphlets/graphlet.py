@@ -132,13 +132,18 @@ class Graphlet:
 
     # ------------------------------------------------------------- data
 
-    def input_span_artifact_ids(self) -> list[int]:
-        """DataSpan artifacts consumed by the trainer, in event order."""
-        return [
-            a for a in self.store.get_input_artifact_ids(
-                self.trainer_execution_id)
-            if self.store.get_artifact(a).type_name == A.DATA_SPAN
-        ]
+    def input_span_artifact_ids(self) -> tuple[int, ...]:
+        """DataSpan artifacts consumed by the trainer, in event order.
+
+        Cached on the graphlet, like the span sequence.
+        """
+        cached = getattr(self, "_input_spans_cache", None)
+        if cached is None:
+            cached = self._input_spans_cache = tuple(
+                a for a in self.store.get_input_artifact_ids(
+                    self.trainer_execution_id)
+                if self.store.get_artifact(a).type_name == A.DATA_SPAN)
+        return cached
 
     def span_sequence(self) -> list[SpanDigest]:
         """Span digests of the trainer's inputs, ordered by ingestion."""
@@ -165,31 +170,48 @@ class Graphlet:
         self._span_seq_cache = result
         return result
 
-    def span_id_set(self) -> set[int]:
-        """The I(g) of Section 4.2.1: identities of the input spans."""
-        return set(self.input_span_artifact_ids())
+    def span_id_set(self) -> frozenset[int]:
+        """The I(g) of Section 4.2.1: identities of the input spans.
+
+        Cached on the graphlet; frozen, so no caller can change it.
+        """
+        cached = getattr(self, "_span_id_set_cache", None)
+        if cached is None:
+            cached = self._span_id_set_cache = frozenset(
+                self.input_span_artifact_ids())
+        return cached
 
     # ------------------------------------------------------------- time
+
+    def _time_bounds(self) -> tuple[float, float]:
+        """(earliest, latest) node timestamp, read in one pass and
+        cached: an execution ends at ``end_time`` (its start while it
+        has none), an artifact is a point at its ``create_time``."""
+        cached = getattr(self, "_time_bounds_cache", None)
+        if cached is not None:
+            return cached
+        starts, ends = [], []
+        for e in self.execution_ids:
+            execution = self.store.get_execution(e)
+            starts.append(execution.start_time)
+            ends.append(execution.end_time or execution.start_time)
+        created = [self.store.get_artifact(a).create_time
+                   for a in self.artifact_ids]
+        starts += created
+        ends += created
+        cached = self._time_bounds_cache = \
+            (min(starts), max(ends)) if starts else (0.0, 0.0)
+        return cached
 
     @property
     def start_time(self) -> float:
         """Earliest node timestamp in the graphlet."""
-        times = [self.store.get_execution(e).start_time
-                 for e in self.execution_ids]
-        times += [self.store.get_artifact(a).create_time
-                  for a in self.artifact_ids]
-        return min(times) if times else 0.0
+        return self._time_bounds()[0]
 
     @property
     def end_time(self) -> float:
         """Latest node timestamp in the graphlet."""
-        times = []
-        for e in self.execution_ids:
-            execution = self.store.get_execution(e)
-            times.append(execution.end_time or execution.start_time)
-        times += [self.store.get_artifact(a).create_time
-                  for a in self.artifact_ids]
-        return max(times) if times else 0.0
+        return self._time_bounds()[1]
 
     @property
     def duration_hours(self) -> float:

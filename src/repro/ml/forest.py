@@ -12,6 +12,11 @@ trees together in one lockstep frontier (:func:`repro.ml.tree.grow_trees`).
 Each tree is therefore the tree it would be if grown alone. A tree grows
 on its distinct rows, each row's class indicator counting its bootstrap
 copies. The fit is traced as one ``ml.fit`` span.
+
+Inference (out-of-bag scores and ``predict_proba``) stacks every tree's
+node arrays into one table and routes all (tree, row) pairs through it
+level by level in one pass; each tree's leaf probabilities are then
+added in tree order, so every sum is the one a tree-by-tree loop makes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,39 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.tracing import span
-from .tree import DecisionTreeClassifier, check_features, grow_trees, one_hot
+from .tree import (DecisionTreeClassifier, check_features, grow_trees,
+                   one_hot, route)
+
+#: Most (tree, row) pairs one inference pass routes at once; rows are
+#: taken in blocks, so scratch memory stays bounded for any input.
+_ROUTE_BUDGET = 1 << 18
+
+
+class _NodeTable:
+    """Every tree's node arrays stacked into one table.
+
+    Tree ``t``'s node ``k`` is row ``roots[t] + k``, and its child
+    pointers are shifted by the same offset (leaves keep ``-1``).
+    """
+
+    def __init__(self, trees: list[DecisionTreeClassifier]) -> None:
+        sizes = [tree.node_count for tree in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        shift = np.repeat(self.roots, sizes)
+        self.feature = np.concatenate([tree.feature_ for tree in trees])
+        self.threshold = np.concatenate([tree.threshold_ for tree in trees])
+        left = np.concatenate([tree.left_ for tree in trees])
+        right = np.concatenate([tree.right_ for tree in trees])
+        self.left = np.where(left >= 0, left + shift, -1)
+        self.right = np.where(right >= 0, right + shift, -1)
+
+    def leaves(self, features: np.ndarray, trees: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+        """Tree-local leaf id that row ``rows[i]`` reaches in tree
+        ``trees[i]``, for every pair at once."""
+        start = self.roots[trees]
+        return route(self.feature, self.threshold, self.left, self.right,
+                     features, start.copy(), rows) - start
 
 
 class RandomForestClassifier:
@@ -63,6 +100,7 @@ class RandomForestClassifier:
         self.random_state = random_state
         self.trees_: list[DecisionTreeClassifier] = []
         self._tree_columns: list[np.ndarray] = []
+        self._nodes: _NodeTable | None = None
         self.classes_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
         #: Out-of-bag class probabilities per training row (rows never
@@ -112,8 +150,6 @@ class RandomForestClassifier:
         n = len(features)
         importances = np.zeros(features.shape[1])
         self._tree_columns = []
-        oob_sum = np.zeros((n, len(self.classes_)))
-        oob_count = np.zeros(n)
         for tree, tree_copies in zip(self.trees_, copies):
             # Forest column of each tree class (a bootstrap may miss some).
             columns = np.unique(encoded[tree_copies > 0])
@@ -122,16 +158,15 @@ class RandomForestClassifier:
                 tree.value_ = tree.value_[:, columns]
             self._tree_columns.append(columns)
             importances += tree.feature_importances_
-            if self.oob_score:
-                out_mask = tree_copies == 0
-                if out_mask.any():
-                    oob_sum[np.ix_(out_mask, columns)] += \
-                        tree.predict_proba(features[out_mask])
-                    oob_count[out_mask] += 1
+        self._nodes = _NodeTable(self.trees_)
         total = importances.sum()
         self.feature_importances_ = (importances / total if total > 0
                                      else importances)
         if self.oob_score:
+            out_of_bag = copies == 0
+            oob_sum = np.zeros((n, len(self.classes_)))
+            self._add_probabilities(features, out_of_bag, oob_sum)
+            oob_count = out_of_bag.sum(axis=0)
             covered = oob_count > 0
             oob = np.full((n, len(self.classes_)),
                           1.0 / len(self.classes_))
@@ -139,6 +174,29 @@ class RandomForestClassifier:
             if not covered.all():
                 oob[~covered] = self.predict_proba(features[~covered])
             self.oob_decision_function_ = oob
+
+    def _add_probabilities(self, features: np.ndarray,
+                           selected: np.ndarray, out: np.ndarray) -> None:
+        """Add tree ``t``'s class probabilities for row ``i`` into
+        ``out[i]`` wherever the (trees, n) ``selected`` is true.
+
+        Rows go in blocks of at most ``_ROUTE_BUDGET`` pairs; within a
+        block all pairs are routed in one pass, then the trees are
+        added one after another, in forest order.
+        """
+        n_trees = len(self.trees_)
+        block = max(1, _ROUTE_BUDGET // n_trees)
+        for begin in range(0, len(features), block):
+            trees, rows = np.nonzero(selected[:, begin:begin + block])
+            rows += begin
+            leaves = self._nodes.leaves(features, trees, rows)
+            bounds = np.searchsorted(trees, np.arange(n_trees + 1))
+            for t, (tree, columns) in enumerate(
+                    zip(self.trees_, self._tree_columns)):
+                lo, hi = bounds[t], bounds[t + 1]
+                if lo < hi:
+                    out[np.ix_(rows[lo:hi], columns)] += \
+                        tree.value_[leaves[lo:hi]]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Averaged class probabilities, columns aligned to classes_.
@@ -149,10 +207,11 @@ class RandomForestClassifier:
         """
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
-        features = np.asarray(features, dtype=float)
+        features = self.trees_[0]._check_inference(features)
         total = np.zeros((len(features), len(self.classes_)))
-        for tree, columns in zip(self.trees_, self._tree_columns):
-            total[:, columns] += tree.predict_proba(features)
+        self._add_probabilities(
+            features, np.ones((self.n_estimators, len(features)), bool),
+            total)
         return total / self.n_estimators
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -68,6 +68,25 @@ def one_hot(encoded: np.ndarray, n_classes: int) -> np.ndarray:
     return (encoded == np.arange(n_classes)[:, None]).astype(np.int32)
 
 
+def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
+          right: np.ndarray, features: np.ndarray, node: np.ndarray,
+          rows: np.ndarray) -> np.ndarray:
+    """Walk every (start ``node[i]``, feature row ``rows[i]``) pair down
+    flat node arrays to its leaf; ``node`` is updated and returned.
+
+    Leaves have a negative ``feature``. Each numpy pass moves every
+    unfinished pair one level down, so the passes are as many as the
+    deepest path taken, whether the arrays hold one tree or many.
+    """
+    active = np.arange(len(node))
+    while active.size:
+        active = active[feature[node[active]] >= 0]
+        at = node[active]
+        go_left = features[rows[active], feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, left[at], right[at])
+    return node
+
+
 def _class_counts(ys: np.ndarray, at: np.ndarray, segment: np.ndarray,
                   segment_start: np.ndarray, segment_length: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -359,20 +378,19 @@ class _BaseTree:
 
     def _leaves(self, features: np.ndarray) -> np.ndarray:
         """Leaf node id of every row, routed one tree level at a time."""
+        features = self._check_inference(features)
+        return route(self.feature_, self.threshold_, self.left_,
+                     self.right_, features,
+                     np.zeros(len(features), dtype=np.intp),
+                     np.arange(len(features)))
+
+    def _check_inference(self, features) -> np.ndarray:
+        """``features`` as a float matrix with this tree's columns."""
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self._n_features:
             raise ValueError(
                 f"expected (n, {self._n_features}) features")
-        node = np.zeros(len(features), dtype=np.intp)
-        active = np.arange(len(features))
-        while active.size:
-            active = active[self.feature_[node[active]] >= 0]
-            at = node[active]
-            go_left = (features[active, self.feature_[at]]
-                       <= self.threshold_[at])
-            node[active] = np.where(go_left, self.left_[at],
-                                    self.right_[at])
-        return node
+        return features
 
     @property
     def node_count(self) -> int:

@@ -13,20 +13,20 @@ equal-weight clusters and the ground "distance" is the feature
 similarity (the transport *maximizes* total similarity). The metric is
 symmetric, lands in [0, 1], S(D, D) = 1, and S(empty, D) = 0.
 
-Two solvers are provided: an exact LP (scipy linprog), kept as the test
-oracle, and a tiered greedy matcher exploiting the fact that s takes
-only four values; they agree on the structured instances that arise
-here (names are unique within a span), which the test-suite and an
-ablation bench check. For two spans with as many features as each
-other the greedy reduces to counting: names shared between the spans
-and per-bucket minima of the ``(hash, type)`` counts each digest
-builds once.
+Two solvers are provided: an exact LP, kept as the test oracle, and a
+tiered greedy matcher exploiting the fact that s takes only four
+values; they agree on the structured instances that arise here (names
+are unique within a span), which the test-suite and an ablation bench
+check. The LP imports scipy's ``linprog`` on its first call, so a
+process that never calls it never loads ``scipy.optimize``. For two
+spans with as many features as each other the greedy reduces to
+counting: names shared between the spans and per-bucket minima of the
+``(hash, type)`` counts each digest builds once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..data.statistics import SpanStatistics
 from .lsh import DEFAULT_HASHER, S2JSDHasher
@@ -146,6 +146,8 @@ def span_similarity_exact(d1: SpanDigest, d2: SpanDigest,
     1/m. O(n*m) variables — use only for modest feature counts; the
     greedy solver below is the production path.
     """
+    from scipy.optimize import linprog
+
     n, m = d1.feature_count, d2.feature_count
     if n == 0 or m == 0:
         return 0.0

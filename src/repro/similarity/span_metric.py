@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .feature_metric import (
     ALPHA,
@@ -155,6 +154,8 @@ def bipartite_similarity(seq_a: Sequence[SpanDigest],
     position, normalized by the longer sequence. Always >= the ordinal
     metric (any ordinal alignment is one feasible matching).
     """
+    from scipy.optimize import linear_sum_assignment
+
     if not seq_a or not seq_b:
         return 0.0
     n, m = len(seq_a), len(seq_b)

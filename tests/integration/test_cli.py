@@ -301,6 +301,26 @@ class TestFleetCLI:
         assert code == 2
         assert "fault" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--max-attempts", "0", "max_attempts must be >= 1"),
+        ("--stall-after", "0", "stall_after must be > 0"),
+        ("--hedge-after", "-1", "hedge_after must be > 0"),
+        ("--fault-budget", "-1", "fault_budget must be >= 0"),
+    ])
+    def test_bad_supervision_option_exits_2(self, tmp_path, capsys, flag,
+                                            value, reason):
+        out = tmp_path / "x.db"
+        code = main(["generate", "--pipelines", "2", flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "bad_supervision_option" in captured.err
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+        # Refused before the run: nothing generated, nothing saved.
+        assert "generating" not in captured.out
+        assert not out.exists()
+
     def test_resume_without_journal_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--pipelines", "2", "--resume",
                      "--out", str(tmp_path / "fresh.db")])
