@@ -97,8 +97,6 @@ def _resume_command(args: argparse.Namespace) -> str:
             parts += ["--fault-seed", str(args.fault_seed)]
     if args.retries:
         parts += ["--retries", str(args.retries)]
-    if args.profile_out is not None:
-        parts += ["--profile-out", shlex.quote(args.profile_out)]
     if args.max_attempts != 3:
         parts += ["--max-attempts", str(args.max_attempts)]
     if args.hedge_after is not None:
@@ -153,7 +151,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 telemetry=args.telemetry, progress=True,
                 fault_plan=fault_plan, retry_policy=retry_policy,
                 journal_dir=journal_dir, resume=args.resume,
-                profile=args.profile_out is not None,
                 max_attempts=args.max_attempts,
                 stall_after=args.stall_after,
                 hedge_after=args.hedge_after,
@@ -173,15 +170,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if fleet.spans_adopted:
         print(f"trace: {fleet.spans_adopted:,} worker spans merged "
               f"under the run span")
-    if args.profile_out is not None:
-        from .obs.profiling import write_folded
-
-        write_folded(args.profile_out, fleet.profile_folded,
-                     header={"shards": fleet.workers,
-                             "samples": fleet.profile_samples})
-        print(f"profile: {fleet.profile_samples:,} stack samples "
-              f"from {fleet.workers} shard(s) merged into "
-              f"{args.profile_out}")
     if fleet.exec_cache:
         print(f"exec cache: {fleet.cache_hits:,} hits / "
               f"{fleet.cache_hits + fleet.cache_misses:,} cacheable "
@@ -740,8 +728,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     flamegraph renderer. Profile flags must precede the wrapped
     command: ``repro profile --out g.folded generate --pipelines 20``.
     """
-    import threading
-
     from .obs.profiling import StackSampler, render_top, write_folded
 
     wrapped = list(args.wrapped)
@@ -755,8 +741,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _log.error("profile_nested",
                    hint="profile cannot wrap itself")
         return 2
-    sampler = StackSampler(interval=args.interval,
-                           target_thread_ids={threading.get_ident()})
+    sampler = StackSampler(interval=args.interval)
     with sampler:
         code = main(wrapped)
     counts = sampler.folded()
@@ -878,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resume a partial fleet run from its "
                                "shard journal (<out>.shards/): only "
                                "failed or missing shards are re-run")
-    generate.add_argument("--profile-out", metavar="FILE", default=None,
-                          help="sample every worker's stacks and write "
-                               "the merged folded-stack profile "
-                               "(flamegraph format)")
     generate.add_argument("--max-attempts", type=int, default=3,
                           metavar="N",
                           help="attempts per shard before it is "

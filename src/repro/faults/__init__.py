@@ -33,7 +33,6 @@ from .journal import (
     ShardJournal,
     config_fingerprint,
     degradation_path,
-    folded_path,
     journal_dir_for,
     write_shard_payload,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "WorkerHangError",
     "config_fingerprint",
     "degradation_path",
-    "folded_path",
     "hint_fault",
     "journal_dir_for",
     "write_shard_payload",

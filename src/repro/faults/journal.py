@@ -8,7 +8,6 @@ A fleet run with an output path ``corpus.db`` journals under
     shard-0002.tallies.json  pipeline records + tallies (worker-written)
     shard-0002.json          outcome entry (driver-written after the fact)
     shard-0002.spans.jsonl   the shard's trace spans (when tracing is on)
-    shard-0002.folded        the shard's folded-stack profile (when profiling)
     shard-0002.status.json   live heartbeat (:mod:`repro.obs.fleetwatch`)
     attempts/                per-attempt scratch dirs (worker processes)
     degradation.json         the DegradationReport of a partial run
@@ -47,9 +46,8 @@ from ..mlmd.sqlite_store import save_store
 from ..mlmd.store import MetadataStore
 
 __all__ = ["JournalError", "ShardEntry", "ShardJournal",
-           "config_fingerprint", "degradation_path", "folded_path",
-           "journal_dir_for", "shard_db_path", "spans_path",
-           "write_shard_payload"]
+           "config_fingerprint", "degradation_path", "journal_dir_for",
+           "shard_db_path", "spans_path", "write_shard_payload"]
 
 MANIFEST = "manifest.json"
 #: Bumped whenever the payload/extras schema changes; the fingerprint
@@ -128,17 +126,6 @@ def spans_path(directory: str | Path, shard_index: int) -> Path:
 def degradation_path(directory: str | Path) -> Path:
     """Where a partial run's DegradationReport lives in the journal."""
     return Path(directory) / "degradation.json"
-
-
-def folded_path(directory: str | Path, shard_index: int) -> Path:
-    """Where a shard's folded-stack profile lives inside the journal dir.
-
-    Like the spans file this is advisory telemetry, deliberately
-    *outside* the config fingerprint: a journal written without
-    profiling resumes fine under ``--profile-out`` (that shard simply
-    contributes no samples) and vice versa.
-    """
-    return Path(directory) / (_stem(shard_index) + ".folded")
 
 
 def write_shard_payload(directory: str | Path, shard_index: int,

@@ -238,7 +238,7 @@ def render_degradation(report: DegradationReport) -> str:
 
 
 def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
-                  retry_policy, attempt_dir, armed, trace_ctx, profile,
+                  retry_policy, attempt_dir, armed, trace_ctx,
                   attempt) -> None:
     """Worker-process entry point for one shard attempt.
 
@@ -252,7 +252,7 @@ def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
         result = run_shard(
             spec, config, telemetry, exec_cache, fault_plan,
             retry_policy, attempt_dir, armed, trace_ctx=trace_ctx,
-            profile=profile, attempt=attempt)
+            attempt=attempt)
     except Exception as exc:  # one attempt lost, never the supervisor
         _send(conn, ("failed", spec.shard_index, attempt,
                      *classify_failure(exc)))
@@ -314,8 +314,7 @@ class FleetSupervisor:
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 trace_ctx_for=None, profile: bool = False,
-                 in_process: bool = False) -> None:
+                 trace_ctx_for=None, in_process: bool = False) -> None:
         self.config = config
         self.journal = journal
         self.policy = policy
@@ -324,7 +323,6 @@ class FleetSupervisor:
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.trace_ctx_for = trace_ctx_for or (lambda spec, attempt: None)
-        self.profile = profile
         self.in_process = in_process
         self.used_processes = False
         self._inline = False
@@ -417,8 +415,7 @@ class FleetSupervisor:
             args=(send_conn, spec, self.config, self.telemetry,
                   self.exec_cache, self.fault_plan, self.retry_policy,
                   attempt_dir, armed,
-                  self.trace_ctx_for(spec, attempt), self.profile,
-                  attempt),
+                  self.trace_ctx_for(spec, attempt), attempt),
             daemon=True)
         try:
             process.start()
@@ -569,7 +566,7 @@ class FleetSupervisor:
                         self.exec_cache, self.fault_plan,
                         self.retry_policy, self._journal_dir, armed,
                         trace_ctx=self.trace_ctx_for(spec, attempt),
-                        profile=self.profile, attempt=attempt)
+                        attempt=attempt)
                 except Exception as exc:
                     kind, message = classify_failure(exc)
                     self._attempt_failed(state, shim, kind, message,
@@ -714,7 +711,7 @@ class FleetSupervisor:
         awareness to read it.
         """
         stem = f"shard-{attempt.shard_index:04d}"
-        for suffix in (".db", ".tallies.json", ".spans.jsonl", ".folded",
+        for suffix in (".db", ".tallies.json", ".spans.jsonl",
                        ".status.json"):
             source = attempt.directory / (stem + suffix)
             if source.exists():

@@ -77,8 +77,8 @@ from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
                                 pipeline_rng, print_progress_every,
                                 simulate_pipelines)
 from ..faults.injector import WorkerCrashError, WorkerHangError
-from ..faults.journal import (ShardJournal, config_fingerprint, folded_path,
-                              shard_db_path, spans_path, write_shard_payload)
+from ..faults.journal import (ShardJournal, config_fingerprint, shard_db_path,
+                              spans_path, write_shard_payload)
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.retry import RetryPolicy
 from ..mlmd import MetadataStore
@@ -159,7 +159,6 @@ class ShardResult:
     finished_unix: float = 0.0
     spans: list[dict] = field(default_factory=list)
     trace_meta: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
     transfer_seconds: float = 0.0
 
 
@@ -242,7 +241,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
               journal_dir: str | Path | None = None,
               allow_crash: bool = True,
               trace_ctx: TraceContext | None = None,
-              profile: bool = False,
               attempt: int = 1,
               store: MetadataStore | None = None) -> ShardResult:
     """Simulate one shard into a private store (worker entry point).
@@ -267,10 +265,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     ``journal_dir`` or a ``store`` the rows are dropped and only the
     tallies return. With a ``trace_ctx``, a fresh worker tracer records
     the shard's spans for driver-side adoption.
-    With ``profile=True``, a :class:`~repro.obs.profiling.StackSampler`
-    samples this thread for the shard's whole lifetime; the folded
-    stacks ship home in :attr:`ShardResult.profile` (and land in the
-    journal as ``shard-NNNN.folded``) for coordinator-side merging.
 
     ``attempt`` is supervision provenance: attempt numbers > 1 (a
     supervisor's reschedule or hedge copy) tag the heartbeat worker
@@ -289,13 +283,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     if journal_dir is not None:
         heartbeat = ShardHeartbeat(journal_dir, spec.shard_index,
                                    spec.n_pipelines, worker=worker_name)
-    sampler = None
-    if profile:
-        from ..obs.profiling import StackSampler
-        import threading
-
-        sampler = StackSampler(
-            target_thread_ids={threading.get_ident()}).start()
     previous_registry = set_registry(MetricsRegistry())
     worker_tracer = Tracer(context=trace_ctx) if trace_ctx else None
     previous_tracer = set_tracer(worker_tracer) if worker_tracer else None
@@ -357,21 +344,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
             if journal_dir is not None:
                 worker_tracer.export_jsonl(
                     spans_path(journal_dir, spec.shard_index))
-        profile_counts: dict = {}
-        if sampler is not None:
-            profile_counts = sampler.stop()
-            if journal_dir is not None:
-                from ..obs.profiling import write_folded
-                try:
-                    write_folded(
-                        folded_path(journal_dir, spec.shard_index),
-                        profile_counts,
-                        header={"worker": worker_name,
-                                "samples": sampler.samples})
-                except OSError:
-                    # Like heartbeats, the profile is advisory — a
-                    # full disk must not fail the shard.
-                    pass
         if heartbeat is not None:
             heartbeat.beat("done", spec.n_pipelines, force=True)
         return ShardResult(
@@ -381,8 +353,7 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
             elapsed_seconds=perf_counter() - started,
             phase_seconds=phases,
             finished_unix=time.time(),
-            spans=span_records, trace_meta=trace_meta,
-            profile=profile_counts)
+            spans=span_records, trace_meta=trace_meta)
     except Exception as exc:
         # Dying-breath heartbeat: a shard that raises reports *failed*
         # right now, so the driver (and fleet-status) never has to
@@ -392,8 +363,6 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
                            error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
-        if sampler is not None:
-            sampler.stop()
         set_registry(previous_registry)
         if previous_tracer is not None:
             set_tracer(previous_tracer)
@@ -420,16 +389,10 @@ class FleetReport:
     snapshot_bytes: int = 0
     merge_rows: int = 0
     spans_adopted: int = 0
-    profile_folded: dict = field(default_factory=dict)
     #: :class:`~repro.fleet.supervisor.DegradationReport` of the
     #: supervisor (None when no shard ran under it: a one-shard plan,
     #: or nothing left to run).
     degradation: object | None = None
-
-    @property
-    def profile_samples(self) -> int:
-        """Total stack samples across every shard's merged profile."""
-        return sum(self.profile_folded.values())
 
     @property
     def cache_hit_rate(self) -> float:
@@ -516,7 +479,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                           retry_policy: RetryPolicy | None = None,
                           journal_dir: str | Path | None = None,
                           resume: bool = False,
-                          profile: bool = False,
                           supervise: bool = True,
                           max_attempts: int = 3,
                           stall_after: float | None = None,
@@ -556,11 +518,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         resume: Reuse completed shards from ``journal_dir`` and
             re-simulate only failed/missing ones. Requires a journal
             written by a run with the identical config and plan.
-        profile: Run a :class:`~repro.obs.profiling.StackSampler` in
-            every worker; per-shard folded stacks are merged into
-            ``report.profile_folded`` (and journaled per shard). A
-            resumed shard contributes its journaled profile, if any —
-            the flag is not part of the journal fingerprint.
         supervise: Accepted for old callers; every multi-shard run is
             supervised. ``False`` raises :class:`ValueError`.
         max_attempts: Attempts per shard before it is quarantined for
@@ -644,10 +601,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                         **journal.load_payload(spec.shard_index, config))
                     result.spans, result.trace_meta = _load_shard_spans(
                         journal.directory, spec.shard_index)
-                    if profile:
-                        from ..obs.profiling import read_folded
-                        result.profile = read_folded(folded_path(
-                            journal.directory, spec.shard_index))
                     results[spec.shard_index] = result
                     resumed += 1
                 else:
@@ -689,8 +642,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                     result = run_shard(
                         direct, config, telemetry, exec_cache, fault_plan,
                         retry_policy, payload_dir, allow_crash[0],
-                        trace_ctx=trace_ctx_for(direct), profile=profile,
-                        store=store)
+                        trace_ctx=trace_ctx_for(direct), store=store)
                 except Exception as exc:  # A worker bug loses the shard.
                     store = _new_store(telemetry)  # Drop partial rows.
                     kind, message = classify_failure(exc)
@@ -710,8 +662,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                     config, journal, policy,
                     telemetry=telemetry, exec_cache=exec_cache,
                     fault_plan=fault_plan, retry_policy=retry_policy,
-                    trace_ctx_for=trace_ctx_for, profile=profile,
-                    in_process=in_process)
+                    trace_ctx_for=trace_ctx_for, in_process=in_process)
                 sup_results, sup_failures, degradation = supervisor.run(
                     to_run, allow_crash,
                     planned_pipelines=config.n_pipelines,
@@ -766,12 +717,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                         _log.warning("fleet_shard_telemetry_missing",
                                      shard=spec.shard_index,
                                      reason="no spans returned")
-                if result.profile:
-                    # Folded-stack counts are additive: the merged
-                    # profile is one fleet-wide flamegraph.
-                    from ..obs.profiling import merge_folded
-                    report.profile_folded = merge_folded(
-                        report.profile_folded, result.profile)
                 report.cache_hits += result.cache_hits
                 report.cache_misses += result.cache_misses
                 report.saved_cpu_hours += result.saved_cpu_hours

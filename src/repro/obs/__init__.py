@@ -18,7 +18,7 @@ package makes the reproduction emit its own. Three pieces:
   readers, a throttled background :class:`ResourceSampler`, and per-span
   CPU/peak-RSS/allocation attribution (``Tracer(resources=True)``).
 * :mod:`repro.obs.profiling` — a sampling profiler
-  (:class:`StackSampler`) with mergeable folded-stack export behind
+  (:class:`StackSampler`) with folded-stack export behind
   ``repro profile``.
 * :mod:`repro.obs.provenance` — a :class:`TelemetrySink` persisting
   per-node / per-run telemetry *into the MLMD store*, keyed by
@@ -71,8 +71,6 @@ _LAZY_EXPORTS = {
     "peak_rss_mb": "resources",
     "span_probe": "resources",
     "StackSampler": "profiling",
-    "merge_folded": "profiling",
-    "read_folded": "profiling",
     "render_top": "profiling",
     "write_folded": "profiling",
     "TelemetrySink": "provenance",

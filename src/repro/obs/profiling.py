@@ -4,22 +4,21 @@ A statistical profiler that needs neither signals (``SIGPROF`` breaks
 under threads and is unavailable off the main thread / on Windows) nor
 ``sys.setprofile`` (whose per-call hook costs far more than the ≤5%
 observability budget): a daemon thread wakes every ``interval`` seconds
-and snapshots every other thread's stack via ``sys._current_frames``.
-The program under measurement runs completely unmodified — the only
-perturbation is the GIL time the sampler spends walking frames, a few
-microseconds per sample.
+and snapshots the stack of the thread that started it via
+``sys._current_frames``. The program under measurement runs completely
+unmodified — the only perturbation is the GIL time the sampler spends
+walking frames, a few microseconds per sample.
 
 Samples accumulate as *folded stacks* — the `flamegraph.pl` /
 speedscope interchange format, one ``root;child;leaf count`` line per
-distinct stack — so profiles are mergeable across processes with
-integer addition. That is exactly how fleet runs use it: each shard
-worker profiles itself, journals ``shard-NNNN.folded`` beside its
-spans, and the coordinator folds every shard into one
-``<out>.profile.folded`` (see :mod:`repro.fleet.workers`).
+distinct stack.
 
 ``repro profile <command ...>`` wraps any CLI command with a sampler
 and writes the collapsed stacks; render them with any flamegraph tool
-or read the built-in :func:`render_top` summary.
+or read the built-in :func:`render_top` summary. A one-worker
+``generate`` simulates its only shard in the driver thread, so
+``repro profile generate --workers 1`` samples the exact per-shard
+code a fleet worker runs.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from pathlib import Path
 
 __all__ = [
     "StackSampler",
-    "merge_folded",
-    "read_folded",
     "render_top",
     "write_folded",
 ]
@@ -58,14 +55,13 @@ def _frame_label(frame) -> str:
 
 
 class StackSampler:
-    """Periodic whole-thread stack sampler accumulating folded stacks.
+    """Periodic stack sampler of the thread that calls :meth:`start`.
+
+    Only that thread is sampled, so helper threads (resource samplers,
+    pools) never pollute the profile.
 
     Args:
         interval: Seconds between samples (default 5 ms).
-        target_thread_ids: Thread idents to sample; ``None`` samples
-            every thread except the sampler's own. A worker profiling
-            itself passes ``{threading.get_ident()}`` so pool
-            bookkeeping threads don't pollute the shard's profile.
 
     Example:
         >>> sampler = StackSampler(interval=0.001)
@@ -74,13 +70,11 @@ class StackSampler:
         >>> stacks = sampler.folded()   # {"a.py:main;b.py:inner": 412}
     """
 
-    def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 target_thread_ids: set[int] | None = None) -> None:
+    def __init__(self, interval: float = DEFAULT_INTERVAL) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.target_thread_ids = (set(target_thread_ids)
-                                  if target_thread_ids else None)
+        self._target: int | None = None
         self.samples = 0
         self.started_at = 0.0
         self.stopped_at = 0.0
@@ -91,9 +85,10 @@ class StackSampler:
     # ------------------------------------------------------------ control
 
     def start(self) -> "StackSampler":
-        """Start sampling (idempotent)."""
+        """Start sampling this thread (idempotent)."""
         if self._thread is not None:
             return self
+        self._target = threading.get_ident()
         self.started_at = time.perf_counter()
         self._stop.clear()
         self._thread = threading.Thread(target=self._run,
@@ -120,22 +115,13 @@ class StackSampler:
     # ----------------------------------------------------------- sampling
 
     def sample_once(self) -> None:
-        """Snapshot every targeted thread's stack once."""
-        own = threading.get_ident()
-        for thread_id, frame in sys._current_frames().items():
-            if thread_id == own:
-                continue
-            if self.target_thread_ids is not None \
-                    and thread_id not in self.target_thread_ids:
-                continue
-            stack: list[str] = []
-            depth = 0
-            while frame is not None and depth < MAX_DEPTH:
-                stack.append(_frame_label(frame))
-                frame = frame.f_back
-                depth += 1
-            if not stack:
-                continue
+        """Snapshot the target thread's stack once."""
+        frame = sys._current_frames().get(self._target)
+        stack: list[str] = []
+        while frame is not None and len(stack) < MAX_DEPTH:
+            stack.append(_frame_label(frame))
+            frame = frame.f_back
+        if stack:
             key = ";".join(reversed(stack))
             self._counts[key] = self._counts.get(key, 0) + 1
         self.samples += 1
@@ -178,45 +164,6 @@ def write_folded(path: str | Path, counts: dict[str, int],
     lines += [f"{stack} {count}" for stack, count in
               sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
     Path(path).write_text("\n".join(lines) + "\n" if lines else "")
-
-
-def read_folded(path: str | Path) -> dict[str, int]:
-    """Read a folded-stack file back into counts.
-
-    Tolerant: comment lines, blanks, and malformed counts are skipped
-    (a torn shard profile degrades the merge, never fails it). A
-    missing file reads as empty.
-    """
-    counts: dict[str, int] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return counts
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        stack, _, count = line.rpartition(" ")
-        if not stack:
-            continue
-        try:
-            counts[stack] = counts.get(stack, 0) + int(count)
-        except ValueError:
-            continue
-    return counts
-
-
-def merge_folded(*profiles: dict[str, int]) -> dict[str, int]:
-    """Merge folded-stack profiles by integer addition.
-
-    Sample counts are additive across processes, which is what lets N
-    shard profiles collapse into one fleet-wide flamegraph.
-    """
-    merged: dict[str, int] = {}
-    for profile in profiles:
-        for stack, count in profile.items():
-            merged[stack] = merged.get(stack, 0) + count
-    return merged
 
 
 def render_top(counts: dict[str, int], k: int = 10) -> str:

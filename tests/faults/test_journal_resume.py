@@ -14,6 +14,7 @@ import pytest
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, JournalError, ShardJournal
 from repro.fleet import generate_corpus_fleet
+from repro.obs.fleetwatch import collect_fleet_status, render_fleet_status
 from repro.obs.metrics import MetricsRegistry
 
 # Shard 1 of 3 raises after finishing its first pipeline.
@@ -135,6 +136,33 @@ class TestResume:
             _config(), workers=1, fault_plan=plan)
         assert base_report.complete
         assert _rows(corpus.store) == _rows(baseline.store)
+
+    def test_resume_ignores_old_profile_files(self, crashed_run):
+        # Journals written by the removed ``generate --profile-out``
+        # hold a ``shard-NNNN.folded`` per finished shard. The profile
+        # flag was never part of the fingerprint, so such a journal
+        # still resumes and renders; the file is just never read.
+        _, _, journal_dir, plan = crashed_run
+        for shard in (0, 2):
+            (journal_dir / f"shard-{shard:04d}.folded").write_text(
+                f"# worker: shard-{shard:04d}\n# samples: 3\n"
+                "fleet/workers.py:run_shard;"
+                "corpus/generator.py:simulate_pipelines 3\n")
+        status = collect_fleet_status(journal_dir)
+        assert [s.state for s in status.shards] == [
+            "done", "quarantined", "done"]
+        assert "quarantined shard 1" in render_fleet_status(status)
+        corpus, report = generate_corpus_fleet(
+            _config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=journal_dir, resume=True)
+        assert report.complete
+        assert report.resumed_shards == 2
+        baseline, _ = generate_corpus_fleet(
+            _config(), workers=1, fault_plan=plan)
+        assert _rows(corpus.store) == _rows(baseline.store)
+        status = collect_fleet_status(journal_dir)
+        assert status.complete
+        assert "shard   2" in render_fleet_status(status)
 
     def test_crash_fires_once_per_journal(self, crashed_run):
         # The journal counted the crash; the re-run shard is disarmed

@@ -469,16 +469,20 @@ class TestResourceObservatory:
         folded = tmp_path / "gen.folded"
         assert main(["profile", "--out", str(folded),
                      "generate", "--pipelines", "4", "--seed", "3",
-                     "--max-graphlets", "8",
+                     "--max-graphlets", "8", "--workers", "1",
                      "--out", str(tmp_path / "c.db")]) == 0
         out = capsys.readouterr().out
         assert "self-time frames" in out
         text = folded.read_text()
         assert text.startswith("# command: generate")
-        from repro.obs.profiling import read_folded
-        counts = read_folded(folded)
+        counts = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                      if not line.startswith("#"))
         assert counts
-        assert sum(counts.values()) > 0
+        assert sum(map(int, counts.values())) > 0
+        # A one-worker fleet simulates its shard in the profiled
+        # driver thread: the per-shard code is in the profile.
+        assert any("fleet/workers.py:run_shard" in stack
+                   for stack in counts)
 
     def test_profile_without_command_exits_2(self, capsys):
         assert main(["profile"]) == 2
@@ -487,18 +491,6 @@ class TestResourceObservatory:
     def test_profile_cannot_nest(self, capsys):
         assert main(["profile", "profile", "generate"]) == 2
         assert "profile_nested" in capsys.readouterr().err
-
-    def test_generate_profile_out_merges_shards(self, tmp_path,
-                                                capsys):
-        folded = tmp_path / "fleet.folded"
-        assert main(["generate", "--pipelines", "6", "--seed", "11",
-                     "--max-graphlets", "8", "--workers", "2",
-                     "--out", str(tmp_path / "c.db"),
-                     "--profile-out", str(folded)]) == 0
-        out = capsys.readouterr().out
-        assert "stack samples" in out
-        from repro.obs.profiling import read_folded
-        assert read_folded(folded)
 
 
 def _dump(path):

@@ -1,21 +1,21 @@
-"""Unit tests for the statistical profiler and folded-stack plumbing."""
+"""Unit tests for the statistical profiler and folded-stack export."""
 
 import threading
 import time
 
 import pytest
 
-from repro.obs.profiling import (
-    StackSampler,
-    merge_folded,
-    read_folded,
-    render_top,
-    write_folded,
-)
+from repro.obs.profiling import StackSampler, render_top, write_folded
 
 
 def _spin(stop: threading.Event) -> None:
     while not stop.wait(0.0005):
+        sum(i * i for i in range(2_000))
+
+
+def _busy_in_this_thread(seconds: float) -> None:
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
         sum(i * i for i in range(2_000))
 
 
@@ -25,37 +25,34 @@ class TestStackSampler:
             StackSampler(interval=0)
 
     def test_samples_a_busy_thread(self):
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,))
-        worker.start()
-        sampler = StackSampler(interval=0.001,
-                               target_thread_ids={worker.ident})
+        # The sampler profiles the thread that started it.
+        sampler = StackSampler(interval=0.001)
         sampler.start()
-        time.sleep(0.1)
+        _busy_in_this_thread(0.1)
         counts = sampler.stop()
-        stop.set()
-        worker.join()
         assert sampler.samples > 0
         assert counts
         assert sum(counts.values()) == sampler.samples
         # Folded keys are ;-joined frames, leaf last; the busy loop
         # must show up somewhere in the hot stacks.
-        assert any("_spin" in stack for stack in counts)
+        assert any("_busy_in_this_thread" in stack for stack in counts)
 
     def test_target_filter_excludes_other_threads(self):
         stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,))
-        worker.start()
-        sampler = StackSampler(interval=0.001,
-                               target_thread_ids={worker.ident})
-        sampler.start()
-        time.sleep(0.05)
-        counts = sampler.stop()
-        stop.set()
-        worker.join()
-        # This (main) thread was asleep in time.sleep; none of its
-        # frames may leak into the filtered profile.
-        assert not any("test_target_filter" in stack for stack in counts)
+        other = threading.Thread(target=_spin, args=(stop,))
+        other.start()
+        try:
+            with StackSampler(interval=0.001) as sampler:
+                _busy_in_this_thread(0.05)
+        finally:
+            stop.set()
+            other.join(timeout=5.0)
+        assert not other.is_alive()
+        counts = sampler.folded()
+        assert any("test_target_filter" in stack for stack in counts)
+        # The second busy thread ran all along; none of its frames may
+        # leak into the starting thread's profile.
+        assert not any("_spin" in stack for stack in counts)
 
     def test_stop_is_idempotent(self):
         sampler = StackSampler(interval=0.001)
@@ -84,28 +81,7 @@ class TestFoldedFiles:
         text = path.read_text()
         assert text.startswith("# worker: shard-0000\n")
         # Heaviest stack first, flamegraph.pl format.
-        assert "a.py:f;b.py:g 7" in text.splitlines()[1]
-        assert read_folded(path) == counts
-
-    def test_read_missing_file_is_empty(self, tmp_path):
-        assert read_folded(tmp_path / "absent.folded") == {}
-
-    def test_read_skips_torn_and_junk_lines(self, tmp_path):
-        path = tmp_path / "torn.folded"
-        path.write_text("# header: x\n"
-                        "good;stack 5\n"
-                        "\n"
-                        "no-count-here\n"
-                        "bad;count notanint\n"
-                        "tail;stack 2")
-        assert read_folded(path) == {"good;stack": 5, "tail;stack": 2}
-
-    def test_merge_adds_counts(self):
-        merged = merge_folded({"a": 1, "b": 2}, {"b": 3, "c": 4}, {})
-        assert merged == {"a": 1, "b": 5, "c": 4}
-
-    def test_merge_of_nothing_is_empty(self):
-        assert merge_folded() == {}
+        assert text.splitlines()[1:] == ["a.py:f;b.py:g 7", "a.py:f 3"]
 
     def test_render_top_ranks_by_leaf_self_time(self):
         counts = {"main;hot": 8, "main;warm": 2, "other;hot": 2}

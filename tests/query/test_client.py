@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.mlmd import MetadataStore
+from repro.corpus import CorpusConfig, generate_corpus
+from repro.mlmd import (MetadataStore, downstream_executions,
+                        upstream_executions)
 from repro.mlmd.errors import InvalidQueryError, NotFoundError
 from repro.mlmd.types import (
     Artifact,
@@ -57,6 +61,47 @@ class TestAsClient:
 
     def test_api_version_is_stable(self):
         assert MetadataClient.API_VERSION == 3
+
+
+#: Every public map of a MetadataStore: the provenance index the client
+#: reads in place.
+STORE_MAPS = (
+    "artifacts_by_id", "executions_by_id", "contexts_by_id", "events",
+    "inputs_of", "outputs_of", "consumers_of", "producers_of",
+    "artifacts_in_context", "executions_in_context",
+    "contexts_of_artifact", "contexts_of_execution",
+    "telemetry_by_id", "telemetry_of_execution", "telemetry_of_context",
+    "named_nodes",
+)
+
+
+def _map_digests(store):
+    """One digest per public map; insertion order and keys count."""
+    digests = {}
+    for name in STORE_MAPS:
+        value = getattr(store, name)
+        text = repr(list(value.items()) if isinstance(value, dict)
+                    else value)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+class TestClientIsReadOnly:
+    def test_build_segment_and_lineage_leave_the_store_unchanged(self):
+        # A client owns no copy of the index and adds no listener, so
+        # building one costs generation nothing: it reads the store's
+        # own maps and never writes them.
+        store = generate_corpus(CorpusConfig(
+            n_pipelines=4, seed=3, max_graphlets_per_pipeline=6)).store
+        version, before = store.version, _map_digests(store)
+        client = MetadataClient(store)
+        assert client.segment_corpus()
+        execution_ids = list(store.executions_by_id)
+        for execution_id in execution_ids[::len(execution_ids) // 5]:
+            upstream_executions(client, execution_id)
+            downstream_executions(client, execution_id)
+        assert store.version == version
+        assert _map_digests(store) == before
 
 
 class TestIncrementalMaintenance:
