@@ -282,11 +282,6 @@ class IncrementalVocabularyAnalyzer:
             for index, term in enumerate(self._terms[order])
         }
 
-    @property
-    def window_span_ids(self) -> set[int]:
-        """Span ids currently contributing to the counts."""
-        return set(self._window)
-
 
 #: Registry mapping analyzer kinds to classes, for corpus configuration.
 ANALYZER_CLASSES: dict[AnalyzerKind, type] = {

@@ -249,11 +249,6 @@ class Schema:
         return int(self.columns.categorical.sum())
 
     @property
-    def num_numeric(self) -> int:
-        """Count of numeric features."""
-        return len(self) - self.num_categorical
-
-    @property
     def categorical_fraction(self) -> float:
         """Fraction of features that are categorical (paper avg: 0.53)."""
         if not len(self):

@@ -134,18 +134,3 @@ def _sample_zipf(n_terms: int, s: float, size: int,
     else:
         out = np.minimum(out, cap - 1)
     return out
-
-
-def rolling_window(spans: list[DataSpan], newest_span_id: int,
-                   window: int) -> list[DataSpan]:
-    """Select the rolling window of spans ending at ``newest_span_id``.
-
-    Returns up to ``window`` spans with ids in
-    ``(newest_span_id - window, newest_span_id]``, ordered by span id —
-    the coarser-granularity reassembly pattern described in Section 2.1.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    lo = newest_span_id - window
-    selected = [s for s in spans if lo < s.span_id <= newest_span_id]
-    return sorted(selected, key=lambda s: s.span_id)

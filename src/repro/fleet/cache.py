@@ -70,10 +70,11 @@ class ExecutionCache:
     """Per-pipeline content-addressed cache over completed executions.
 
     ``misses`` counts only *cacheable* executions (cache-safe operator,
-    no entry yet), so ``hit_rate`` is the fraction of cacheable work
-    served from cache — the number the paper's redundancy claim is
-    about. ``saved_cpu_hours`` accumulates the cost each hit avoided,
-    reconciling exactly against an uncached run of the same seed.
+    no entry yet), so ``hits / (hits + misses)`` is the fraction of
+    cacheable work served from cache — the number the paper's
+    redundancy claim is about. ``saved_cpu_hours`` accumulates the cost
+    each hit avoided, reconciling exactly against an uncached run of
+    the same seed.
     """
 
     hits: int = 0
@@ -155,9 +156,3 @@ class ExecutionCache:
         self._entries[key] = CacheEntry(
             outputs=tuple(outputs), blocking=result.blocking,
             cost_scale=result.cost_scale)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over cacheable executions (0.0 when none were seen)."""
-        seen = self.hits + self.misses
-        return self.hits / seen if seen else 0.0

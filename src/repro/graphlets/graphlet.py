@@ -145,10 +145,6 @@ class Graphlet:
                 if self.store.get_artifact(a).type_name == A.DATA_SPAN)
         return cached
 
-    def span_sequence(self) -> list[SpanDigest]:
-        """Span digests of the trainer's inputs, ordered by ingestion."""
-        return self.span_sequence_with_ids()[1]
-
     def span_sequence_with_ids(self) -> tuple[list[int], list[SpanDigest]]:
         """(artifact ids, digests) of the input spans, ingestion order.
 
@@ -236,10 +232,3 @@ class Graphlet:
         """The trainer execution's compute (Figure 9(d))."""
         return self._execution_facts((self.trainer_execution_id,))[0] \
             .cpu_hours
-
-    def cpu_hours_by_group(self) -> dict[str, float]:
-        """Compute broken down by operator group."""
-        out: dict[str, float] = {}
-        for facts in self._execution_facts(self.execution_ids):
-            out[facts.group] = out.get(facts.group, 0.0) + facts.cpu_hours
-        return out

@@ -7,27 +7,17 @@ fit on the real-execution path, plus metrics and model selection.
 
 from .boosting import GradientBoostingClassifier
 from .forest import RandomForestClassifier
-from .linear import LogisticRegression, RidgeRegression
-from .inspection import permutation_importance, top_features
+from .linear import LogisticRegression
+from .inspection import permutation_importance
 from .mlp import MLPClassifier
 from .metrics import (
     accuracy,
     auc,
     balanced_accuracy,
-    confusion_counts,
-    false_positive_rate,
-    log_loss,
     roc_auc,
     roc_curve,
-    true_positive_rate,
 )
-from .model_selection import (
-    class_balance,
-    grouped_k_fold,
-    grouped_train_test_split,
-    train_test_split,
-)
-from .preprocessing import OneHotEncoder, StandardScaler
+from .model_selection import grouped_train_test_split
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -36,23 +26,12 @@ __all__ = [
     "GradientBoostingClassifier",
     "LogisticRegression",
     "MLPClassifier",
-    "OneHotEncoder",
     "RandomForestClassifier",
-    "RidgeRegression",
-    "StandardScaler",
     "accuracy",
     "auc",
     "balanced_accuracy",
-    "class_balance",
-    "confusion_counts",
-    "false_positive_rate",
-    "grouped_k_fold",
     "grouped_train_test_split",
-    "log_loss",
     "permutation_importance",
     "roc_auc",
     "roc_curve",
-    "top_features",
-    "train_test_split",
-    "true_positive_rate",
 ]

@@ -60,9 +60,3 @@ def permutation_importance(model, features: np.ndarray,
                                            model.predict(shuffled)))
         importances[name] = float(np.mean(drops))
     return importances
-
-
-def top_features(importances: dict[str, float], k: int = 10
-                 ) -> list[tuple[str, float]]:
-    """The ``k`` most important groups, descending."""
-    return sorted(importances.items(), key=lambda kv: -kv[1])[:k]

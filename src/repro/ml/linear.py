@@ -1,4 +1,4 @@
-"""Linear models: logistic regression and ridge regression.
+"""Linear models: logistic regression.
 
 Logistic regression is one of the interpretable baselines of
 Section 5.2.2 and is also the "Linear" model family the corpus's
@@ -103,44 +103,3 @@ class LogisticRegression:
         """Predicted labels (original class values)."""
         p1 = _sigmoid(self.decision_function(features))
         return np.where(p1 >= 0.5, self.classes_[-1], self.classes_[0])
-
-
-class RidgeRegression:
-    """Closed-form L2-regularized least squares.
-
-    Used by the real-execution Trainer for regression tasks.
-    """
-
-    def __init__(self, l2: float = 1.0, fit_intercept: bool = True) -> None:
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        self.l2 = l2
-        self.fit_intercept = fit_intercept
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, features: np.ndarray,
-            target: np.ndarray) -> "RidgeRegression":
-        """Solve (X'X + l2 I) w = X'y."""
-        x = np.asarray(features, dtype=float)
-        y = np.asarray(target, dtype=float)
-        if self.fit_intercept:
-            x_mean = x.mean(axis=0)
-            y_mean = float(y.mean())
-            xc = x - x_mean
-            yc = y - y_mean
-        else:
-            x_mean = np.zeros(x.shape[1])
-            y_mean = 0.0
-            xc, yc = x, y
-        gram = xc.T @ xc + self.l2 * np.eye(x.shape[1])
-        self.coef_ = np.linalg.solve(gram, xc.T @ yc)
-        self.intercept_ = y_mean - float(self.coef_ @ x_mean)
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted values."""
-        if self.coef_ is None:
-            raise RuntimeError("model is not fitted")
-        return np.asarray(features, dtype=float) @ self.coef_ \
-            + self.intercept_

@@ -28,17 +28,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_counts(y_true: np.ndarray,
-                     y_pred: np.ndarray) -> tuple[int, int, int, int]:
-    """Return (tn, fp, fn, tp) for binary 0/1 labels."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    return tn, fp, fn, tp
-
-
 def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean of per-class recalls (the paper's fitness measure).
 
@@ -51,18 +40,6 @@ def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         mask = y_true == label
         recalls.append(float(np.mean(y_pred[mask] == label)))
     return float(np.mean(recalls))
-
-
-def true_positive_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Recall of the positive class."""
-    tn, fp, fn, tp = confusion_counts(y_true, y_pred)
-    return tp / (tp + fn) if (tp + fn) else 0.0
-
-
-def false_positive_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Fraction of negatives predicted positive."""
-    tn, fp, fn, tp = confusion_counts(y_true, y_pred)
-    return fp / (fp + tn) if (fp + tn) else 0.0
 
 
 def roc_curve(y_true: np.ndarray,
@@ -107,12 +84,3 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     """ROC AUC of a score function."""
     fpr, tpr, _ = roc_curve(y_true, scores)
     return auc(fpr, tpr)
-
-
-def log_loss(y_true: np.ndarray, probabilities: np.ndarray,
-             eps: float = 1e-12) -> float:
-    """Binary cross-entropy of predicted positive-class probabilities."""
-    y_true, probabilities = _validate(
-        y_true, np.asarray(probabilities, dtype=float))
-    p = np.clip(probabilities, eps, 1.0 - eps)
-    return float(-np.mean(y_true * np.log(p) + (1 - y_true) * np.log(1 - p)))

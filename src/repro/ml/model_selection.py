@@ -14,17 +14,6 @@ from collections import defaultdict
 import numpy as np
 
 
-def train_test_split(n: int, test_fraction: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray,
-                                                        np.ndarray]:
-    """Random row split; returns (train_indices, test_indices)."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    permutation = rng.permutation(n)
-    n_test = max(1, int(round(test_fraction * n)))
-    return np.sort(permutation[n_test:]), np.sort(permutation[:n_test])
-
-
 def grouped_train_test_split(groups, train_weight_target: float,
                              rng: np.random.Generator
                              ) -> tuple[np.ndarray, np.ndarray]:
@@ -66,45 +55,3 @@ def grouped_train_test_split(groups, train_weight_target: float,
         test_indices = last
     return (np.asarray(sorted(train_indices), dtype=int),
             np.asarray(sorted(test_indices), dtype=int))
-
-
-def class_balance(labels) -> dict:
-    """Label → fraction, for checking split balance."""
-    labels = np.asarray(list(labels))
-    if labels.size == 0:
-        return {}
-    values, counts = np.unique(labels, return_counts=True)
-    return {value.item() if hasattr(value, "item") else value:
-            count / labels.size
-            for value, count in zip(values, counts)}
-
-
-def grouped_k_fold(groups, n_splits: int,
-                   rng: np.random.Generator):
-    """Yield (train_indices, test_indices) with whole groups per fold.
-
-    Groups are shuffled and dealt round-robin into ``n_splits`` folds;
-    each fold serves once as the test side. Mirrors sklearn's GroupKFold
-    with randomized assignment.
-    """
-    if n_splits < 2:
-        raise ValueError("n_splits must be >= 2")
-    groups = list(groups)
-    if not groups:
-        raise ValueError("cannot split an empty dataset")
-    by_group: dict = defaultdict(list)
-    for index, group in enumerate(groups):
-        by_group[group].append(index)
-    group_ids = list(by_group)
-    if len(group_ids) < n_splits:
-        raise ValueError(
-            f"need at least {n_splits} groups, got {len(group_ids)}")
-    rng.shuffle(group_ids)
-    folds: list[list[int]] = [[] for _ in range(n_splits)]
-    for position, group_id in enumerate(group_ids):
-        folds[position % n_splits].extend(by_group[group_id])
-    all_indices = set(range(len(groups)))
-    for fold in folds:
-        test = sorted(fold)
-        train = sorted(all_indices - set(fold))
-        yield (np.asarray(train, dtype=int), np.asarray(test, dtype=int))

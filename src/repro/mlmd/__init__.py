@@ -14,15 +14,12 @@ in :mod:`repro.query`; the error taxonomy in :mod:`repro.mlmd.errors`.
 
 from .errors import (
     AlreadyExistsError,
-    InvalidArgumentError,
     InvalidQueryError,
     MetadataError,
     NotFoundError,
     TypeMismatchError,
 )
 from .lineage import (
-    artifacts_of_executions,
-    connected_execution_components,
     downstream_executions,
     trace_lifespan_days,
     trace_node_count,
@@ -37,16 +34,7 @@ from .sqlite_store import (
     salvage_store,
     save_store,
 )
-from .summarize import (
-    TraceNode,
-    TypeSummary,
-    artifact_node,
-    execution_node,
-    impact_set,
-    provenance_path,
-    reachable,
-    summarize_by_type,
-)
+from .summarize import TypeSummary, summarize_by_type
 from .store import MetadataStore
 from .types import (
     Artifact,
@@ -72,7 +60,6 @@ __all__ = [
     "Execution",
     "ExecutionState",
     "IntegrityReport",
-    "InvalidArgumentError",
     "InvalidQueryError",
     "MetadataError",
     "MetadataStore",
@@ -81,21 +68,13 @@ __all__ = [
     "SalvageReport",
     "SqliteStore",
     "TelemetryRecord",
-    "TraceNode",
     "TypeSummary",
     "PropertyValue",
     "TypeMismatchError",
-    "artifact_node",
-    "artifacts_of_executions",
-    "connected_execution_components",
     "downstream_executions",
-    "execution_node",
-    "impact_set",
     "integrity_check",
     "load_store",
     "salvage_store",
-    "provenance_path",
-    "reachable",
     "save_store",
     "summarize_by_type",
     "trace_lifespan_days",

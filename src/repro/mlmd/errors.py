@@ -5,8 +5,7 @@ broad :class:`MetadataError` or a precise subclass. The store and the
 query layer raise only these classes, with one exception: reading a
 saved database (:func:`~repro.mlmd.sqlite_store.load_store` /
 :func:`~repro.mlmd.sqlite_store.append_store`) raises a bare
-``KeyError`` for a dangling reference and a bare ``TypeError`` for a
-property value outside the MLMD set, as ``append_store`` documents
+``KeyError`` for a dangling reference, as ``append_store`` documents
 (``salvage_store`` drops such rows instead):
 
 =======================  ==================================================
@@ -16,18 +15,15 @@ class                    raised when
                          does not exist in the store
 :class:`AlreadyExists    a named node (unique per kind + type + name) or
 Error`                   registered type is inserted twice
-:class:`InvalidArgument  a request is structurally invalid (bad ids,
-Error`                   events without nodes, malformed bulk loads)
 :class:`InvalidQuery     a read/query request is malformed (unknown node
 Error`                   kind, unknown index, out-of-range graphlet,
                          unsupported filter combination)
-:class:`TypeMismatch     a node's properties do not match its registered
-Error`                   type
+:class:`TypeMismatch     a property key is not a string or a property
+Error`                   value is outside the MLMD set (written or loaded)
 =======================  ==================================================
 
-:class:`InvalidQueryError` also subclasses :class:`ValueError` so that
-pre-taxonomy callers catching ``ValueError`` keep working for one
-release; new code should catch the precise class.
+:class:`TypeMismatchError` also subclasses :class:`TypeError`, the
+built-in class for a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -45,17 +41,9 @@ class AlreadyExistsError(MetadataError):
     """Raised when registering a type or named node that already exists."""
 
 
-class InvalidArgumentError(MetadataError):
-    """Raised when a request is structurally invalid (bad ids, bad state)."""
+class InvalidQueryError(MetadataError):
+    """Raised when a read/query request is malformed."""
 
 
-class InvalidQueryError(MetadataError, ValueError):
-    """Raised when a read/query request is malformed.
-
-    Subclasses :class:`ValueError` for one release so existing callers
-    that caught ``ValueError`` from query entry points keep working.
-    """
-
-
-class TypeMismatchError(MetadataError):
-    """Raised when a node's properties do not match its registered type."""
+class TypeMismatchError(MetadataError, TypeError):
+    """Raised when a property key or value is outside the MLMD set."""

@@ -3,7 +3,7 @@
 These queries are the building blocks of the paper's trace analysis: the
 graphlet segmentation (Section 4.1) is defined in terms of ancestor and
 descendant executions of a Trainer execution, and the pipeline-level
-analysis (Section 3) needs connected components and node counts.
+analysis (Section 3) needs node counts and lifespans.
 
 The trace is a bipartite DAG: artifact and execution nodes, with events as
 edges. We expose traversals in terms of *execution* frontiers (as the
@@ -19,7 +19,7 @@ store (:attr:`repro.query.MetadataClient.index`) directly.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -87,54 +87,6 @@ def downstream_executions(
                     continue
                 frontier.append(consumer)
     return seen
-
-
-def artifacts_of_executions(store: MetadataStore | MetadataClient,
-                            execution_ids: Iterable[int]) -> set[int]:
-    """Union of input and output artifact ids across the executions."""
-    store = _client(store)
-    artifact_ids: set[int] = set()
-    for execution_id in execution_ids:
-        artifact_ids.update(store.get_input_artifact_ids(execution_id))
-        artifact_ids.update(store.get_output_artifact_ids(execution_id))
-    return artifact_ids
-
-
-def connected_execution_components(store: MetadataStore | MetadataClient
-                                   ) -> list[set[int]]:
-    """Partition all executions into weakly connected components.
-
-    Two executions are connected if they share an artifact (directly or
-    transitively). Used to check the paper's observation that long-running
-    continuous pipelines often collapse into one giant component.
-    """
-    store = _client(store)
-    unvisited = {e.id for e in store.get_executions()}
-    components: list[set[int]] = []
-    while unvisited:
-        root = next(iter(unvisited))
-        component = {root}
-        frontier = deque([root])
-        while frontier:
-            current = frontier.popleft()
-            neighbor_ids: set[int] = set()
-            for artifact_id in store.get_input_artifact_ids(current):
-                neighbor_ids.update(
-                    store.get_producer_execution_ids(artifact_id))
-                neighbor_ids.update(
-                    store.get_consumer_execution_ids(artifact_id))
-            for artifact_id in store.get_output_artifact_ids(current):
-                neighbor_ids.update(
-                    store.get_consumer_execution_ids(artifact_id))
-                neighbor_ids.update(
-                    store.get_producer_execution_ids(artifact_id))
-            for neighbor in neighbor_ids:
-                if neighbor in unvisited and neighbor not in component:
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        unvisited -= component
-        components.append(component)
-    return components
 
 
 def trace_node_count(store: MetadataStore | MetadataClient,

@@ -250,8 +250,8 @@ def append_store(path: str | Path, store: MetadataStore) -> IdMaps:
     contiguous shards in shard order reproduces the ids of a single
     sequential run. Each table is read once, as columns, and checked as
     a whole before anything is written: a property value outside the
-    MLMD set raises :class:`TypeError`, a ``(type, name)`` the store
-    already holds raises :class:`AlreadyExistsError`, and a dangling
+    MLMD set raises :class:`TypeMismatchError`, a ``(type, name)`` the
+    store already holds raises :class:`AlreadyExistsError`, and a dangling
     reference raises :class:`KeyError`; on any of these the store is
     left as it was. A missing ``path`` raises :class:`FileNotFoundError`
     and creates nothing.
@@ -270,9 +270,10 @@ def append_store(path: str | Path, store: MetadataStore) -> IdMaps:
 _SCALARS = frozenset(_ALLOWED_SCALARS)
 
 #: What a bad row raises while it is checked and built: an unknown enum
-#: value or dangling id (KeyError), a property outside the MLMD set or a
-#: column of the wrong type (TypeError), properties that are not a JSON
-#: object (AttributeError) and a taken name.
+#: value or dangling id (KeyError), a property outside the MLMD set
+#: (TypeMismatchError, a TypeError) or a column of the wrong type
+#: (TypeError), properties that are not a JSON object (AttributeError)
+#: and a taken name.
 _BAD_ROW = (AttributeError, KeyError, TypeError, AlreadyExistsError)
 
 _ARTIFACT_STATES = {state.value: state for state in ArtifactState}
@@ -460,9 +461,9 @@ def _checked(properties: dict) -> dict:
     """``properties`` with its string values interned.
 
     A value outside the MLMD set sends the row to
-    :func:`~repro.mlmd.types.validate_properties`, which raises the
-    usual :class:`TypeError`; a row that is not a JSON object fails on
-    ``items``.
+    :func:`~repro.mlmd.types.validate_properties`, which raises
+    :class:`~repro.mlmd.errors.TypeMismatchError`; a row that is not a
+    JSON object fails on ``items``.
     """
     for key, value in properties.items():
         kind = type(value)
@@ -613,11 +614,6 @@ class SalvageReport:
     rows_loaded: dict[str, int] = field(default_factory=dict)
     rows_dropped: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
-
-    @property
-    def dropped_total(self) -> int:
-        """Rows dropped across all tables."""
-        return sum(self.rows_dropped.values())
 
 
 def salvage_store(path: str | Path) -> tuple[MetadataStore, SalvageReport]:

@@ -27,7 +27,7 @@ replacement is ``MetadataClient.artifacts(type_name=...)``
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from ..obs.metrics import get_registry
 from .errors import AlreadyExistsError, NotFoundError
@@ -176,11 +176,6 @@ class MetadataStore:
             self.outputs_of[event.execution_id].append(event.artifact_id)
             self.producers_of[event.artifact_id].append(event.execution_id)
         self.version += 1
-
-    def put_events(self, events: Iterable[Event]) -> None:
-        """Record a batch of events."""
-        for event in events:
-            self.put_event(event)
 
     def put_attribution(self, context_id: int, artifact_id: int) -> None:
         """Associate an artifact with a context."""
@@ -500,4 +495,3 @@ class MetadataStore:
             return self.contexts_by_id[context_id]
         except KeyError:
             raise NotFoundError(f"context id {context_id} not found") from None
-

@@ -2,17 +2,14 @@
 
 Section 3.1: "Tools to efficiently query or summarize these complex
 traces can become indispensable for humans to debug or manage these
-pipelines." This module provides the two standard techniques the paper's
-related work cites:
+pipelines." This module provides the summary technique the paper's
+related work cites, **aggregation by provenance type** (Moreau, GaM
+2015): collapse the trace to one node per (node kind, type) with edge
+multiplicities — a bounded-size summary regardless of trace size.
+Reachability questions ("which models did this span feed?") are
+answered by :func:`repro.mlmd.lineage.downstream_executions`.
 
-* **Aggregation by provenance type** (Moreau, GaM 2015): collapse the
-  trace to one node per (node kind, type) with edge multiplicities — a
-  bounded-size summary regardless of trace size.
-* **Reachability queries** (Bao et al., SIGMOD 2010 motivation): does
-  artifact/execution X transitively feed Y? Plus shortest provenance
-  paths for debugging ("how did this pushed model depend on that span?").
-
-All entry points accept a raw store or a
+The entry point accepts a raw store or a
 :class:`~repro.query.MetadataClient`; raw stores are normalized through
 :func:`repro.query.as_client`, so per-section re-summarization (the CLI
 renders several sections off one store) reuses one set of cached
@@ -21,10 +18,9 @@ indexes instead of re-scanning.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InvalidQueryError
 from .store import MetadataStore
 
 
@@ -114,92 +110,3 @@ def summarize_by_type(store: MetadataStore,
                 edges[(execution_type, artifact_type)] += 1
     summary.edge_counts = dict(edges)
     return summary
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    """A typed reference to a node in the bipartite trace DAG."""
-
-    kind: str  # "artifact" or "execution"
-    node_id: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("artifact", "execution"):
-            raise InvalidQueryError(f"unknown node kind {self.kind!r}")
-
-
-def artifact_node(artifact_id: int) -> TraceNode:
-    """Shorthand for an artifact trace node."""
-    return TraceNode("artifact", artifact_id)
-
-
-def execution_node(execution_id: int) -> TraceNode:
-    """Shorthand for an execution trace node."""
-    return TraceNode("execution", execution_id)
-
-
-def _successors(store: MetadataStore, node: TraceNode) -> list[TraceNode]:
-    if node.kind == "artifact":
-        return [execution_node(e)
-                for e in store.get_consumer_execution_ids(node.node_id)]
-    return [artifact_node(a)
-            for a in store.get_output_artifact_ids(node.node_id)]
-
-
-def reachable(store: MetadataStore, source: TraceNode,
-              target: TraceNode) -> bool:
-    """True if ``target`` is downstream of ``source`` in the trace DAG."""
-    return provenance_path(_client(store), source, target) is not None
-
-
-def provenance_path(store: MetadataStore, source: TraceNode,
-                    target: TraceNode) -> list[TraceNode] | None:
-    """Shortest forward path source → target (BFS), or None.
-
-    Paths alternate artifact/execution nodes; useful to answer debugging
-    questions like "through which operators did span 17 influence the
-    pushed model?".
-    """
-    store = _client(store)
-    if source == target:
-        return [source]
-    parents: dict[TraceNode, TraceNode] = {source: source}
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        for successor in _successors(store, current):
-            if successor in parents:
-                continue
-            parents[successor] = current
-            if successor == target:
-                path = [successor]
-                while path[-1] != source:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            frontier.append(successor)
-    return None
-
-
-def impact_set(store: MetadataStore, source: TraceNode,
-               artifact_type: str | None = None) -> set[int]:
-    """All downstream artifact ids of a node (optionally one type).
-
-    The "blast radius" query: which models/pushes would be affected if
-    this span turned out to be corrupt?
-    """
-    store = _client(store)
-    seen: set[TraceNode] = {source}
-    artifacts: set[int] = set()
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        for successor in _successors(store, current):
-            if successor in seen:
-                continue
-            seen.add(successor)
-            frontier.append(successor)
-            if successor.kind == "artifact":
-                if artifact_type is None or store.get_artifact(
-                        successor.node_id).type_name == artifact_type:
-                    artifacts.add(successor.node_id)
-    return artifacts

@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Union
 
+from .errors import TypeMismatchError
+
 PropertyValue = Union[int, float, str, bool, list]
 
 #: Property dictionaries attached to every node.
@@ -207,16 +209,17 @@ _ALLOWED_SCALARS = (int, float, str, bool)
 
 
 def validate_properties(properties: Properties) -> None:
-    """Raise ``TypeError`` if a property value is outside the allowed set."""
+    """Raise :class:`~repro.mlmd.errors.TypeMismatchError` if a property
+    key is not a string or a value is outside the allowed set."""
     for key, value in properties.items():
         if not isinstance(key, str):
-            raise TypeError(f"property keys must be str, got {key!r}")
+            raise TypeMismatchError(f"property keys must be str, got {key!r}")
         if isinstance(value, _ALLOWED_SCALARS):
             continue
         if isinstance(value, list) and all(
             isinstance(item, _ALLOWED_SCALARS) for item in value
         ):
             continue
-        raise TypeError(
+        raise TypeMismatchError(
             f"property {key!r} has unsupported value type {type(value).__name__}"
         )

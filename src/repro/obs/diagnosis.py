@@ -184,17 +184,6 @@ class CostSplit:
         return self.useful + self.wasted + self.protected \
             + self.unattributed
 
-    def fractions(self) -> dict[str, float]:
-        """Each bucket as a fraction of the total (empty-safe)."""
-        total = self.total
-        if total <= 0:
-            return {"useful": 0.0, "wasted": 0.0, "protected": 0.0,
-                    "unattributed": 0.0}
-        return {"useful": self.useful / total,
-                "wasted": self.wasted / total,
-                "protected": self.protected / total,
-                "unattributed": self.unattributed / total}
-
 
 def pipeline_cost_split(store: MetadataStore, context_id: int,
                         graphlets: list[Graphlet]) -> CostSplit:

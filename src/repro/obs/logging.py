@@ -49,11 +49,6 @@ class StructuredLogger:
     def __init__(self, logger: logging.Logger) -> None:
         self._logger = logger
 
-    @property
-    def stdlib(self) -> logging.Logger:
-        """The wrapped stdlib logger (for handler/level tweaks)."""
-        return self._logger
-
     def _log(self, level: int, event: str, fields: dict) -> None:
         if self._logger.isEnabledFor(level):
             message = event if not fields \

@@ -278,10 +278,6 @@ class Tracer:
         self._finished.append(finished)
         return finished
 
-    def current_span(self) -> Span | None:
-        """The innermost open span in this context, if any."""
-        return self._current.get()
-
     def finished_spans(self) -> list[Span]:
         """Closed spans, in completion order (children before parents)."""
         return list(self._finished)

@@ -96,7 +96,7 @@ class MetadataClient:
 
     #: Version of the query API surface. Bumped on breaking changes;
     #: tools/api_snapshot.py guards the surface itself.
-    API_VERSION = 3
+    API_VERSION = 4
 
     def __init__(self, store: MetadataStore | SqliteStore) -> None:
         self.store = store

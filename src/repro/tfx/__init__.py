@@ -11,7 +11,6 @@ from .cost import (
     PRE_TRAINER_GROUPS,
     CostModel,
     OperatorGroup,
-    group_cost_shares,
 )
 from .model_types import DNN_ARCHITECTURES, ModelType, coarse_family
 from .operators import (
@@ -40,7 +39,6 @@ from .pipeline import (
     PipelineNode,
     PipelineValidationError,
 )
-from .triggers import ManualTrigger, PeriodicTrigger
 from .runtime import (
     BLOCKED,
     CACHED,
@@ -65,7 +63,6 @@ __all__ = [
     "INGEST_STAGE",
     "InfraValidator",
     "ModelType",
-    "ManualTrigger",
     "ModelValidator",
     "NOT_IN_STAGE",
     "NodeInput",
@@ -79,7 +76,6 @@ __all__ = [
     "PipelineDef",
     "PipelineNode",
     "PipelineRunner",
-    "PeriodicTrigger",
     "PipelineValidationError",
     "Pusher",
     "RAN",
@@ -93,5 +89,4 @@ __all__ = [
     "Tuner",
     "artifacts",
     "coarse_family",
-    "group_cost_shares",
 ]

@@ -9,8 +9,6 @@ and graphlet segmentation key on.
 
 from __future__ import annotations
 
-from ..mlmd import Artifact
-
 # Artifact type names (the strings recorded in MLMD).
 DATA_SPAN = "DataSpan"
 EXAMPLES = "Examples"
@@ -26,33 +24,3 @@ MODEL_BLESSING = "ModelBlessing"
 INFRA_BLESSING = "InfraBlessing"
 PUSHED_MODEL = "PushedModel"
 CUSTOM_ARTIFACT = "CustomArtifact"
-
-#: All artifact types the runtime knows about.
-ALL_ARTIFACT_TYPES = frozenset({
-    DATA_SPAN,
-    EXAMPLES,
-    STATISTICS,
-    SCHEMA,
-    DATA_VALIDATION,
-    TRANSFORM_GRAPH,
-    TRANSFORMED_EXAMPLES,
-    HYPERPARAMS,
-    MODEL,
-    MODEL_EVALUATION,
-    MODEL_BLESSING,
-    INFRA_BLESSING,
-    PUSHED_MODEL,
-    CUSTOM_ARTIFACT,
-})
-
-
-def new_artifact(type_name: str, create_time: float,
-                 **properties) -> Artifact:
-    """Construct an (unsaved) artifact of a known type.
-
-    Raises ``ValueError`` for unknown types so wiring typos surface early.
-    """
-    if type_name not in ALL_ARTIFACT_TYPES:
-        raise ValueError(f"unknown artifact type {type_name!r}")
-    return Artifact(type_name=type_name, create_time=create_time,
-                    properties=dict(properties))

@@ -87,12 +87,3 @@ class CostModel:
                          parallelism: float = 8.0) -> float:
         """Convert CPU-hours to elapsed hours given average parallelism."""
         return max(cpu_hours / max(parallelism, 1.0), 0.01)
-
-
-def group_cost_shares(costs_by_group: dict[OperatorGroup, float]
-                      ) -> dict[OperatorGroup, float]:
-    """Normalize absolute group costs into shares of total (Figure 7)."""
-    total = sum(costs_by_group.values())
-    if total <= 0:
-        return {group: 0.0 for group in costs_by_group}
-    return {group: cost / total for group, cost in costs_by_group.items()}

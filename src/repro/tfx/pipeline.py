@@ -175,11 +175,6 @@ class PipelineDef:
                 del remaining[node_id]
         return ordered
 
-    @property
-    def operator_names(self) -> set[str]:
-        """Distinct operator type names present in the pipeline."""
-        return {n.operator.name for n in self.nodes}
-
     def trainer_node_ids(self) -> list[str]:
         """Ids of all Trainer nodes (A/B pipelines have several)."""
         return [n.node_id for n in self.nodes

@@ -264,11 +264,6 @@ class PipelineRunner:
             self.payloads.clear()
         return report
 
-    @property
-    def run_count(self) -> int:
-        """Number of runs executed so far."""
-        return self._run_index
-
     # ------------------------------------------------------------------
 
     def _run_node(self, node: PipelineNode, now: float, hints: dict,

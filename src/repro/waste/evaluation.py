@@ -83,16 +83,6 @@ class WasteEvaluation:
     feature_cost: dict[str, float] = field(default_factory=dict)
     curves: dict[str, TradeoffCurve] = field(default_factory=dict)
 
-    def summary_rows(self) -> list[tuple[str, float, float, float]]:
-        """(variant, balanced acc, feature cost, waste cut at F=1.0)."""
-        rows = []
-        for name, acc in self.balanced_accuracy.items():
-            cost = self.feature_cost.get(name, float("nan"))
-            curve = self.curves.get(name)
-            cut = curve.waste_cut_at_freshness(1.0) if curve else 0.0
-            rows.append((name, acc, cost, cut))
-        return rows
-
 
 def evaluate_policies(policies: dict[str, TrainedPolicy],
                       feature_cost: dict[str, float] | None = None

@@ -84,7 +84,7 @@ def corpus():
             for graphlets in segment_production_pipelines(corpus).values()
             if not pipeline_uses_warmstart(graphlets)]
     kept.sort(key=lambda graphlets:
-              -graphlets[0].span_sequence()[0].feature_count)
+              -graphlets[0].span_sequence_with_ids()[1][0].feature_count)
     (a, b), (x, y) = (next(_compared_pairs(graphlets))
                       for graphlets in kept[:2])
     _rewrite_digest(store, b,

@@ -46,8 +46,8 @@ class TestArchetypes:
                                          int(rng.integers(2, 50)),
                                          float(rng.uniform(0.1, 0.9)))
             pipeline = build_pipeline(archetype)  # Raises if mis-wired.
-            assert "Trainer" in pipeline.operator_names
-            assert "Pusher" in pipeline.operator_names
+            names = {n.operator.name for n in pipeline.nodes}
+            assert {"Trainer", "Pusher"} <= names
 
     def test_ab_pipeline_has_parallel_branches(self, rng):
         config = CorpusConfig(p_ab_testing=1.0)

@@ -104,7 +104,7 @@ class TestIncrementalVocabulary:
         analyzer.advance_to(spans[0:3])
         touched = analyzer.advance_to(spans[1:4])
         assert touched == 2  # one departed, one arrived
-        assert analyzer.window_span_ids == {1, 2, 3}
+        assert set(analyzer._window) == {1, 2, 3}
 
     def test_incremental_matches_batch(self, rng):
         """Invariant: maintained vocabulary == recompute-from-scratch."""

@@ -58,7 +58,6 @@ class TestSchema:
             FeatureSpec(name="b", type=FeatureType.CATEGORICAL),
             FeatureSpec(name="c", type=FeatureType.CATEGORICAL),
         ])
-        assert schema.num_numeric == 1
         assert schema.num_categorical == 2
         assert schema.categorical_fraction == pytest.approx(2 / 3)
 

@@ -1,15 +1,12 @@
-"""Span materialization, analytic statistics, and rolling windows."""
+"""Span materialization and analytic statistics."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    DataSpan,
     FeatureType,
-    SpanStatistics,
     materialize_span,
     random_schema,
-    rolling_window,
     synthesize_span_statistics,
     synthetic_span,
 )
@@ -90,29 +87,3 @@ class TestSyntheticSpan:
         same = span_similarity(analytic, materialized)
         different = span_similarity(analytic, unrelated)
         assert same > different
-
-
-class TestRollingWindow:
-    def _spans(self, n):
-        return [DataSpan(span_id=i, statistics=SpanStatistics())
-                for i in range(n)]
-
-    def test_window_selects_trailing_spans(self):
-        spans = self._spans(10)
-        window = rolling_window(spans, newest_span_id=7, window=3)
-        assert [s.span_id for s in window] == [5, 6, 7]
-
-    def test_window_shorter_at_start(self):
-        spans = self._spans(10)
-        window = rolling_window(spans, newest_span_id=1, window=5)
-        assert [s.span_id for s in window] == [0, 1]
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rolling_window(self._spans(3), newest_span_id=2, window=0)
-
-    def test_missing_spans_skipped(self):
-        spans = [DataSpan(span_id=i, statistics=SpanStatistics())
-                 for i in (0, 2, 3)]
-        window = rolling_window(spans, newest_span_id=3, window=3)
-        assert [s.span_id for s in window] == [2, 3]

@@ -97,7 +97,7 @@ class TestKey:
         key = cache.key(StatisticsGen(), {"spans": [_artifact(span_id=1)]})
         assert cache.lookup(key) is None
         assert cache.misses == 1
-        assert cache.hit_rate == 0.0
+        assert cache.hits == 0
 
 
 # ------------------------------------------------------- runner replay

@@ -12,7 +12,7 @@ from repro.graphlets import (
     segment_pipeline,
     segment_trainer,
 )
-from repro.mlmd import MetadataStore
+from repro.mlmd import InvalidQueryError, MetadataStore
 from repro.tfx import (
     ExampleGen,
     ExampleValidator,
@@ -139,7 +139,7 @@ class TestSegmentation:
         store, runner = _run_pipeline(rng)
         gen = next(e for e in store.get_executions()
                    if e.type_name == "ExampleGen")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidQueryError):
             segment_trainer(store, gen.id, runner.context_id)
 
     def test_pushed_flag(self, rng):
@@ -172,14 +172,14 @@ class TestGraphletProperties:
     def test_cost_by_group(self, rng):
         store, runner = _run_pipeline(rng)
         graphlet = segment_pipeline(store, runner.context_id)[0]
-        by_group = graphlet.cpu_hours_by_group()
-        assert "training" in by_group
-        assert "data_ingestion" in by_group
+        groups = {facts.group for facts in
+                  graphlet._execution_facts(graphlet.execution_ids)}
+        assert {"training", "data_ingestion"} <= groups
 
     def test_span_sequence_ordered(self, rng):
         store, runner = _run_pipeline(rng)
         graphlet = segment_pipeline(store, runner.context_id)[1]
-        sequence = graphlet.span_sequence()
+        sequence = graphlet.span_sequence_with_ids()[1]
         assert len(sequence) == 3
 
     def test_model_metadata(self, rng):

@@ -1,4 +1,4 @@
-"""Random Forest, GBDT, logistic/ridge regression, and MLP tests."""
+"""Random Forest, GBDT, logistic regression, and MLP tests."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.ml import (
     LogisticRegression,
     MLPClassifier,
     RandomForestClassifier,
-    RidgeRegression,
 )
 
 
@@ -124,31 +123,6 @@ class TestLogisticRegression:
         x = rng.normal(size=(30, 2))
         with pytest.raises(ValueError):
             LogisticRegression().fit(x, rng.integers(0, 3, size=30))
-
-
-class TestRidgeRegression:
-    def test_recovers_exact_linear_map(self, rng):
-        x = rng.normal(size=(100, 3))
-        w = np.array([1.0, -2.0, 0.5])
-        y = x @ w + 3.0
-        model = RidgeRegression(l2=1e-8).fit(x, y)
-        np.testing.assert_allclose(model.coef_, w, atol=1e-5)
-        assert model.intercept_ == pytest.approx(3.0, abs=1e-5)
-
-    def test_regularization_shrinks_weights(self, rng):
-        x = rng.normal(size=(50, 2))
-        y = x @ np.array([5.0, -5.0])
-        small = RidgeRegression(l2=1e-6).fit(x, y)
-        large = RidgeRegression(l2=100.0).fit(x, y)
-        assert np.abs(large.coef_).sum() < np.abs(small.coef_).sum()
-
-    def test_negative_l2_rejected(self):
-        with pytest.raises(ValueError):
-            RidgeRegression(l2=-1.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            RidgeRegression().predict(np.ones((1, 2)))
 
 
 class TestMLP:

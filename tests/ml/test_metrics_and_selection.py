@@ -6,20 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import (
-    OneHotEncoder,
-    StandardScaler,
     accuracy,
     auc,
     balanced_accuracy,
-    class_balance,
-    confusion_counts,
-    false_positive_rate,
     grouped_train_test_split,
-    log_loss,
     roc_auc,
     roc_curve,
-    train_test_split,
-    true_positive_rate,
 )
 
 
@@ -49,17 +41,6 @@ class TestBalancedAccuracy:
 
 
 class TestConfusionAndRates:
-    def test_counts(self):
-        y_true = np.array([0, 0, 1, 1, 1])
-        y_pred = np.array([0, 1, 1, 1, 0])
-        assert confusion_counts(y_true, y_pred) == (1, 1, 1, 2)
-
-    def test_rates(self):
-        y_true = np.array([0, 0, 1, 1, 1])
-        y_pred = np.array([0, 1, 1, 1, 0])
-        assert true_positive_rate(y_true, y_pred) == pytest.approx(2 / 3)
-        assert false_positive_rate(y_true, y_pred) == pytest.approx(1 / 2)
-
     def test_accuracy(self):
         assert accuracy(np.array([1, 0]), np.array([1, 1])) == 0.5
 
@@ -112,27 +93,7 @@ class TestRoc:
             pytest.approx(0.5)
 
 
-class TestLogLoss:
-    def test_confident_correct_is_small(self):
-        value = log_loss(np.array([1, 0]), np.array([0.99, 0.01]))
-        assert value < 0.02
-
-    def test_confident_wrong_is_large(self):
-        value = log_loss(np.array([1, 0]), np.array([0.01, 0.99]))
-        assert value > 4.0
-
-
 class TestSplits:
-    def test_train_test_split_partitions(self, rng):
-        train, test = train_test_split(100, 0.2, rng)
-        assert len(train) + len(test) == 100
-        assert set(train).isdisjoint(test)
-        assert len(test) == 20
-
-    def test_train_test_split_validates(self, rng):
-        with pytest.raises(ValueError):
-            train_test_split(10, 1.5, rng)
-
     def test_grouped_split_keeps_groups_whole(self, rng):
         groups = [i // 10 for i in range(100)]
         train, test = grouped_train_test_split(groups, 0.8, rng)
@@ -149,73 +110,3 @@ class TestSplits:
         groups = [0] * 50 + [1] * 2
         train, test = grouped_train_test_split(groups, 0.8, rng)
         assert len(test) > 0
-
-    def test_class_balance(self):
-        balance = class_balance([1, 1, 0, 0, 0])
-        assert balance[0] == pytest.approx(0.6)
-        assert balance[1] == pytest.approx(0.4)
-        assert class_balance([]) == {}
-
-
-class TestPreprocessing:
-    def test_one_hot_roundtrip(self):
-        encoder = OneHotEncoder().fit([["a", "x"], ["b", "y"]])
-        out = encoder.transform([["a", "y"]])
-        assert out.tolist() == [[1.0, 0.0, 0.0, 1.0]]
-
-    def test_one_hot_unknown_category_all_zero(self):
-        encoder = OneHotEncoder().fit([["a"]])
-        assert encoder.transform([["zzz"]]).tolist() == [[0.0]]
-
-    def test_one_hot_feature_names(self):
-        encoder = OneHotEncoder().fit([["a"], ["b"]])
-        assert encoder.feature_names == ["col0=a", "col0=b"]
-
-    def test_one_hot_empty_rejected(self):
-        with pytest.raises(ValueError):
-            OneHotEncoder().fit([])
-
-    def test_one_hot_unfitted_rejected(self):
-        with pytest.raises(RuntimeError):
-            OneHotEncoder().transform([["a"]])
-
-    def test_scaler_standardizes(self, rng):
-        x = rng.normal(5.0, 3.0, size=(200, 2))
-        out = StandardScaler().fit_transform(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
-
-    def test_scaler_constant_column_safe(self):
-        x = np.ones((10, 1))
-        out = StandardScaler().fit_transform(x)
-        assert np.isfinite(out).all()
-
-
-class TestGroupedKFold:
-    def test_folds_partition_rows(self, rng):
-        from repro.ml import grouped_k_fold
-        groups = [i // 4 for i in range(40)]
-        seen = []
-        for train, test in grouped_k_fold(groups, 5, rng):
-            assert set(train).isdisjoint(test)
-            assert len(train) + len(test) == 40
-            seen.extend(test.tolist())
-        assert sorted(seen) == list(range(40))
-
-    def test_groups_never_split(self, rng):
-        from repro.ml import grouped_k_fold
-        groups = [i // 3 for i in range(30)]
-        for train, test in grouped_k_fold(groups, 3, rng):
-            train_groups = {groups[i] for i in train}
-            test_groups = {groups[i] for i in test}
-            assert train_groups.isdisjoint(test_groups)
-
-    def test_validations(self, rng):
-        from repro.ml import grouped_k_fold
-        import pytest
-        with pytest.raises(ValueError):
-            list(grouped_k_fold([1, 2, 3], 1, rng))
-        with pytest.raises(ValueError):
-            list(grouped_k_fold([], 2, rng))
-        with pytest.raises(ValueError):
-            list(grouped_k_fold([1, 1, 1], 2, rng))

@@ -1,4 +1,4 @@
-"""Lineage traversal tests: ancestors, descendants, components."""
+"""Lineage traversal tests: ancestors, descendants, trace stats."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.mlmd import (
     EventType,
     Execution,
     MetadataStore,
-    connected_execution_components,
     downstream_executions,
     trace_lifespan_days,
     trace_node_count,
@@ -74,24 +73,6 @@ class TestUpstreamDownstream:
     def test_no_ancestors_for_source(self, store):
         execs = _chain(store, 2)
         assert upstream_executions(store, execs[0]) == set()
-
-
-class TestComponents:
-    def test_single_chain_is_one_component(self, store):
-        execs = _chain(store, 3)
-        components = connected_execution_components(store)
-        assert components == [set(execs)]
-
-    def test_disjoint_chains_are_separate(self, store):
-        first = _chain(store, 2)
-        second = _chain(store, 2)
-        components = connected_execution_components(store)
-        assert len(components) == 2
-        assert {frozenset(first), frozenset(second)} == \
-            {frozenset(c) for c in components}
-
-    def test_empty_store(self, store):
-        assert connected_execution_components(store) == []
 
 
 class TestTraceStats:

@@ -5,11 +5,14 @@ import pytest
 from repro.mlmd import (
     AlreadyExistsError,
     Artifact,
+    Context,
     Event,
     EventType,
     Execution,
+    MetadataError,
     MetadataStore,
     NotFoundError,
+    TypeMismatchError,
     validate_properties,
 )
 
@@ -86,14 +89,26 @@ class TestProperties:
     def test_rejects_unserializable_value(self):
         with pytest.raises(TypeError):
             validate_properties({"bad": object()})
+        with pytest.raises(TypeMismatchError) as raised:
+            MetadataStore().put_artifact(Artifact(
+                type_name="Model", properties={"bad": object()}))
+        assert isinstance(raised.value, MetadataError)
 
     def test_rejects_non_string_key(self):
         with pytest.raises(TypeError):
             validate_properties({1: "x"})
+        with pytest.raises(TypeMismatchError) as raised:
+            MetadataStore().put_execution(Execution(
+                type_name="Trainer", properties={1: "x"}))
+        assert isinstance(raised.value, MetadataError)
 
     def test_rejects_nested_list(self):
         with pytest.raises(TypeError):
             validate_properties({"bad": [[1]]})
+        with pytest.raises(TypeMismatchError) as raised:
+            MetadataStore().put_context(Context(
+                type_name="Pipeline", properties={"bad": [[1]]}))
+        assert isinstance(raised.value, MetadataError)
 
     def test_accepts_scalars_and_flat_lists(self):
         validate_properties({"a": 1, "b": 2.0, "c": "s", "d": True,

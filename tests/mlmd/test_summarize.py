@@ -1,4 +1,4 @@
-"""Trace summarization and reachability-query tests."""
+"""Trace summarization tests."""
 
 import pytest
 
@@ -9,14 +9,8 @@ from repro.mlmd import (
     Execution,
     ExecutionState,
     MetadataStore,
-    artifact_node,
-    execution_node,
-    impact_set,
-    provenance_path,
-    reachable,
     summarize_by_type,
 )
-from repro.mlmd.summarize import TraceNode
 
 
 @pytest.fixture()
@@ -90,64 +84,3 @@ class TestCachedExecutions:
         summary = summarize_by_type(chain_store[0])
         assert summary.cached_executions == 0
         assert "cached" not in summary.render()
-
-
-class TestReachability:
-    def test_span_reaches_pushed_model(self, chain_store):
-        store, span, _, _, _, pushed = chain_store
-        assert reachable(store, artifact_node(span),
-                         artifact_node(pushed))
-
-    def test_no_backward_reachability(self, chain_store):
-        store, span, _, _, _, pushed = chain_store
-        assert not reachable(store, artifact_node(pushed),
-                             artifact_node(span))
-
-    def test_path_alternates_kinds(self, chain_store):
-        store, span, trainer, model, pusher, pushed = chain_store
-        path = provenance_path(store, artifact_node(span),
-                               artifact_node(pushed))
-        assert [n.kind for n in path] == [
-            "artifact", "execution", "artifact", "execution", "artifact"]
-        assert path[1].node_id == trainer
-        assert path[3].node_id == pusher
-
-    def test_path_to_self(self, chain_store):
-        store, span, *_ = chain_store
-        assert provenance_path(store, artifact_node(span),
-                               artifact_node(span)) == [artifact_node(span)]
-
-    def test_unreachable_returns_none(self, chain_store):
-        store, span, *_ = chain_store
-        orphan = store.put_artifact(Artifact(type_name="DataSpan"))
-        assert provenance_path(store, artifact_node(span),
-                               artifact_node(orphan)) is None
-
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TraceNode("thing", 1)
-
-
-class TestImpactSet:
-    def test_blast_radius_of_span(self, chain_store):
-        store, span, _, model, _, pushed = chain_store
-        assert impact_set(store, artifact_node(span)) == {model, pushed}
-
-    def test_filtered_by_type(self, chain_store):
-        store, span, _, model, _, pushed = chain_store
-        assert impact_set(store, artifact_node(span),
-                          artifact_type="PushedModel") == {pushed}
-
-    def test_corpus_span_impacts_models(self, small_corpus):
-        store = small_corpus.store
-        span = next(a for a in store.get_artifacts()
-                    if a.type_name == "DataSpan")
-        models = impact_set(store, artifact_node(span.id),
-                            artifact_type="Model")
-        # The first span feeds at least one trained model via its window.
-        assert isinstance(models, set)
-
-    def test_execution_source(self, chain_store):
-        store, _, trainer, model, _, pushed = chain_store
-        assert impact_set(store, execution_node(trainer)) == {model,
-                                                              pushed}

@@ -13,7 +13,6 @@ from repro.mlmd import (
     TelemetryRecord,
 )
 from repro.obs.diagnosis import (
-    CostSplit,
     CriticalPath,
     RegressionFlag,
     ResourceUsage,
@@ -157,11 +156,6 @@ class TestCostSplit:
         recorded = sum(float(e.get("cpu_hours", 0.0))
                        for e in store.get_executions_by_context(context_id))
         assert split.total == pytest.approx(recorded, rel=0.01)
-
-    def test_fractions_empty_safe(self):
-        assert sum(CostSplit().fractions().values()) == 0.0
-        fractions = CostSplit(useful=3.0, wasted=1.0).fractions()
-        assert fractions["useful"] == pytest.approx(0.75)
 
 
 class TestOperatorStats:

@@ -74,5 +74,5 @@ class TestStructuredLogger:
         assert stream.getvalue().count("once") == 1
 
     def test_names_rooted_under_repro(self):
-        assert get_logger("cli").stdlib.name == "repro.cli"
-        assert get_logger("repro.cli").stdlib.name == "repro.cli"
+        assert get_logger("cli")._logger.name == "repro.cli"
+        assert get_logger("repro.cli")._logger.name == "repro.cli"

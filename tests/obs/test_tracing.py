@@ -30,9 +30,9 @@ class TestSpans:
     def test_nesting_sets_parent_id(self, tracer):
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
-                assert tracer.current_span() is inner
-            assert tracer.current_span() is outer
-        assert tracer.current_span() is None
+                assert tracer._current.get() is inner
+            assert tracer._current.get() is outer
+        assert tracer._current.get() is None
         inner_span, outer_span = tracer.finished_spans()
         assert inner_span.parent_id == outer_span.span_id
         assert outer_span.parent_id is None
@@ -59,7 +59,7 @@ class TestSpans:
                 raise ValueError("nope")
         finished = tracer.finished_spans()[0]
         assert finished.error == "ValueError"
-        assert tracer.current_span() is None
+        assert tracer._current.get() is None
 
     def test_jsonl_round_trip(self, tracer, tmp_path):
         with tracer.span("outer", k=1):

@@ -60,7 +60,7 @@ class TestAsClient:
         assert as_client(client) is client
 
     def test_api_version_is_stable(self):
-        assert MetadataClient.API_VERSION == 3
+        assert MetadataClient.API_VERSION == 4
 
 
 #: Every public map of a MetadataStore: the provenance index the client
@@ -245,10 +245,6 @@ class TestBatchedReads:
         client = as_client(store)
         with pytest.raises(InvalidQueryError):
             client.neighbors_many("friends", [1])
-
-    def test_invalid_query_error_is_a_value_error(self):
-        # One-release compatibility promise (repro.mlmd.errors).
-        assert issubclass(InvalidQueryError, ValueError)
 
 
 class TestSegmentationCache:

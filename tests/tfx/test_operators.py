@@ -27,7 +27,6 @@ from repro.tfx import (
     StatisticsGen,
     Trainer,
     Transform,
-    group_cost_shares,
 )
 from repro.mlmd import MetadataStore
 
@@ -207,12 +206,3 @@ class TestCostModel:
         assert model.wall_clock_hours(16.0, parallelism=8.0) == \
             pytest.approx(2.0)
         assert model.wall_clock_hours(0.0) > 0  # floor
-
-    def test_group_cost_shares_normalize(self):
-        shares = group_cost_shares({OperatorGroup.TRAINING: 3.0,
-                                    OperatorGroup.DATA_INGESTION: 1.0})
-        assert shares[OperatorGroup.TRAINING] == pytest.approx(0.75)
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_empty_costs(self):
-        assert group_cost_shares({}) == {}

@@ -26,8 +26,8 @@ def _simple_nodes():
 class TestValidation:
     def test_valid_pipeline_builds(self):
         pipeline = PipelineDef("p", _simple_nodes())
-        assert pipeline.operator_names == {"ExampleGen", "Trainer",
-                                           "Pusher"}
+        assert {n.operator.name for n in pipeline.nodes} == {
+            "ExampleGen", "Trainer", "Pusher"}
 
     def test_duplicate_node_ids_rejected(self):
         nodes = _simple_nodes()

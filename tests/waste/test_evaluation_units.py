@@ -5,7 +5,6 @@ import pytest
 
 from repro.waste.evaluation import (
     TradeoffCurve,
-    WasteEvaluation,
     tradeoff_curve,
 )
 from repro.waste.policy import TrainedPolicy
@@ -60,17 +59,3 @@ class TestTradeoffCurve:
         # Freshness is vacuously 1 at every threshold.
         assert (curve.freshness == 1.0).all() or \
             curve.waste_cut_at_freshness(1.0) >= 0.0
-
-
-class TestWasteEvaluation:
-    def test_summary_rows(self):
-        policy = _policy([0.9, 0.1], [1, 0], [1.0, 1.0])
-        evaluation = WasteEvaluation(
-            balanced_accuracy={"P": 0.8},
-            feature_cost={"P": 0.4},
-            curves={"P": tradeoff_curve(policy)})
-        rows = evaluation.summary_rows()
-        assert rows[0][0] == "P"
-        assert rows[0][1] == 0.8
-        assert rows[0][2] == 0.4
-        assert 0.0 <= rows[0][3] <= 1.0
