@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import full_report, segment_production_pipelines
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.waste import (
     ABLATION_FAMILIES,
     WasteSplit,
@@ -57,7 +58,8 @@ def bench_config():
 
 @pytest.fixture(scope="session")
 def bench_corpus(bench_config):
-    return generate_corpus(bench_config)
+    corpus, _ = generate_corpus_fleet(bench_config)
+    return corpus
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import (
     datalog_graphlet_executions,
     segment_pipeline,
@@ -27,7 +28,8 @@ def _warmstart_corpus():
     config = CorpusConfig(n_pipelines=8, seed=3,
                           max_graphlets_per_pipeline=30,
                           warmstart_fraction=1.0)
-    return generate_corpus(config)
+    corpus, _ = generate_corpus_fleet(config)
+    return corpus
 
 
 def _ancestors_without_cut(store, trainer_id):
@@ -83,7 +85,7 @@ def test_imperative_vs_datalog_speed(benchmark):
     config = CorpusConfig(n_pipelines=6, seed=5,
                           max_graphlets_per_pipeline=8,
                           max_window_spans=6)
-    corpus = generate_corpus(config)
+    corpus, _ = generate_corpus_fleet(config)
     store = corpus.store
     # Any pipeline with a couple of trained models serves the
     # equivalence/speed comparison (production filter not required).

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
 from repro.fleet import generate_corpus_fleet
 from repro.obs import (
     MetricsRegistry,
@@ -53,15 +53,15 @@ def _bench_config() -> CorpusConfig:
 
 def _one_generation_seconds() -> float:
     start = time.perf_counter()
-    generate_corpus(_bench_config())
+    generate_corpus_fleet(_bench_config())
     return time.perf_counter() - start
 
 
 def test_instrumentation_overhead(tmp_path):
     # Warm-up: JIT-free Python still benefits from warm allocators and
     # importing everything before the clock starts.
-    generate_corpus(CorpusConfig(n_pipelines=2, seed=1,
-                                 max_graphlets_per_pipeline=4))
+    generate_corpus_fleet(CorpusConfig(n_pipelines=2, seed=1,
+                                       max_graphlets_per_pipeline=4))
 
     # Interleave the two configurations (noop, instrumented, noop, ...)
     # so background-load drift hits both equally, and take the best of

@@ -1,6 +1,6 @@
 """Query-scaling experiment: indexed client vs scan-path reads.
 
-The PR's acceptance record. On a ~10k-artifact corpus three numbers are
+The PR's acceptance record. On a ~10k-artifact corpus two numbers are
 measured and written to ``benchmarks/results/BENCH_query.json``:
 
 * **lineage neighborhood** — resolving every input/output/consumer/
@@ -8,14 +8,11 @@ measured and written to ``benchmarks/results/BENCH_query.json``:
   maps vs recomputing each neighborhood from a full event scan (what
   the pre-client call sites effectively did on the sqlite read path);
 * **graphlet segmentation** — re-segmenting unchanged pipelines
-  through the client's LRU cache vs recomputing the segmentation;
-* **index maintenance** — corpus generation with a client built on
-  the destination store beforehand vs without one; the client reads
-  the store's own maps, and generation with it must stay within 5% of
-  generation without it.
+  through the client's LRU cache vs recomputing the segmentation.
 
-Gates (ISSUE 5): both speedups ≥ 10x, maintenance ≤ 5% (plus a small
-absolute epsilon so a sub-10s workload doesn't flake on timer noise).
+Gate: both speedups ≥ 10x. A client reads the store's own maps, so it
+adds nothing to generation; ``tests/query/test_client.py`` pins that
+(``TestClientIsReadOnly``, ``TestIncrementalMaintenance``).
 Scale via ``REPRO_BENCH_QUERY_PIPELINES`` (default 40 ≈ 10k artifacts).
 """
 
@@ -28,9 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import segmentation
-from repro.mlmd import MetadataStore
 from repro.mlmd.types import EventType
 from repro.query import MetadataClient
 
@@ -40,10 +37,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Minimum indexed-over-scan speedup (ISSUE acceptance).
 MIN_SPEEDUP = 10.0
-#: Max tolerated index-maintenance share of generation time.
-MAX_MAINTENANCE = 0.05
-#: Absolute slack (seconds) for the maintenance gate on small runs.
-ABS_EPSILON = 0.15
 #: Nodes sampled for the lineage-neighborhood query mix.
 SAMPLE = 150
 REPEATS = 3
@@ -59,7 +52,8 @@ def query_config():
 
 @pytest.fixture(scope="module")
 def query_corpus(query_config):
-    return generate_corpus(query_config)
+    corpus, _ = generate_corpus_fleet(query_config)
+    return corpus
 
 
 def _scan_neighbors(store, execution_ids, artifact_ids):
@@ -140,25 +134,6 @@ def test_query_scaling(query_config, query_corpus):
             for cid, graphlets in fresh.items()}
     segment_speedup = segment_scan_seconds / segment_cached_seconds
 
-    # --- index maintenance during generation --------------------------
-    # Interleave plain and client-attached generation (best of
-    # REPEATS each) so background-load drift hits both equally.
-    plain_seconds = float("inf")
-    maintained_seconds = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        generate_corpus(query_config)
-        plain_seconds = min(plain_seconds, time.perf_counter() - start)
-
-        live_store = MetadataStore()
-        live_client = MetadataClient(live_store)
-        start = time.perf_counter()
-        generate_corpus(query_config, store=live_store)
-        maintained_seconds = min(maintained_seconds,
-                                 time.perf_counter() - start)
-        assert live_client.num_artifacts == client.num_artifacts
-    maintenance = maintained_seconds / plain_seconds - 1.0
-
     record = {
         "n_pipelines": query_config.n_pipelines,
         "num_artifacts": client.num_artifacts,
@@ -172,11 +147,7 @@ def test_query_scaling(query_config, query_corpus):
         "segment_fresh_seconds": round(segment_scan_seconds, 4),
         "segment_cached_seconds": round(segment_cached_seconds, 6),
         "segment_speedup": round(segment_speedup, 1),
-        "generation_plain_seconds": round(plain_seconds, 3),
-        "generation_maintained_seconds": round(maintained_seconds, 3),
-        "maintenance_overhead": round(maintenance, 4),
-        "gates": {"min_speedup": MIN_SPEEDUP,
-                  "max_maintenance": MAX_MAINTENANCE},
+        "gates": {"min_speedup": MIN_SPEEDUP},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_query.json").write_text(
@@ -189,10 +160,7 @@ def test_query_scaling(query_config, query_corpus):
          f"({lineage_speedup:,.0f}x)\n"
          f"  segmentation         : fresh {segment_scan_seconds:8.3f} s  "
          f"cached {segment_cached_seconds:8.5f} s  "
-         f"({segment_speedup:,.0f}x)\n"
-         f"  index maintenance    : plain {plain_seconds:8.3f} s  "
-         f"attached   {maintained_seconds:8.3f} s  "
-         f"({maintenance:+.1%} vs gate {MAX_MAINTENANCE:.0%})")
+         f"({segment_speedup:,.0f}x)")
 
     assert lineage_speedup >= MIN_SPEEDUP, (
         f"lineage neighborhood speedup {lineage_speedup:.1f}x below "
@@ -200,7 +168,3 @@ def test_query_scaling(query_config, query_corpus):
     assert segment_speedup >= MIN_SPEEDUP, (
         f"segmentation speedup {segment_speedup:.1f}x below the "
         f"{MIN_SPEEDUP:.0f}x gate")
-    assert maintained_seconds <= plain_seconds * (1 + MAX_MAINTENANCE) \
-        + ABS_EPSILON, (
-        f"index maintenance {maintenance:.1%} exceeds the "
-        f"{MAX_MAINTENANCE:.0%} gate")

@@ -9,8 +9,9 @@ span-pair similarity — the operations that dominate corpus analysis.
 import numpy as np
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
 from repro.data import random_schema, synthetic_span
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import segment_pipeline
 from repro.mlmd import Artifact, Event, EventType, Execution, MetadataStore
 from repro.similarity import digest_span, span_similarity
@@ -18,8 +19,9 @@ from repro.similarity import digest_span, span_similarity
 
 @pytest.fixture(scope="module")
 def perf_corpus():
-    return generate_corpus(CorpusConfig(
+    corpus, _ = generate_corpus_fleet(CorpusConfig(
         n_pipelines=10, seed=9, max_graphlets_per_pipeline=30))
+    return corpus
 
 
 def test_store_put_throughput(benchmark):

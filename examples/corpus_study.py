@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from repro.analysis import full_report, segment_production_pipelines
-from repro.corpus import CorpusConfig, calibration, generate_corpus
+from repro.corpus import CorpusConfig, calibration
+from repro.fleet import generate_corpus_fleet
 from repro.reporting import bar_chart, format_table, paper_vs_measured
 
 
@@ -23,7 +24,7 @@ def main() -> None:
     config = CorpusConfig(n_pipelines=n_pipelines, seed=7,
                           max_graphlets_per_pipeline=60)
     print(f"Generating corpus of {n_pipelines} pipelines ...")
-    corpus = generate_corpus(config, progress=True)
+    corpus, _ = generate_corpus_fleet(config, progress=True)
     store = corpus.store
     print(f"trace: {store.num_executions:,} executions, "
           f"{store.num_artifacts:,} artifacts, "

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from repro.analysis import segment_production_pipelines
-from repro.corpus import CorpusConfig, calibration, generate_corpus
+from repro.corpus import CorpusConfig, calibration
+from repro.fleet import generate_corpus_fleet
 from repro.reporting import curve, format_table
 from repro.waste import (
     WasteSplit,
@@ -32,7 +33,7 @@ def main() -> None:
     config = CorpusConfig(n_pipelines=n_pipelines, seed=7,
                           max_graphlets_per_pipeline=60)
     print(f"Generating corpus of {n_pipelines} pipelines ...")
-    corpus = generate_corpus(config)
+    corpus, _ = generate_corpus_fleet(config)
     graphlets = segment_production_pipelines(corpus)
 
     print("Building the waste-mitigation dataset "

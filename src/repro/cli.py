@@ -3,6 +3,8 @@
 Commands:
 
 * ``generate`` — generate a calibrated corpus and save it to SQLite.
+  It always runs the sharded fleet path (``--workers`` shards, default
+  1); a multi-shard run reschedules a crashed or stalled worker.
 * ``report`` — run the full Section 3/4 analysis suite on a corpus.
 * ``waste`` — train the Section 5 policy variants and print Table 3 /
   Figure 10 summaries.
@@ -99,8 +101,6 @@ def _resume_command(args: argparse.Namespace) -> str:
         parts += ["--retries", str(args.retries)]
     if args.max_attempts != 3:
         parts += ["--max-attempts", str(args.max_attempts)]
-    if args.hedge_after is not None:
-        parts += ["--hedge-after", str(args.hedge_after)]
     if args.fault_budget is not None:
         parts += ["--fault-budget", str(args.fault_budget)]
     if args.stall_after is not None:
@@ -132,7 +132,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                          stall_after=(DEFAULT_STALL_AFTER
                                       if args.stall_after is None
                                       else args.stall_after),
-                         hedge_after=args.hedge_after,
                          fault_budget=args.fault_budget)
     except ValueError as exc:
         _log.error("bad_supervision_option", reason=str(exc))
@@ -153,7 +152,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 journal_dir=journal_dir, resume=args.resume,
                 max_attempts=args.max_attempts,
                 stall_after=args.stall_after,
-                hedge_after=args.hedge_after,
                 fault_budget=args.fault_budget)
     except JournalError as exc:
         _log.error("journal_error", reason=str(exc))
@@ -182,8 +180,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
           f"to {args.out}")
     if fleet.degradation is not None \
             and (fleet.degradation.degraded
-                 or fleet.degradation.reschedules
-                 or fleet.degradation.hedges):
+                 or fleet.degradation.reschedules):
         from .fleet.supervisor import render_degradation
         print("\nsupervision:")
         print(render_degradation(fleet.degradation))
@@ -875,19 +872,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "counts as hung and is rescheduled "
                                "(default 30; also recorded in the "
                                "journal for fleet-status)")
-    generate.add_argument("--hedge-after", type=float, default=None,
-                          metavar="FACTOR",
-                          help="hedge a straggling shard once its "
-                               "attempt is older than FACTOR x the "
-                               "median completed-attempt duration; "
-                               "first completion wins (default: no "
-                               "hedging)")
     generate.add_argument("--fault-budget", type=int, default=None,
                           metavar="N",
-                          help="cap total recovery attempts "
-                               "(reschedules + hedges); exhaustion "
-                               "quarantines the rest — fail fast on "
-                               "systemic breakage (default: unlimited)")
+                          help="cap total reschedules across the "
+                               "run; exhaustion quarantines the rest "
+                               "— fail fast on systemic breakage "
+                               "(default: unlimited)")
     generate.set_defaults(fn=_cmd_generate)
 
     report = sub.add_parser("report", parents=[obs_flags],

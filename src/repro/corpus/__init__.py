@@ -10,7 +10,7 @@ from .config import (
     LifespanModel,
     MechanismConfig,
 )
-from .generator import (Corpus, PipelineRecord, generate_corpus,
+from .generator import (Corpus, PipelineRecord,
                         production_context_ids_from_store)
 from .mechanism import PushMechanism
 
@@ -27,7 +27,6 @@ __all__ = [
     "TASKS",
     "build_pipeline",
     "calibration",
-    "generate_corpus",
     "production_context_ids_from_store",
     "sample_archetype",
 ]

@@ -2,8 +2,8 @@
 
 :func:`simulate_pipelines` is the one simulation loop. Each pipeline
 draws from its own stream, :func:`pipeline_rng` of ``(seed, index)``,
-so :func:`generate_corpus` and sharded generation (:mod:`repro.fleet`)
-store the same trace for the same seed.
+so sharded generation (:func:`repro.fleet.generate_corpus_fleet`)
+stores the same trace for the same seed at any worker count.
 
 For each pipeline: sample an archetype and schema, then walk its lifespan
 on a simulated clock — every tick ingests one span (``ingest`` run) and
@@ -47,17 +47,14 @@ if TYPE_CHECKING:
 
 _log = get_logger("corpus.generator")
 
-#: Called after each pipeline with ``(done, total, store)``.
+#: Called after each merged shard with ``(done pipelines, total, store)``.
 ProgressCallback = Callable[[int, int, MetadataStore], None]
 
 
-def print_progress_every(every: int = 50) -> ProgressCallback:
-    """The classic CLI progress line, printed every ``every`` pipelines."""
-    def callback(done: int, total: int, store: MetadataStore) -> None:
-        if done % every == 0:
-            print(f"generated {done}/{total} pipelines; "
-                  f"store: {store.num_executions} executions")
-    return callback
+def print_progress(done: int, total: int, store: MetadataStore) -> None:
+    """The classic CLI progress line (a :data:`ProgressCallback`)."""
+    print(f"generated {done}/{total} pipelines; "
+          f"store: {store.num_executions} executions")
 
 
 @dataclass
@@ -307,66 +304,3 @@ def simulate_pipelines(store: MetadataStore, config: CorpusConfig,
                    archetype=archetype.name, runs=record.n_runs,
                    train_runs=record.n_train_runs, seconds=timer.elapsed)
         yield record, cache
-
-
-def generate_corpus(config: CorpusConfig | None = None,
-                    progress: bool = False,
-                    progress_callback: ProgressCallback | None = None,
-                    telemetry: bool = False,
-                    fault_plan=None,
-                    retry_policy=None,
-                    store: MetadataStore | None = None) -> Corpus:
-    """Generate a full corpus per the configuration.
-
-    Deterministic given ``config.seed``, and row-identical to
-    :func:`repro.fleet.generate_corpus_fleet` at any worker count. With
-    ``progress=True`` (and no explicit callback) the classic line is
-    printed every 50 pipelines (corpus generation at bench scale takes
-    tens of seconds). Pass ``progress_callback`` for custom reporting;
-    it is invoked after every pipeline with the completion count.
-
-    With ``telemetry=True`` a provenance-aware sink is attached to the
-    store before simulation, so every execution gains a joinable
-    telemetry row and a final metrics snapshot is persisted — the
-    input ``repro diagnose`` / ``repro dashboard`` query.
-
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects
-    seeded operator faults per pipeline; ``retry_policy`` (a
-    :class:`repro.faults.RetryPolicy`) lets the runner re-attempt
-    failures, persisting every attempt as provenance.
-
-    ``store`` supplies the (empty) destination store; the default is a
-    fresh in-memory store. A :class:`repro.query.MetadataClient` built
-    on it beforehand reads the same maps the generator writes, so it
-    sees every row as soon as it is put.
-    """
-    config = config or CorpusConfig()
-    store = store if store is not None else MetadataStore()
-    sink = None
-    if telemetry:
-        from ..obs.provenance import attach_sink
-        sink = attach_sink(store)
-    corpus = Corpus(store=store, config=config)
-    if progress_callback is None and progress:
-        progress_callback = print_progress_every(50)
-    _log.info("corpus_generation_started", pipelines=config.n_pipelines,
-              seed=config.seed)
-    with span("corpus.generate", n_pipelines=config.n_pipelines,
-              seed=config.seed):
-        pipelines = simulate_pipelines(store, config, 0, config.n_pipelines,
-                                       fault_plan=fault_plan,
-                                       retry_policy=retry_policy)
-        for done, (record, _) in enumerate(pipelines, 1):
-            corpus.records.append(record)
-            if progress_callback is not None:
-                progress_callback(done, config.n_pipelines, store)
-    if sink is not None:
-        # Persist the fleet-level instrument snapshot so dashboards can
-        # read op counts and wall-time histograms out of the corpus
-        # database instead of a side-channel JSONL file.
-        sink.record_registry(get_registry())
-    _log.info("corpus_generated", pipelines=len(corpus.records),
-              executions=store.num_executions,
-              artifacts=store.num_artifacts, events=store.num_events,
-              telemetry=store.num_telemetry)
-    return corpus

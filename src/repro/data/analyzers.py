@@ -281,15 +281,3 @@ class IncrementalVocabularyAnalyzer:
             term.item() if hasattr(term, "item") else term: index
             for index, term in enumerate(self._terms[order])
         }
-
-
-#: Registry mapping analyzer kinds to classes, for corpus configuration.
-ANALYZER_CLASSES: dict[AnalyzerKind, type] = {
-    AnalyzerKind.VOCABULARY: VocabularyAnalyzer,
-    AnalyzerKind.MIN: MinAnalyzer,
-    AnalyzerKind.MAX: MaxAnalyzer,
-    AnalyzerKind.MEAN: MeanAnalyzer,
-    AnalyzerKind.STD: StdAnalyzer,
-    AnalyzerKind.QUANTILES: QuantilesAnalyzer,
-    AnalyzerKind.CUSTOM: CustomAnalyzer,
-}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .program import Atom, Program, Rule, Variable
+from .program import Program, Rule, Variable
 
 
 class StratificationError(ValueError):

@@ -28,14 +28,6 @@ import numpy as np
 
 __all__ = ["FaultKind", "FaultPlan", "FaultSpec"]
 
-#: Execution property names used for failure/retry provenance.
-FAILURE_KIND = "failure_kind"
-FAILED_NODE = "failed_node"
-FAILED_OPERATOR = "failed_operator"
-ERROR_MESSAGE = "error_message"
-RETRY_OF = "retry_of"
-ATTEMPT = "attempt"
-
 
 class FaultKind(Enum):
     """The failure modes the injector understands."""

@@ -16,8 +16,8 @@ The subsystem has two parts, surfaced via
 
 Fleet runs recover in-run: every multi-shard run executes through the
 :class:`~repro.fleet.supervisor.FleetSupervisor`, which reschedules
-crashed or hung workers, hedges stragglers and quarantines a shard
-that fails ``max_attempts`` times. A quarantine leaves a
+crashed or hung workers and quarantines a shard that fails
+``max_attempts`` times. A quarantine leaves a
 partial-but-valid merged store, a :class:`ShardFailure` per lost shard
 and a :class:`~repro.fleet.supervisor.DegradationReport`; with a shard
 journal (:mod:`repro.faults.journal`) ``resume=True`` re-simulates

@@ -1,4 +1,4 @@
-"""In-run fleet supervision: reschedule, hedge, quarantine.
+"""In-run fleet supervision: reschedule, quarantine.
 
 Production corpora at paper scale (7.7M executions) cannot assume a
 fault-free multi-hour run, so every multi-shard fleet run goes through
@@ -12,14 +12,9 @@ the run:
   ``failure_kind``) journaled. Pipelines derive their rngs from
   ``(seed, global index)`` only, so a rescheduled shard produces rows
   byte-identical to a first-try shard — the merged store of a
-  recovered run equals the fault-free run exactly.
-* **Hedge** — once at least half the shards have finished, a running
-  shard whose attempt has been live longer than ``hedge_after`` times
-  the median completed-attempt duration gets a speculative second copy.
-  First completion wins; the loser is terminated. Ties break toward
-  the lowest attempt number — and because both copies run the same
-  per-pipeline rng streams they are byte-identical, so the winner
-  choice *cannot* change the merged rows, only the wall clock.
+  recovered run equals the fault-free run exactly. Stall detection is
+  the one rescue for a hung worker; a shard has at most one live
+  attempt at a time.
 * **Quarantine** — a shard that fails ``max_attempts`` times is given
   up on for this run: the merge skips it, the run completes as a
   partial-but-valid store, and a structured :class:`DegradationReport`
@@ -29,8 +24,8 @@ the run:
   ``--resume`` re-arms quarantined shards with fresh attempts, so
   ``max_attempts=1`` is the way to fail a shard at its first failure
   and leave a partial run for ``--resume``.
-* **Fault budget** — ``fault_budget`` caps total recovery attempts
-  (reschedules + hedges) across the run. A systemically broken run
+* **Fault budget** — ``fault_budget`` caps total reschedules across
+  the run. A systemically broken run
   (every worker dying) exhausts the budget after a handful of
   attempts and fails fast with a diagnosis instead of thrashing
   through ``shards × max_attempts`` doomed re-runs.
@@ -49,8 +44,8 @@ coordinator merges the shard file from there, and ``--resume`` and
 ``fleet-status`` see one layout however the shard ran. When process
 spawn is unavailable (sandbox, ``in_process=True``) the supervisor
 degrades to inline attempts: reschedule and quarantine semantics are
-identical, while stall detection and hedging — which require a
-concurrently observable worker — are naturally inert.
+identical, while stall detection — which requires a concurrently
+observable worker — is naturally inert.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
-import statistics
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -88,19 +82,13 @@ _KILL_EXIT_CODE = 17
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """The supervision knobs, CLI-surfaced as ``generate``'s
-    ``--max-attempts`` / ``--stall-after`` / ``--hedge-after`` /
-    ``--fault-budget``.
+    ``--max-attempts`` / ``--stall-after`` / ``--fault-budget``.
 
-    ``hedge_after`` is a straggler factor, not seconds: a shard is
-    hedged when its running attempt is older than ``hedge_after ×
-    median completed-attempt duration`` (and at least half the shards
-    have completed, so the median means something). ``None`` disables
-    hedging. ``fault_budget=None`` means unlimited recovery attempts.
+    ``fault_budget=None`` means unlimited reschedules.
     """
 
     max_attempts: int = 3
     stall_after: float = DEFAULT_STALL_AFTER
-    hedge_after: float | None = None
     fault_budget: int | None = None
     poll_interval: float = 0.05
 
@@ -109,8 +97,6 @@ class SupervisorPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.stall_after <= 0:
             raise ValueError("stall_after must be > 0")
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError("hedge_after must be > 0")
         if self.fault_budget is not None and self.fault_budget < 0:
             raise ValueError("fault_budget must be >= 0")
 
@@ -143,7 +129,7 @@ class DegradationReport:
     named quarantined shard. ``recovered_*`` tallies work that
     in-run supervision saved (winning attempts > 1);
     ``lost_cpu_seconds`` is compute spent on attempts that produced
-    nothing (failed, stalled, or hedge losers).
+    nothing (failed or stalled).
     """
 
     planned_pipelines: int
@@ -152,8 +138,6 @@ class DegradationReport:
     quarantined: list[QuarantinedShard] = field(default_factory=list)
     attempts_histogram: dict[int, int] = field(default_factory=dict)
     reschedules: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
     stalls_detected: int = 0
     fault_budget: int | None = None
     budget_spent: int = 0
@@ -184,7 +168,8 @@ class DegradationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DegradationReport":
-        """Inverse of :meth:`to_dict` (tolerant of missing keys)."""
+        """Inverse of :meth:`to_dict` (tolerant of missing keys, and of
+        unknown ones such as counts an older version wrote)."""
         known = {f for f in cls.__dataclass_fields__}
         kwargs = {k: v for k, v in data.items() if k in known}
         kwargs["quarantined"] = [
@@ -222,8 +207,7 @@ def render_degradation(report: DegradationReport) -> str:
     lines.append(f"  attempts histogram (attempts x shards): {histogram}")
     lines.append(
         f"  supervision: {report.reschedules} reschedule(s), "
-        f"{report.stalls_detected} stall(s) detected, "
-        f"{report.hedges} hedge(s) ({report.hedge_wins} won)")
+        f"{report.stalls_detected} stall(s) detected")
     lines.append(
         f"  compute: {report.recovered_cpu_seconds:.1f}s recovered on "
         f"{report.recovered_pipelines} pipeline(s), "
@@ -233,7 +217,7 @@ def render_degradation(report: DegradationReport) -> str:
             if report.budget_exhausted else ""
         lines.append(
             f"  fault budget: {report.budget_spent}/"
-            f"{report.fault_budget} recovery attempts{exhausted}")
+            f"{report.fault_budget} reschedules{exhausted}")
     return "\n".join(lines)
 
 
@@ -279,7 +263,6 @@ class _Attempt:
     conn: object
     directory: Path
     started: float
-    hedge: bool = False
 
     @property
     def shard_index(self) -> int:
@@ -292,7 +275,7 @@ class _ShardState:
 
     spec: object
     attempts_used: int = 0
-    live: list = field(default_factory=list)
+    live: _Attempt | None = None
     done: bool = False
     quarantined: bool = False
     last_kind: str = ""
@@ -386,26 +369,24 @@ class FleetSupervisor:
             _log.warning("fleet_spawn_unavailable",
                          reason=type(exc).__name__, fallback="inline")
             for state in self._state.values():
-                for attempt in state.live:
-                    self._reap(attempt, terminate=True)
-                state.live.clear()
+                if state.live is not None:
+                    self._reap(state.live, terminate=True)
+                    state.live = None
             self._cleanup_attempt_dirs()
             self._run_inline([s.spec for s in self._state.values()
                               if not s.done and not s.quarantined])
             return
         if launched_any:
             self.used_processes = True
-        while any(state.live for state in self._state.values()):
+        while any(state.live is not None
+                  for state in self._state.values()):
             progressed = self._poll()
-            now = time.time()
-            self._check_stalls(now)
-            self._maybe_hedge(now)
+            self._check_stalls(time.time())
             if not progressed:
                 time.sleep(self.policy.poll_interval)
         self._cleanup_attempt_dirs()
 
-    def _launch(self, spec, attempt: int, armed: bool,
-                hedge: bool = False) -> None:
+    def _launch(self, spec, attempt: int, armed: bool) -> None:
         attempt_dir = (self._journal_dir / "attempts"
                        / f"shard-{spec.shard_index:04d}-a{attempt}")
         attempt_dir.mkdir(parents=True, exist_ok=True)
@@ -426,51 +407,39 @@ class FleetSupervisor:
             send_conn.close()  # Parent keeps only the read end.
         state = self._state[spec.shard_index]
         state.attempts_used = max(state.attempts_used, attempt)
-        state.live.append(_Attempt(
+        state.live = _Attempt(
             spec=spec, attempt=attempt, process=process, conn=recv_conn,
-            directory=attempt_dir, started=time.time(), hedge=hedge))
+            directory=attempt_dir, started=time.time())
 
     def _poll(self) -> bool:
-        """Drain attempt outcomes; returns whether anything resolved.
-
-        Attempts are visited in (shard, attempt) order, so when a
-        hedge pair both have results buffered, the lower attempt wins
-        deterministically — harmless for row content (identical rng
-        makes the copies byte-identical) but it keeps journaled
-        provenance stable run-to-run.
-        """
+        """Drain attempt outcomes; returns whether anything resolved."""
         progressed = False
         for state in self._state.values():
-            for attempt in sorted(list(state.live),
-                                  key=lambda a: a.attempt):
-                if attempt not in state.live:
-                    continue  # A sibling's win already reaped it.
-                message = None
-                try:
-                    if attempt.conn.poll():
-                        message = attempt.conn.recv()
-                except (EOFError, OSError):
-                    message = None  # Died mid-send: treat as dead below.
-                if message is not None:
-                    progressed = True
-                    self._handle_message(state, attempt, message)
-                elif not attempt.process.is_alive():
-                    progressed = True
-                    self._handle_dead(state, attempt)
+            attempt = state.live
+            if attempt is None:
+                continue
+            message = None
+            try:
+                if attempt.conn.poll():
+                    message = attempt.conn.recv()
+            except (EOFError, OSError):
+                message = None  # Died mid-send: treat as dead below.
+            if message is not None:
+                progressed = True
+                self._handle_message(state, attempt, message)
+            elif not attempt.process.is_alive():
+                progressed = True
+                self._handle_dead(state, attempt)
         return progressed
 
     def _handle_message(self, state: _ShardState, attempt: _Attempt,
                         message) -> None:
-        kind = message[0]
-        if kind == "done":
-            result = message[3]
-            self._reap(attempt)
-            state.live.remove(attempt)
-            self._complete(state, attempt, result)
+        self._reap(attempt)
+        state.live = None
+        if message[0] == "done":
+            self._complete(state, attempt, message[3])
         else:
             _, _, _, failure_kind, failure_message = message
-            self._reap(attempt)
-            state.live.remove(attempt)
             self._attempt_failed(state, attempt, failure_kind,
                                  failure_message,
                                  crashed=failure_kind != "error")
@@ -479,7 +448,7 @@ class FleetSupervisor:
         """A process died without delivering a result (kill / OOM)."""
         exitcode = attempt.process.exitcode
         self._reap(attempt)
-        state.live.remove(attempt)
+        state.live = None
         detail = "injected kill" if exitcode == _KILL_EXIT_CODE \
             else f"exitcode {exitcode}"
         self._attempt_failed(
@@ -491,18 +460,20 @@ class FleetSupervisor:
     def _check_stalls(self, now: float) -> None:
         """Terminate attempts whose heartbeat went silent too long."""
         for state in self._state.values():
-            for attempt in list(state.live):
-                last = self._last_heartbeat(attempt)
-                if now - last <= self.policy.stall_after:
-                    continue
-                self._report.stalls_detected += 1
-                self._reap(attempt, terminate=True)
-                state.live.remove(attempt)
-                self._attempt_failed(
-                    state, attempt, "worker_hang",
-                    f"no heartbeat for {now - last:.1f}s "
-                    f"(stall threshold {self.policy.stall_after:.1f}s)",
-                    crashed=True)
+            attempt = state.live
+            if attempt is None:
+                continue
+            last = self._last_heartbeat(attempt)
+            if now - last <= self.policy.stall_after:
+                continue
+            self._report.stalls_detected += 1
+            self._reap(attempt, terminate=True)
+            state.live = None
+            self._attempt_failed(
+                state, attempt, "worker_hang",
+                f"no heartbeat for {now - last:.1f}s "
+                f"(stall threshold {self.policy.stall_after:.1f}s)",
+                crashed=True)
 
     def _last_heartbeat(self, attempt: _Attempt) -> float:
         beat = read_status_file(
@@ -511,37 +482,13 @@ class FleetSupervisor:
         updated = float(beat.get("updated_unix", 0.0)) if beat else 0.0
         return max(attempt.started, updated)
 
-    def _maybe_hedge(self, now: float) -> None:
-        if self.policy.hedge_after is None:
-            return
-        durations = [self.results[i].elapsed_seconds
-                     for i, s in self._state.items() if s.done]
-        if len(durations) < max(1, (len(self._state) + 1) // 2):
-            return
-        threshold = self.policy.hedge_after * statistics.median(durations)
-        for state in self._state.values():
-            if state.done or state.quarantined or len(state.live) != 1:
-                continue
-            attempt = state.live[0]
-            if now - attempt.started <= threshold:
-                continue
-            if state.attempts_used >= self.policy.max_attempts \
-                    or not self._spend_budget():
-                continue
-            hedge_attempt = state.attempts_used + 1
-            self._report.hedges += 1
-            # Hedges run disarmed: they are recovery copies, and an
-            # identical injected fault would just burn the budget.
-            self._launch(state.spec, attempt=hedge_attempt,
-                         armed=False, hedge=True)
-
     # ------------------------------------------------------- inline mode
 
     def _run_inline(self, to_run) -> None:
         """Sequential fallback: same reschedule/quarantine semantics.
 
-        Stall detection and hedging need a concurrently observable
-        worker, so they are inert here — an injected hang degrades to
+        Stall detection needs a concurrently observable worker, so it
+        is inert here — an injected hang degrades to
         :class:`~repro.faults.injector.WorkerHangError` inside
         ``run_shard`` (inline shards must never hang the driver) and
         lands in the same ``worker_hang`` failure path. The while loop
@@ -581,10 +528,6 @@ class FleetSupervisor:
 
     def _complete(self, state: _ShardState, attempt: _Attempt,
                   result, promote: bool = True) -> None:
-        if state.done:
-            # A sibling (hedge) already won; this copy's work is moot.
-            self._report.lost_cpu_seconds += result.elapsed_seconds
-            return
         state.done = True
         result.transfer_seconds = max(
             0.0, time.time() - result.finished_unix)
@@ -600,23 +543,10 @@ class FleetSupervisor:
         if attempt.attempt > 1:
             self._report.recovered_pipelines += attempt.spec.n_pipelines
             self._report.recovered_cpu_seconds += result.elapsed_seconds
-            if attempt.hedge:
-                self._report.hedge_wins += 1
-        # First-completion-wins: cancel the slower sibling copies.
-        for sibling in list(state.live):
-            self._report.lost_cpu_seconds += \
-                time.time() - sibling.started
-            self._reap(sibling, terminate=True)
-            state.live.remove(sibling)
 
     def _attempt_failed(self, state: _ShardState, attempt: _Attempt,
                         kind: str, message: str,
                         crashed: bool = False) -> None:
-        if state.done:
-            # The hedge sibling already delivered this shard.
-            self._report.lost_cpu_seconds += \
-                time.time() - attempt.started
-            return
         self._report.lost_cpu_seconds += time.time() - attempt.started
         rescheduled_from = state.last_failed_attempt
         state.last_kind = kind
@@ -625,11 +555,6 @@ class FleetSupervisor:
         self.journal.record_failure(
             attempt.shard_index, kind, message, crashed=crashed,
             attempt=attempt.attempt, rescheduled_from=rescheduled_from)
-        if state.live:
-            # A hedge copy is still running — it may yet deliver, and
-            # its own failure will re-enter this path with the live
-            # list empty.
-            return
         _log.warning("supervised_attempt_failed",
                      shard=attempt.shard_index, attempt=attempt.attempt,
                      kind=kind, reason=message)
@@ -674,7 +599,7 @@ class FleetSupervisor:
             reason=reason))
 
     def _spend_budget(self) -> bool:
-        """Consume one recovery attempt from the fault budget."""
+        """Consume one reschedule from the fault budget."""
         budget = self.policy.fault_budget
         if budget is not None and self._report.budget_spent >= budget:
             return False

@@ -7,9 +7,9 @@ the per-pipeline rng :func:`pipeline_rng` derives from
 Pipelines can therefore be partitioned into contiguous shards,
 simulated in worker processes into private stores, and merged back
 (:func:`repro.mlmd.sqlite_store.append_store`) into a trace that is
-*identical* for any worker count with the same seed — and identical to
-:func:`repro.corpus.generate_corpus` — the reproducible-pipeline
-discipline of Sugimura & Hartl applied to the corpus generator itself.
+*identical* for any worker count with the same seed — the
+reproducible-pipeline discipline of Sugimura & Hartl applied to the
+corpus generator itself.
 
 Worker discipline:
 
@@ -32,7 +32,7 @@ Worker discipline:
   result pipe carries only the pipeline records and tallies; the
   coordinator appends each file to the destination store in shard
   order with the one loader in :mod:`repro.mlmd.sqlite_store`. Fresh,
-  resumed, hedged and inline shards all merge the same way, and the
+  resumed, rescheduled and inline shards all merge the same way, and the
   file a run merges is the file a later ``resume=True`` reloads.
 
 Executors: a one-shard plan with something to run calls
@@ -74,7 +74,7 @@ from time import perf_counter
 
 from ..corpus.config import CorpusConfig
 from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
-                                pipeline_rng, print_progress_every,
+                                pipeline_rng, print_progress,
                                 simulate_pipelines)
 from ..faults.injector import WorkerCrashError, WorkerHangError
 from ..faults.journal import (ShardJournal, config_fingerprint, shard_db_path,
@@ -267,11 +267,11 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     the shard's spans for driver-side adoption.
 
     ``attempt`` is supervision provenance: attempt numbers > 1 (a
-    supervisor's reschedule or hedge copy) tag the heartbeat worker
-    name so ``fleet-status`` shows *which* attempt is beating. The
-    simulation itself is attempt-invariant — every attempt derives the
-    same per-pipeline rngs, which is what makes reschedules and hedge
-    copies byte-identical.
+    supervisor's reschedule) tag the heartbeat worker name so
+    ``fleet-status`` shows *which* attempt is beating. The simulation
+    itself is attempt-invariant — every attempt derives the same
+    per-pipeline rngs, which is what makes a reschedule byte-identical
+    to a first try.
     """
     started = perf_counter()
     worker_fault = None
@@ -482,7 +482,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                           supervise: bool = True,
                           max_attempts: int = 3,
                           stall_after: float | None = None,
-                          hedge_after: float | None = None,
                           fault_budget: int | None = None
                           ) -> tuple[Corpus, FleetReport]:
     """Generate a corpus by sharded (optionally parallel) simulation.
@@ -499,8 +498,10 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         workers: Shard count; ``> 1`` simulates shards in worker
             processes (falling back to in-process when spawn fails).
         exec_cache: Enable the content-addressed execution cache.
-        telemetry: Persist provenance telemetry rows, as in
-            :func:`repro.corpus.generate_corpus`.
+        telemetry: Attach a provenance sink to the destination store:
+            every execution gains a joinable telemetry row, and the
+            run's metrics snapshot is persisted at the end — the input
+            ``repro diagnose`` / ``repro dashboard`` query.
         progress: Print the classic progress line per merged shard.
         progress_callback: Custom progress hook ``(done, total, store)``,
             called after each shard is merged.
@@ -527,13 +528,9 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             counts as hung (also recorded in the journal manifest so
             ``fleet-status`` uses the same threshold). ``None`` uses
             :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER`.
-        hedge_after: Straggler factor: hedge a running shard once its
-            attempt is older than ``hedge_after`` × the median
-            completed-attempt duration. ``None`` disables hedging.
-        fault_budget: Cap on total recovery attempts
-            (reschedules + hedges); exhaustion quarantines remaining
-            failures — fail-fast on systemic breakage. ``None`` is
-            unlimited.
+        fault_budget: Cap on total reschedules; exhaustion
+            quarantines remaining failures — fail-fast on systemic
+            breakage. ``None`` is unlimited.
 
     Returns:
         The merged :class:`Corpus` plus a :class:`FleetReport`. A run
@@ -555,7 +552,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         stall_after = DEFAULT_STALL_AFTER
     policy = SupervisorPolicy(max_attempts=max_attempts,
                               stall_after=stall_after,
-                              hedge_after=hedge_after,
                               fault_budget=fault_budget)
     started = perf_counter()
     tracer = get_tracer()
@@ -566,7 +562,7 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
               workers=workers, trace_id=trace_id) as run_span:
         if progress_callback is None and progress:
             # Fleet progress is shard-granular, so report on every merge.
-            progress_callback = print_progress_every(1)
+            progress_callback = print_progress
 
         results: dict[int, ShardResult] = {}
         failures: dict[int, ShardFailure] = {}

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 # Artifact type names (the strings recorded in MLMD).
 DATA_SPAN = "DataSpan"
-EXAMPLES = "Examples"
 STATISTICS = "ExampleStatistics"
 SCHEMA = "Schema"
 DATA_VALIDATION = "DataValidationResult"
 TRANSFORM_GRAPH = "TransformGraph"
-TRANSFORMED_EXAMPLES = "TransformedExamples"
 HYPERPARAMS = "Hyperparameters"
 MODEL = "Model"
 MODEL_EVALUATION = "ModelEvaluation"

@@ -126,9 +126,10 @@ class TestPipelineLevel:
             rel=1e-9)
 
     def test_retry_stats_reconcile_exactly_under_faults(self):
-        from repro.corpus import CorpusConfig, generate_corpus
+        from repro.corpus import CorpusConfig
         from repro.faults import FaultPlan, RetryPolicy
-        corpus = generate_corpus(
+        from repro.fleet import generate_corpus_fleet
+        corpus, _ = generate_corpus_fleet(
             CorpusConfig(n_pipelines=6, seed=13,
                          max_graphlets_per_pipeline=8,
                          max_window_spans=6),

@@ -26,8 +26,9 @@ import hashlib
 import pytest
 
 from repro.analysis import full_report, segment_production_pipelines
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, RetryPolicy
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import consecutive_pairs
 from repro.waste import build_waste_dataset
 from repro.waste.dataset import pipeline_uses_warmstart
@@ -74,8 +75,8 @@ def corpus():
                           max_window_spans=6, warmstart_fraction=0.5)
     plan = FaultPlan.parse("transient:Trainer:0.3;transient:*:0.05",
                            seed=5)
-    corpus = generate_corpus(config, fault_plan=plan,
-                             retry_policy=RetryPolicy(max_attempts=3))
+    corpus, _ = generate_corpus_fleet(
+        config, fault_plan=plan, retry_policy=RetryPolicy(max_attempts=3))
     store = corpus.store
     # The two production pipelines with the widest spans among those
     # that do not warm-start (so the waste dataset keeps them); in each,

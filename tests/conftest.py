@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import segment_production_pipelines
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
     """A deterministic small corpus (30 pipelines)."""
-    return generate_corpus(CorpusConfig.small(seed=13))
+    corpus, _ = generate_corpus_fleet(CorpusConfig.small(seed=13))
+    return corpus
 
 
 @pytest.fixture(scope="session")

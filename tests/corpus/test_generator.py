@@ -6,7 +6,6 @@ import pytest
 from repro.corpus import (
     CorpusConfig,
     build_pipeline,
-    generate_corpus,
     sample_archetype,
 )
 from repro.faults import FaultPlan, RetryPolicy
@@ -68,18 +67,18 @@ class TestGeneration:
     def test_deterministic_given_seed(self):
         config = CorpusConfig(n_pipelines=3, seed=11,
                               max_graphlets_per_pipeline=10)
-        a = generate_corpus(config)
-        b = generate_corpus(config)
+        a, _ = generate_corpus_fleet(config)
+        b, _ = generate_corpus_fleet(config)
         assert a.store.num_executions == b.store.num_executions
         assert a.store.num_artifacts == b.store.num_artifacts
         assert [r.n_pushes for r in a.records] == \
             [r.n_pushes for r in b.records]
 
     def test_different_seeds_differ(self):
-        a = generate_corpus(CorpusConfig(n_pipelines=3, seed=1,
-                                         max_graphlets_per_pipeline=10))
-        b = generate_corpus(CorpusConfig(n_pipelines=3, seed=2,
-                                         max_graphlets_per_pipeline=10))
+        a, _ = generate_corpus_fleet(CorpusConfig(
+            n_pipelines=3, seed=1, max_graphlets_per_pipeline=10))
+        b, _ = generate_corpus_fleet(CorpusConfig(
+            n_pipelines=3, seed=2, max_graphlets_per_pipeline=10))
         assert a.store.num_executions != b.store.num_executions
 
     def test_graphlet_cap_respected(self, small_corpus):
@@ -109,8 +108,8 @@ def _store_rows(store):
 
 
 class TestOneStream:
-    """``generate_corpus`` and the fleet at any worker count draw the
-    same per-pipeline streams, so they store the same rows."""
+    """The fleet draws the same per-pipeline streams at any worker
+    count, so one shard and three store the same rows."""
 
     @pytest.fixture(scope="class")
     def corpora(self):
@@ -121,26 +120,23 @@ class TestOneStream:
                                seed=3)
         retry = RetryPolicy(max_attempts=3)
         kwargs = dict(fault_plan=plan, retry_policy=retry)
-        sequential = generate_corpus(config, **kwargs)
         one, _ = generate_corpus_fleet(config, workers=1, **kwargs)
         three, _ = generate_corpus_fleet(config, workers=3,
                                          in_process=True, **kwargs)
-        return sequential, one, three
+        return one, three
 
     def test_rows_identical(self, corpora):
-        sequential, one, three = corpora
-        rows = _store_rows(sequential.store)
+        one, three = corpora
+        rows = _store_rows(one.store)
         assert all(rows)
         assert any(e.get("retry_of") is not None
-                   for e in sequential.store.get_executions())
-        assert _store_rows(one.store) == rows
+                   for e in one.store.get_executions())
         assert _store_rows(three.store) == rows
 
     def test_pipeline_records_identical(self, corpora):
-        sequential, one, three = corpora
-        assert len(sequential.records) == 5
-        assert one.records == sequential.records
-        assert three.records == sequential.records
+        one, three = corpora
+        assert len(one.records) == 5
+        assert three.records == one.records
 
 
 class TestCalibrationShape:

@@ -1,6 +1,5 @@
 """Push-mechanism unit tests."""
 
-import numpy as np
 import pytest
 
 from repro.corpus import CorpusConfig, PushMechanism, sample_archetype

@@ -1,7 +1,6 @@
 """Additional generator tests: domain sizes, noise, analytic stats."""
 
 import numpy as np
-import pytest
 
 from repro.data import (
     CategoricalDomain,

@@ -15,7 +15,7 @@ import pytest
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, journal_dir_for
 from repro.fleet import generate_corpus_fleet
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.tracing import Tracer, set_tracer
 
 

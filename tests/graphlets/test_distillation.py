@@ -6,11 +6,11 @@ model-to-model dependencies in the same pipeline". The Trainer cut must
 keep teacher and student in separate graphlets.
 """
 
-import numpy as np
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
 from repro.analysis import segment_production_pipelines
+from repro.fleet import generate_corpus_fleet
 from repro.waste import build_waste_dataset
 
 
@@ -20,7 +20,8 @@ def distilled_corpus():
                           max_graphlets_per_pipeline=16,
                           p_distillation=1.0, p_ab_testing=0.0,
                           warmstart_fraction=0.0)
-    return generate_corpus(config)
+    corpus, _ = generate_corpus_fleet(config)
+    return corpus
 
 
 class TestDistillationSegmentation:

@@ -1,6 +1,5 @@
 """Graphlet segmentation tests: rules a/b/c and the Datalog equivalence."""
 
-import numpy as np
 import pytest
 
 from repro.data import random_schema, synthetic_span

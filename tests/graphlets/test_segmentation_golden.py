@@ -14,8 +14,9 @@ import hashlib
 
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, RetryPolicy
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import segment_corpus
 from repro.mlmd.types import ExecutionState
 from repro.tfx import artifacts as A
@@ -30,8 +31,9 @@ def corpus():
                           max_window_spans=6, warmstart_fraction=0.5)
     plan = FaultPlan.parse("transient:Trainer:0.3;transient:*:0.05",
                            seed=5)
-    return generate_corpus(config, fault_plan=plan,
-                           retry_policy=RetryPolicy(max_attempts=3))
+    corpus, _ = generate_corpus_fleet(
+        config, fault_plan=plan, retry_policy=RetryPolicy(max_attempts=3))
+    return corpus
 
 
 def _graphlet_rows(graphlets_by_context):

@@ -304,7 +304,6 @@ class TestFleetCLI:
     @pytest.mark.parametrize("flag, value, reason", [
         ("--max-attempts", "0", "max_attempts must be >= 1"),
         ("--stall-after", "0", "stall_after must be > 0"),
-        ("--hedge-after", "-1", "hedge_after must be > 0"),
         ("--fault-budget", "-1", "fault_budget must be >= 0"),
     ])
     def test_bad_supervision_option_exits_2(self, tmp_path, capsys, flag,
@@ -600,22 +599,21 @@ class TestChaosEndToEnd:
 
     def test_parser_supervision_flags(self):
         # Supervision is not an option: the flag that asked for it is
-        # gone, and only its knobs remain.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["generate", "--supervise"])
+        # gone, and only its knobs remain. Stall detection is the one
+        # straggler rescue, so there is no hedging flag either.
+        for gone in (["--supervise"], ["--hedge-after", "2.5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["generate", *gone])
         args = build_parser().parse_args(["generate"])
         assert not hasattr(args, "supervise")
         assert args.max_attempts == 3
         assert args.stall_after is None
-        assert args.hedge_after is None
         assert args.fault_budget is None
         args = build_parser().parse_args(
             ["generate", "--max-attempts", "5",
-             "--stall-after", "12", "--hedge-after", "2.5",
-             "--fault-budget", "4"])
+             "--stall-after", "12", "--fault-budget", "4"])
         assert args.max_attempts == 5
         assert args.stall_after == 12.0
-        assert args.hedge_after == 2.5
         assert args.fault_budget == 4
 
     def test_faults_summary_renders(self, faulted_corpus, capsys):

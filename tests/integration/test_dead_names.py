@@ -1,9 +1,9 @@
 """Every public ``src/`` name is reached from outside its own body.
 
 This is the in-suite mirror of CI's ``tools/dead_names.py --check``: a
-public function, class, method or property that only its own unit test
-(or nothing) uses must be deleted, or listed in the tool's ``KEEP`` with
-a reason.
+public function, class, constant, method or property that only its own
+unit test (or nothing) uses must be deleted, or listed in the tool's
+``KEEP`` with a reason.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ These tests exercise the full stack the way the benches do, at reduced
 scale, plus the SQLite round-trip of a whole corpus.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import full_report, segment_production_pipelines
-from repro.corpus import Corpus, CorpusConfig, generate_corpus
+from repro.corpus import Corpus, CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets import segment_pipeline
 from repro.mlmd import load_store, save_store
 from repro.waste import build_waste_dataset, train_all_variants
@@ -57,9 +57,9 @@ class TestFullStack:
             original["unpushed_fraction"])
 
     def test_trace_counts_scale_with_pipelines(self):
-        small = generate_corpus(CorpusConfig(
+        small, _ = generate_corpus_fleet(CorpusConfig(
             n_pipelines=2, seed=3, max_graphlets_per_pipeline=8))
-        bigger = generate_corpus(CorpusConfig(
+        bigger, _ = generate_corpus_fleet(CorpusConfig(
             n_pipelines=6, seed=3, max_graphlets_per_pipeline=8))
         assert bigger.store.num_executions > small.store.num_executions
 

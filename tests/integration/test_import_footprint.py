@@ -24,10 +24,11 @@ PROGRAM = textwrap.dedent("""
     assert "scipy.optimize" not in sys.modules, "loaded on import"
 
     from repro.analysis import full_report, segment_production_pipelines
-    from repro.corpus import CorpusConfig, generate_corpus
+    from repro.corpus import CorpusConfig
+    from repro.fleet import generate_corpus_fleet
     from repro.waste import build_waste_dataset
 
-    corpus = generate_corpus(CorpusConfig(
+    corpus, _ = generate_corpus_fleet(CorpusConfig(
         n_pipelines=4, seed=5, max_graphlets_per_pipeline=6))
     graphlets = segment_production_pipelines(corpus)
     full_report(corpus, graphlets)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.graphlets.segmentation import segment_pipeline
 from repro.mlmd import load_store, save_store
 from repro.obs.diagnosis import critical_path, diagnose_pipeline
@@ -23,7 +24,8 @@ def telemetry_corpus():
     config = CorpusConfig(n_pipelines=8, seed=11,
                           max_graphlets_per_pipeline=12,
                           max_window_spans=12)
-    return generate_corpus(config, telemetry=True)
+    corpus, _ = generate_corpus_fleet(config, telemetry=True)
+    return corpus
 
 
 class TestCoverage:

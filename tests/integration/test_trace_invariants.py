@@ -4,13 +4,12 @@ These are the structural guarantees every downstream analysis relies on;
 they are checked over randomly-seeded miniature corpora.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import segment_production_pipelines
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.mlmd import ExecutionState
 
 
@@ -20,7 +19,8 @@ def mini_corpora(draw):
     config = CorpusConfig(n_pipelines=2, seed=seed,
                           max_graphlets_per_pipeline=8,
                           max_window_spans=6)
-    return generate_corpus(config)
+    corpus, _ = generate_corpus_fleet(config)
+    return corpus
 
 
 class TestTraceInvariants:

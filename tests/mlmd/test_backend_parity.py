@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.mlmd import NotFoundError, SqliteStore, save_store
 from repro.mlmd.errors import AlreadyExistsError
 from repro.mlmd.types import Artifact, ArtifactState, ExecutionState
@@ -27,10 +28,11 @@ def canon(nodes):
 @pytest.fixture(scope="module")
 def parity_corpus():
     """A small telemetry-carrying corpus (module-scoped: ~3 s)."""
-    return generate_corpus(CorpusConfig(n_pipelines=8, seed=29,
-                                        max_graphlets_per_pipeline=20,
-                                        max_window_spans=10),
-                           telemetry=True)
+    corpus, _ = generate_corpus_fleet(
+        CorpusConfig(n_pipelines=8, seed=29, max_graphlets_per_pipeline=20,
+                     max_window_spans=10),
+        telemetry=True)
+    return corpus
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ import hashlib
 
 import pytest
 
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.mlmd import (MetadataStore, downstream_executions,
                         upstream_executions)
 from repro.mlmd.errors import InvalidQueryError, NotFoundError
@@ -91,8 +92,9 @@ class TestClientIsReadOnly:
         # A client owns no copy of the index and adds no listener, so
         # building one costs generation nothing: it reads the store's
         # own maps and never writes them.
-        store = generate_corpus(CorpusConfig(
-            n_pipelines=4, seed=3, max_graphlets_per_pipeline=6)).store
+        corpus, _ = generate_corpus_fleet(CorpusConfig(
+            n_pipelines=4, seed=3, max_graphlets_per_pipeline=6))
+        store = corpus.store
         version, before = store.version, _map_digests(store)
         client = MetadataClient(store)
         assert client.segment_corpus()

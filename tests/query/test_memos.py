@@ -17,7 +17,8 @@ from repro.analysis.graphlet_level import (
     push_vs_drift_table,
     similarity_table,
 )
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.mlmd.types import Event, EventType, Execution
 from repro.query import ExecutionFacts, MetadataClient, as_client
 from repro.similarity import SpanPairCache
@@ -25,9 +26,10 @@ from repro.waste import build_waste_dataset
 
 
 def _corpus():
-    return generate_corpus(CorpusConfig(
+    corpus, _ = generate_corpus_fleet(CorpusConfig(
         n_pipelines=6, seed=5, max_graphlets_per_pipeline=6,
         max_window_spans=4, warmstart_fraction=0.0))
+    return corpus
 
 
 @pytest.fixture()

@@ -1,7 +1,5 @@
 """Trace-rendering tests."""
 
-import pytest
-
 from repro.reporting import render_graphlet, render_trace
 from repro.reporting.trace_viz import render_span_timeline
 

@@ -6,7 +6,6 @@ scoring the remaining pairs one at a time. Every comparison below is on
 ``float.hex``, so a last-bit difference fails.
 """
 
-import numpy as np
 import pytest
 
 from repro.similarity import SpanDigest, SpanPairCache, span_similarity

@@ -1,7 +1,6 @@
 """Similarity behaviour under drift: the signal chain Section 5 rests on."""
 
 import numpy as np
-import pytest
 
 from repro.data import DriftConfig, DriftProcess, random_schema, synthetic_span
 from repro.similarity import span_similarity

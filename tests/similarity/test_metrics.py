@@ -261,11 +261,12 @@ class TestSpanPairCacheIdentity:
 
 class TestDigestMemo:
     def test_each_span_is_decoded_once_per_version(self, monkeypatch):
-        from repro.corpus import CorpusConfig, generate_corpus
+        from repro.corpus import CorpusConfig
+        from repro.fleet import generate_corpus_fleet
         from repro.mlmd.types import Artifact
         from repro.query import as_client
 
-        corpus = generate_corpus(CorpusConfig(
+        corpus, _ = generate_corpus_fleet(CorpusConfig(
             n_pipelines=3, seed=5, max_graphlets_per_pipeline=6,
             max_window_spans=4))
         client = as_client(corpus.store)

@@ -1,6 +1,5 @@
 """Unit tests for individual operators via direct run() calls."""
 
-import numpy as np
 import pytest
 
 from repro.data import materialize_span, random_schema, synthetic_span

@@ -100,7 +100,7 @@ class TestValidation:
         PipelineDef("p", nodes)  # Must not raise.
 
     def test_cycle_rejected(self):
-        from repro.tfx import Evaluator, ModelValidator
+        from repro.tfx import Evaluator
         nodes = [
             PipelineNode("gen", ExampleGen(), stage="ingest"),
             PipelineNode("a", Evaluator(), inputs={

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.waste.evaluation import (
-    TradeoffCurve,
-    tradeoff_curve,
-)
+from repro.waste.evaluation import tradeoff_curve
 from repro.waste.policy import TrainedPolicy
 
 

@@ -1,6 +1,5 @@
 """Fine-grained feature-extraction tests against hand-built traces."""
 
-import numpy as np
 import pytest
 
 from repro.data import random_schema, synthetic_span

@@ -1,6 +1,5 @@
 """Materialization-policy tests (Section 3.3's caching opportunity)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

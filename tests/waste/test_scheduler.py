@@ -1,6 +1,5 @@
 """Skipping-scheduler tests (deploying the Section-5 policy)."""
 
-import numpy as np
 import pytest
 
 from repro.waste import SkippingScheduler, build_waste_dataset, train_all_variants

@@ -19,7 +19,6 @@ from repro.waste import (
     run_all_heuristics,
     tradeoff_curve,
     train_all_variants,
-    train_variant,
 )
 from repro.waste.policy import fit_decision_threshold
 

@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from repro.analysis import segment_production_pipelines
-from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus import CorpusConfig
+from repro.fleet import generate_corpus_fleet
 from repro.waste import build_waste_dataset, evaluate_policies, train_all_variants
 
 
@@ -40,7 +41,7 @@ def run_config(mult_sigma, qdw, width, throttle_mu, decay, seed):
     import repro.corpus.generator as gen_mod
     gen_mod.sample_archetype = patched
     try:
-        corpus = generate_corpus(cfg)
+        corpus, _ = generate_corpus_fleet(cfg)
         gls = segment_production_pipelines(corpus)
         ds = build_waste_dataset(gls)
         policies = train_all_variants(ds, n_estimators=60)
