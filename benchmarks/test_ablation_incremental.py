@@ -15,7 +15,6 @@ from repro.data import (
     IncrementalVocabularyAnalyzer,
     VocabularyAnalyzer,
     materialize_span,
-    random_schema,
 )
 from repro.reporting import format_table
 

@@ -11,8 +11,6 @@ Run:  python examples/corpus_study.py [n_pipelines]
 
 import sys
 
-import numpy as np
-
 from repro.analysis import full_report, segment_production_pipelines
 from repro.corpus import CorpusConfig, calibration
 from repro.fleet import generate_corpus_fleet

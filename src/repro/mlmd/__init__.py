@@ -8,8 +8,11 @@ and durable storage.
 There is one store, the in-memory :class:`MetadataStore`. A sqlite
 file is only its saved form (:func:`save_store` / :func:`load_store`),
 and :class:`SqliteStore` is a read-only handle naming such a file for
-callers that pass a file where a store is expected. Indexed reads live
-in :mod:`repro.query`; the error taxonomy in :mod:`repro.mlmd.errors`.
+callers that pass a file where a store is expected. The store's MLMD
+reads are written once (:class:`repro.mlmd.store.MetadataReader`) and
+shared with :class:`repro.query.MetadataClient`, which adds filtered,
+batched and cached reads; the error taxonomy is in
+:mod:`repro.mlmd.errors`.
 """
 
 from .errors import (

@@ -9,11 +9,12 @@ The trace is a bipartite DAG: artifact and execution nodes, with events as
 edges. We expose traversals in terms of *execution* frontiers (as the
 paper's rules do) while carrying the artifacts along.
 
-Every function accepts either a raw :class:`~repro.mlmd.store.\
-MetadataStore` or a :class:`~repro.query.MetadataClient`; raw stores are
-normalized through :func:`repro.query.as_client`, and the ancestor and
-descendant walks read the adjacency maps of the client's in-memory
-store (:attr:`repro.query.MetadataClient.index`) directly.
+Every function accepts anything that speaks the MLMD read protocol
+(:class:`~repro.mlmd.store.MetadataReader`): a
+:class:`~repro.mlmd.store.MetadataStore` or a
+:class:`~repro.query.MetadataClient`. The ancestor and descendant walks
+read the adjacency maps of its in-memory store (``store.index``)
+directly.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..query import MetadataClient
-    from .store import MetadataStore
-
-
-def _client(store: MetadataStore | MetadataClient):
-    # Local import: repro.query imports repro.mlmd.
-    from ..query import as_client
-    return as_client(store)
+    from .store import MetadataReader
 
 
 def upstream_executions(
-    store: MetadataStore | MetadataClient,
+    store: MetadataReader,
     execution_id: int,
     stop: Callable[[int], bool] | None = None,
 ) -> set[int]:
@@ -45,7 +39,7 @@ def upstream_executions(
     prune traversal *through* an execution: the execution itself is still
     reported, but its ancestors are not explored.
     """
-    index = _client(store).index
+    index = store.index
     inputs_of, producers_of = index.inputs_of, index.producers_of
     seen: set[int] = set()
     frontier = deque([execution_id])
@@ -63,7 +57,7 @@ def upstream_executions(
 
 
 def downstream_executions(
-    store: MetadataStore | MetadataClient,
+    store: MetadataReader,
     execution_id: int,
     stop: Callable[[int], bool] | None = None,
 ) -> set[int]:
@@ -72,7 +66,7 @@ def downstream_executions(
     Mirror image of :func:`upstream_executions`. ``stop`` prunes traversal
     through (but not reporting of) an execution.
     """
-    index = _client(store).index
+    index = store.index
     outputs_of, consumers_of = index.outputs_of, index.consumers_of
     seen: set[int] = set()
     frontier = deque([execution_id])
@@ -89,20 +83,19 @@ def downstream_executions(
     return seen
 
 
-def trace_node_count(store: MetadataStore | MetadataClient,
+def trace_node_count(store: MetadataReader,
                      context_id: int) -> int:
     """Total artifact + execution nodes attributed to a context.
 
     This is the per-pipeline "trace size" statistic reported in
     Sections 2.2 and 3.1 (max 6953 nodes in the paper's corpus).
     """
-    store = _client(store)
     artifacts = store.get_artifacts_by_context(context_id)
     executions = store.get_executions_by_context(context_id)
     return len(artifacts) + len(executions)
 
 
-def trace_lifespan_days(store: MetadataStore | MetadataClient,
+def trace_lifespan_days(store: MetadataReader,
                         context_id: int) -> float:
     """Lifespan of a pipeline trace in days (Section 3.1 definition).
 
@@ -110,7 +103,6 @@ def trace_lifespan_days(store: MetadataStore | MetadataClient,
     nodes in the trace. Artifact timestamps are creation times; execution
     timestamps are start/end times.
     """
-    store = _client(store)
     times: list[float] = []
     for artifact in store.get_artifacts_by_context(context_id):
         times.append(artifact.create_time)

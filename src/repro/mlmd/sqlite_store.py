@@ -654,14 +654,10 @@ class SqliteStore:
 
     It names the file and does nothing else: a
     :class:`~repro.query.MetadataClient` built over it reads one
-    :func:`load_store` copy, and ``version`` stays 0 because nothing
-    writes through the handle. A missing ``path`` raises
-    :class:`FileNotFoundError` and creates nothing; opening and closing
-    write nothing to the file.
+    :func:`load_store` copy, which nothing writes. A missing ``path``
+    raises :class:`FileNotFoundError` and creates nothing; opening and
+    closing write nothing to the file.
     """
-
-    #: The handle never writes, so its version never moves.
-    version = 0
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)

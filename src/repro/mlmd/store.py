@@ -1,26 +1,25 @@
-"""In-memory metadata store.
+"""In-memory metadata store and the one MLMD read protocol.
 
 This is the one metadata store: the corpus generator writes millions of
 nodes through this API, a sqlite file is only its saved form
-(:mod:`repro.mlmd.sqlite_store`), and every analysis module reads
-through the :class:`repro.query.MetadataClient` facade built on top of
-it. The store keeps adjacency indexes (artifact → consuming/producing
-executions and vice versa) so lineage traversals are O(degree), which
-is what makes graphlet segmentation over large traces feasible. These
-maps are the one provenance index of a run: the client and the
-segmenter read them directly instead of keeping a copy, and
-``version`` (bumped by every ``put_*``) tells them when a cached
-result has gone stale.
+(:mod:`repro.mlmd.sqlite_store`), and every analysis reads it through
+the MLMD read protocol, :class:`MetadataReader`. The store keeps
+adjacency indexes (artifact → consuming/producing executions and vice
+versa) so lineage traversals are O(degree), which is what makes
+graphlet segmentation over large traces feasible. These maps are the
+one provenance index of a run: the segmenter reads them directly
+instead of keeping a copy, and ``version`` (bumped by every ``put_*``)
+tells a cache when its result has gone stale.
 
 The public surface intentionally mirrors ML Metadata's
 ``metadata_store.MetadataStore``: ``put_*`` / ``get_*`` methods over
-artifacts, executions, events, and contexts.
+artifacts, executions, events, and contexts. Every ``get_*`` is written
+once, in :class:`MetadataReader`, over an ``index`` store: the store is
+its own index, and :class:`repro.query.MetadataClient` inherits the
+same reads over the store it was built on.
 
-Bulk reads return everything: the deprecated type-filtered scans
-(``get_artifacts("Model")`` etc.) and the pre-unification kwarg
-spellings ``artifact_type`` / ``execution_type`` / ``context_type``
-completed their deprecation window and were removed — the
-replacement is ``MetadataClient.artifacts(type_name=...)``
+Bulk reads (``get_artifacts()`` etc.) take no filter and return
+everything; filtered reads are ``MetadataClient.artifacts(type_name=...)``
 (:func:`repro.query.as_client`).
 """
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import Counter, get_registry
 from .errors import AlreadyExistsError, NotFoundError
 from .types import (
     Artifact,
@@ -42,7 +41,223 @@ from .types import (
 )
 
 
-class MetadataStore:
+class MetadataReader:
+    """The MLMD read protocol, written once over :attr:`index`.
+
+    ``index`` is the in-memory :class:`MetadataStore` whose maps answer
+    every read, and reads count into that store's ``mlmd.ops`` counters
+    (``op=get_node`` for point and batched node lookups, ``op=lineage``
+    for adjacency and telemetry joins). A ``MetadataStore`` reads itself;
+    a :class:`repro.query.MetadataClient` reads the store it was built
+    over, so a client stands in wherever a store is read.
+    """
+
+    #: Set by the subclass: the store that answers reads, and that
+    #: store's two read counters.
+    index: MetadataStore
+    _ops_get_node: Counter
+    _ops_lineage: Counter
+
+    # ---------------------------------------------------------- nodes
+
+    def get_artifact(self, artifact_id: int) -> Artifact:
+        """Return the artifact with the given id."""
+        self._ops_get_node.value += 1
+        try:
+            return self.index.artifacts_by_id[artifact_id]
+        except KeyError:
+            raise NotFoundError(f"artifact id {artifact_id} not found") from None
+
+    def get_execution(self, execution_id: int) -> Execution:
+        """Return the execution with the given id."""
+        self._ops_get_node.value += 1
+        try:
+            return self.index.executions_by_id[execution_id]
+        except KeyError:
+            raise NotFoundError(
+                f"execution id {execution_id} not found") from None
+
+    def get_context(self, context_id: int) -> Context:
+        """Return the context with the given id."""
+        try:
+            return self.index.contexts_by_id[context_id]
+        except KeyError:
+            raise NotFoundError(f"context id {context_id} not found") from None
+
+    def get_artifacts(self) -> list[Artifact]:
+        """All artifacts in id order."""
+        return list(self.index.artifacts_by_id.values())
+
+    def get_executions(self) -> list[Execution]:
+        """All executions in id order."""
+        return list(self.index.executions_by_id.values())
+
+    def get_contexts(self) -> list[Context]:
+        """All contexts in id order."""
+        return list(self.index.contexts_by_id.values())
+
+    def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
+        """Look up an artifact by its unique (type, name) pair."""
+        index = self.index
+        artifact_id = index.named_nodes.get(("artifact", type_name, name))
+        if artifact_id is None:
+            raise NotFoundError(f"artifact {type_name}/{name} not found")
+        return index.artifacts_by_id[artifact_id]
+
+    def get_events(self) -> list[Event]:
+        """Return all events (the raw trace edges)."""
+        return list(self.index.events)
+
+    def get_artifacts_by_id(self,
+                            artifact_ids: Sequence[int]) -> list[Artifact]:
+        """Batched get_artifact (one dict hit per id)."""
+        self._ops_get_node.value += 1
+        artifacts = self.index.artifacts_by_id
+        try:
+            return [artifacts[i] for i in artifact_ids]
+        except KeyError as exc:
+            raise NotFoundError(f"artifact id {exc.args[0]} not found") \
+                from None
+
+    def get_executions_by_id(self, execution_ids: Sequence[int]
+                             ) -> list[Execution]:
+        """Batched get_execution (one dict hit per id)."""
+        self._ops_get_node.value += 1
+        executions = self.index.executions_by_id
+        try:
+            return [executions[i] for i in execution_ids]
+        except KeyError as exc:
+            raise NotFoundError(f"execution id {exc.args[0]} not found") \
+                from None
+
+    # ---------------------------------------------------------- telemetry
+
+    def get_telemetry(self, kind: str | None = None,
+                      name: str | None = None) -> list[TelemetryRecord]:
+        """All telemetry records, optionally filtered by kind and name."""
+        rows = self.index.telemetry_by_id.values()
+        if kind is not None:
+            rows = (r for r in rows if r.kind == kind)
+        if name is not None:
+            rows = (r for r in rows if r.name == name)
+        return list(rows)
+
+    def get_telemetry_by_execution(self, execution_id: int
+                                   ) -> list[TelemetryRecord]:
+        """Telemetry rows describing one execution (insertion order)."""
+        self._ops_lineage.value += 1
+        index = self.index
+        return [index.telemetry_by_id[i]
+                for i in index.telemetry_of_execution.get(execution_id, ())]
+
+    def get_telemetry_by_context(self, context_id: int
+                                 ) -> list[TelemetryRecord]:
+        """Telemetry rows attached to one context (insertion order)."""
+        self._ops_lineage.value += 1
+        index = self.index
+        return [index.telemetry_by_id[i]
+                for i in index.telemetry_of_context.get(context_id, ())]
+
+    # --------------------------------------------------------- adjacency
+
+    def get_input_artifact_ids(self, execution_id: int) -> list[int]:
+        """Artifact ids consumed by an execution (event order preserved)."""
+        self._ops_lineage.value += 1
+        return list(self.index.inputs_of.get(execution_id, ()))
+
+    def get_output_artifact_ids(self, execution_id: int) -> list[int]:
+        """Artifact ids produced by an execution."""
+        self._ops_lineage.value += 1
+        return list(self.index.outputs_of.get(execution_id, ()))
+
+    def get_input_artifacts(self, execution_id: int) -> list[Artifact]:
+        """Artifacts consumed by an execution."""
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.inputs_of.get(execution_id, ())]
+
+    def get_output_artifacts(self, execution_id: int) -> list[Artifact]:
+        """Artifacts produced by an execution."""
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.outputs_of.get(execution_id, ())]
+
+    def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
+        """Execution ids that consume an artifact."""
+        self._ops_lineage.value += 1
+        return list(self.index.consumers_of.get(artifact_id, ()))
+
+    def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
+        """Execution ids that produced an artifact."""
+        self._ops_lineage.value += 1
+        return list(self.index.producers_of.get(artifact_id, ()))
+
+    # ----------------------------------------------------------- contexts
+
+    def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
+        """All artifacts attributed to a context."""
+        self.get_context(context_id)
+        index = self.index
+        return [index.artifacts_by_id[i]
+                for i in index.artifacts_in_context.get(context_id, ())]
+
+    def get_executions_by_context(self, context_id: int) -> list[Execution]:
+        """All executions associated with a context."""
+        self.get_context(context_id)
+        index = self.index
+        return [index.executions_by_id[i]
+                for i in index.executions_in_context.get(context_id, ())]
+
+    def get_contexts_by_execution(self, execution_id: int) -> list[Context]:
+        """Contexts an execution belongs to."""
+        index = self.index
+        return [index.contexts_by_id[i]
+                for i in index.contexts_of_execution.get(execution_id, ())]
+
+    def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
+        """Contexts an artifact belongs to."""
+        index = self.index
+        return [index.contexts_by_id[i]
+                for i in index.contexts_of_artifact.get(artifact_id, ())]
+
+    def get_attributions(self) -> list[tuple[int, int]]:
+        """All (context_id, artifact_id) pairs, grouped by context."""
+        return [(context_id, artifact_id)
+                for context_id, members in
+                self.index.artifacts_in_context.items()
+                for artifact_id in members]
+
+    def get_associations(self) -> list[tuple[int, int]]:
+        """All (context_id, execution_id) pairs, grouped by context."""
+        return [(context_id, execution_id)
+                for context_id, members in
+                self.index.executions_in_context.items()
+                for execution_id in members]
+
+    # ------------------------------------------------------------- counts
+
+    @property
+    def num_artifacts(self) -> int:
+        """Total artifacts in the store."""
+        return len(self.index.artifacts_by_id)
+
+    @property
+    def num_executions(self) -> int:
+        """Total executions in the store."""
+        return len(self.index.executions_by_id)
+
+    @property
+    def num_events(self) -> int:
+        """Total events (trace edges) in the store."""
+        return len(self.index.events)
+
+    @property
+    def num_telemetry(self) -> int:
+        """Total telemetry records in the store."""
+        return len(self.index.telemetry_by_id)
+
+
+class MetadataStore(MetadataReader):
     """An in-memory MLMD-compatible metadata store.
 
     Example:
@@ -110,6 +325,11 @@ class MetadataStore:
         self._ops_lineage = registry.counter("mlmd.ops", op="lineage")
         self._ops_put_telemetry = registry.counter("mlmd.ops",
                                                    op="put_telemetry")
+
+    @property
+    def index(self) -> MetadataStore:
+        """The store itself: its maps answer its own reads."""
+        return self
 
     # ------------------------------------------------------------------ put
 
@@ -180,7 +400,7 @@ class MetadataStore:
     def put_attribution(self, context_id: int, artifact_id: int) -> None:
         """Associate an artifact with a context."""
         self._ops_put_attribution.value += 1
-        self._require_context(context_id)
+        self.get_context(context_id)
         if artifact_id not in self.artifacts_by_id:
             raise NotFoundError(f"artifact id {artifact_id} not found")
         self.artifacts_in_context[context_id].append(artifact_id)
@@ -190,7 +410,7 @@ class MetadataStore:
     def put_association(self, context_id: int, execution_id: int) -> None:
         """Associate an execution with a context."""
         self._ops_put_association.value += 1
-        self._require_context(context_id)
+        self.get_context(context_id)
         if execution_id not in self.executions_by_id:
             raise NotFoundError(f"execution id {execution_id} not found")
         self.executions_in_context[context_id].append(execution_id)
@@ -295,190 +515,6 @@ class MetadataStore:
             counter.value += len(rows)
             self.version += len(rows)
 
-    # ------------------------------------------------------------------ get
-
-    def get_artifact(self, artifact_id: int) -> Artifact:
-        """Return the artifact with the given id."""
-        self._ops_get_node.value += 1
-        try:
-            return self.artifacts_by_id[artifact_id]
-        except KeyError:
-            raise NotFoundError(f"artifact id {artifact_id} not found") from None
-
-    def get_execution(self, execution_id: int) -> Execution:
-        """Return the execution with the given id."""
-        self._ops_get_node.value += 1
-        try:
-            return self.executions_by_id[execution_id]
-        except KeyError:
-            raise NotFoundError(
-                f"execution id {execution_id} not found") from None
-
-    def get_context(self, context_id: int) -> Context:
-        """Return the context with the given id."""
-        return self._require_context(context_id)
-
-    def get_artifacts(self) -> list[Artifact]:
-        """All artifacts in id order."""
-        return list(self.artifacts_by_id.values())
-
-    def get_executions(self) -> list[Execution]:
-        """All executions in id order."""
-        return list(self.executions_by_id.values())
-
-    def get_contexts(self) -> list[Context]:
-        """All contexts in id order."""
-        return list(self.contexts_by_id.values())
-
-    def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
-        """Look up an artifact by its unique (type, name) pair."""
-        key = ("artifact", type_name, name)
-        if key not in self.named_nodes:
-            raise NotFoundError(f"artifact {type_name}/{name} not found")
-        return self.artifacts_by_id[self.named_nodes[key]]
-
-    def get_events(self) -> list[Event]:
-        """Return all events (the raw trace edges)."""
-        return list(self.events)
-
-    # ----------------------------------------------------- batch reads
-
-    def get_artifacts_by_id(self,
-                            artifact_ids: Sequence[int]) -> list[Artifact]:
-        """Batched get_artifact (one dict hit per id)."""
-        self._ops_get_node.value += 1
-        try:
-            return [self.artifacts_by_id[i] for i in artifact_ids]
-        except KeyError as exc:
-            raise NotFoundError(f"artifact id {exc.args[0]} not found") \
-                from None
-
-    def get_executions_by_id(self, execution_ids: Sequence[int]
-                             ) -> list[Execution]:
-        """Batched get_execution (one dict hit per id)."""
-        self._ops_get_node.value += 1
-        try:
-            return [self.executions_by_id[i] for i in execution_ids]
-        except KeyError as exc:
-            raise NotFoundError(f"execution id {exc.args[0]} not found") \
-                from None
-
-    # ---------------------------------------------------------- telemetry
-
-    def get_telemetry(self, kind: str | None = None,
-                      name: str | None = None) -> list[TelemetryRecord]:
-        """All telemetry records, optionally filtered by kind and name."""
-        rows = self.telemetry_by_id.values()
-        if kind is not None:
-            rows = (r for r in rows if r.kind == kind)
-        if name is not None:
-            rows = (r for r in rows if r.name == name)
-        return list(rows)
-
-    def get_telemetry_by_execution(self, execution_id: int
-                                   ) -> list[TelemetryRecord]:
-        """Telemetry rows describing one execution (insertion order)."""
-        self._ops_lineage.value += 1
-        return [self.telemetry_by_id[i]
-                for i in self.telemetry_of_execution.get(execution_id, ())]
-
-    def get_telemetry_by_context(self, context_id: int
-                                 ) -> list[TelemetryRecord]:
-        """Telemetry rows attached to one context (insertion order)."""
-        self._ops_lineage.value += 1
-        return [self.telemetry_by_id[i]
-                for i in self.telemetry_of_context.get(context_id, ())]
-
-    # --------------------------------------------------------- adjacency
-
-    def get_input_artifact_ids(self, execution_id: int) -> list[int]:
-        """Artifact ids consumed by an execution (event order preserved)."""
-        self._ops_lineage.value += 1
-        return list(self.inputs_of.get(execution_id, ()))
-
-    def get_output_artifact_ids(self, execution_id: int) -> list[int]:
-        """Artifact ids produced by an execution."""
-        self._ops_lineage.value += 1
-        return list(self.outputs_of.get(execution_id, ()))
-
-    def get_input_artifacts(self, execution_id: int) -> list[Artifact]:
-        """Artifacts consumed by an execution."""
-        return [self.artifacts_by_id[i]
-                for i in self.inputs_of.get(execution_id, ())]
-
-    def get_output_artifacts(self, execution_id: int) -> list[Artifact]:
-        """Artifacts produced by an execution."""
-        return [self.artifacts_by_id[i]
-                for i in self.outputs_of.get(execution_id, ())]
-
-    def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
-        """Execution ids that consume an artifact."""
-        self._ops_lineage.value += 1
-        return list(self.consumers_of.get(artifact_id, ()))
-
-    def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
-        """Execution ids that produced an artifact."""
-        self._ops_lineage.value += 1
-        return list(self.producers_of.get(artifact_id, ()))
-
-    # ----------------------------------------------------------- contexts
-
-    def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
-        """All artifacts attributed to a context."""
-        self._require_context(context_id)
-        return [self.artifacts_by_id[i]
-                for i in self.artifacts_in_context.get(context_id, ())]
-
-    def get_executions_by_context(self, context_id: int) -> list[Execution]:
-        """All executions associated with a context."""
-        self._require_context(context_id)
-        return [self.executions_by_id[i]
-                for i in self.executions_in_context.get(context_id, ())]
-
-    def get_contexts_by_execution(self, execution_id: int) -> list[Context]:
-        """Contexts an execution belongs to."""
-        return [self.contexts_by_id[i]
-                for i in self.contexts_of_execution.get(execution_id, ())]
-
-    def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
-        """Contexts an artifact belongs to."""
-        return [self.contexts_by_id[i]
-                for i in self.contexts_of_artifact.get(artifact_id, ())]
-
-    def get_attributions(self) -> list[tuple[int, int]]:
-        """All (context_id, artifact_id) pairs, grouped by context."""
-        return [(context_id, artifact_id)
-                for context_id, members in self.artifacts_in_context.items()
-                for artifact_id in members]
-
-    def get_associations(self) -> list[tuple[int, int]]:
-        """All (context_id, execution_id) pairs, grouped by context."""
-        return [(context_id, execution_id)
-                for context_id, members in self.executions_in_context.items()
-                for execution_id in members]
-
-    # ------------------------------------------------------------- counts
-
-    @property
-    def num_artifacts(self) -> int:
-        """Total artifacts in the store."""
-        return len(self.artifacts_by_id)
-
-    @property
-    def num_executions(self) -> int:
-        """Total executions in the store."""
-        return len(self.executions_by_id)
-
-    @property
-    def num_events(self) -> int:
-        """Total events (trace edges) in the store."""
-        return len(self.events)
-
-    @property
-    def num_telemetry(self) -> int:
-        """Total telemetry records in the store."""
-        return len(self.telemetry_by_id)
-
     # ------------------------------------------------------------ helpers
 
     def _register_name(self, kind: str, type_name: str, name: str,
@@ -489,9 +525,3 @@ class MetadataStore:
         if key in self.named_nodes:
             raise AlreadyExistsError(f"{kind} {type_name}/{name} exists")
         self.named_nodes[key] = node_id
-
-    def _require_context(self, context_id: int) -> Context:
-        try:
-            return self.contexts_by_id[context_id]
-        except KeyError:
-            raise NotFoundError(f"context id {context_id} not found") from None

@@ -9,11 +9,9 @@ multiplicities — a bounded-size summary regardless of trace size.
 Reachability questions ("which models did this span feed?") are
 answered by :func:`repro.mlmd.lineage.downstream_executions`.
 
-The entry point accepts a raw store or a
-:class:`~repro.query.MetadataClient`; raw stores are normalized through
-:func:`repro.query.as_client`, so per-section re-summarization (the CLI
-renders several sections off one store) reuses one set of cached
-indexes instead of re-scanning.
+The entry point accepts a :class:`~repro.mlmd.store.MetadataStore` or
+a :class:`~repro.query.MetadataClient`; both answer the same read
+protocol over the store's own maps.
 """
 
 from __future__ import annotations
@@ -21,13 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .store import MetadataStore
-
-
-def _client(store: "MetadataStore"):
-    # Local import: repro.query imports repro.mlmd.
-    from ..query import as_client
-    return as_client(store)
+from .store import MetadataReader
 
 
 @dataclass
@@ -79,10 +71,9 @@ class TypeSummary:
         return "\n".join(lines)
 
 
-def summarize_by_type(store: MetadataStore,
+def summarize_by_type(store: MetadataReader,
                       context_id: int | None = None) -> TypeSummary:
     """Aggregate a trace (or one pipeline's trace) by node type."""
-    store = _client(store)
     if context_id is None:
         artifacts = store.get_artifacts()
         executions = store.get_executions()

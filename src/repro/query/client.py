@@ -8,13 +8,14 @@ those layers consume. It keeps no index of its own: over the in-memory
 adjacency, membership and telemetry maps directly, and over a
 :class:`~repro.mlmd.sqlite_store.SqliteStore` handle on a saved
 database it reads one in-memory copy, loaded when the client is built.
-It exposes
+The MLMD reads (``get_artifact`` … ``num_telemetry``) are the store's
+own, inherited from :class:`~repro.mlmd.store.MetadataReader`, so a
+client can be passed anywhere a store is read from — including
+``Graphlet.store`` — with every lookup a dictionary hit. On top of
+them the client adds
 
-* the full store *read* protocol (``get_artifact`` … ``num_telemetry``)
-  so a client can be passed anywhere a store is read from — including
-  ``Graphlet.store`` — with every lookup a dictionary hit;
 * filtered reads (:meth:`artifacts` / :meth:`executions` /
-  :meth:`contexts`) replacing the deprecated store-side type scans;
+  :meth:`contexts`), the one spelling of a type or state filter;
 * batched :meth:`get_many` / :meth:`neighbors_many` calls;
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
   ``(context_id, store version)`` so repeated segmentation of an
@@ -27,9 +28,8 @@ It exposes
   artifact (:meth:`analysis_consumers`), which segmentation's rule (b)
   reads.
 
-Use :func:`as_client` at API boundaries: it passes clients through
-untouched and lazily attaches (and caches) a client on a raw store, so
-call sites accept either.
+:func:`as_client` builds (and caches) the one client of a store for
+callers that use these additions; it passes clients through untouched.
 """
 
 from __future__ import annotations
@@ -40,14 +40,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ..mlmd.errors import InvalidQueryError, NotFoundError
 from ..mlmd.sqlite_store import SqliteStore, load_store
-from ..mlmd.store import MetadataStore
-from ..mlmd.types import (
-    Artifact,
-    Context,
-    Event,
-    Execution,
-    TelemetryRecord,
-)
+from ..mlmd.store import MetadataReader, MetadataStore
+from ..mlmd.types import Artifact, Context, Execution
 
 if TYPE_CHECKING:
     from ..graphlets.graphlet import Graphlet
@@ -82,26 +76,31 @@ class ExecutionFacts(NamedTuple):
     cpu_hours: float
 
 
-class MetadataClient:
+class MetadataClient(MetadataReader):
     """Read-only query facade over one metadata store.
 
-    Every read goes to :attr:`index`, an in-memory
-    :class:`~repro.mlmd.store.MetadataStore`. Over a ``MetadataStore``
-    that is the store itself: the client reads its maps and holds no
-    copy of them. Over a :class:`~repro.mlmd.sqlite_store.SqliteStore`
-    handle it is one :func:`~repro.mlmd.sqlite_store.load_store` copy of
-    the database, taken here; it keeps the database's ids, and since
-    nothing writes through the handle it never goes stale.
+    It inherits the store's read protocol
+    (:class:`~repro.mlmd.store.MetadataReader`) over :attr:`index`, an
+    in-memory :class:`~repro.mlmd.store.MetadataStore`, and its reads
+    count into that store's ``mlmd.ops`` counters. Over a
+    ``MetadataStore`` the index is the store itself: the client reads
+    its maps and holds no copy of them. Over a
+    :class:`~repro.mlmd.sqlite_store.SqliteStore` handle it is one
+    :func:`~repro.mlmd.sqlite_store.load_store` copy of the database,
+    taken here; it keeps the database's ids, and since nothing writes
+    through the handle it never goes stale.
     """
 
     #: Version of the query API surface. Bumped on breaking changes;
     #: tools/api_snapshot.py guards the surface itself.
-    API_VERSION = 4
+    API_VERSION = 5
 
     def __init__(self, store: MetadataStore | SqliteStore) -> None:
         self.store = store
         self.index = store if isinstance(store, MetadataStore) \
             else load_store(store.path)
+        self._ops_get_node = self.index._ops_get_node
+        self._ops_lineage = self.index._ops_lineage
         self._segment_cache: OrderedDict[tuple[int, int], tuple] = \
             OrderedDict()
         self.segment_cache_hits = 0
@@ -111,178 +110,8 @@ class MetadataClient:
 
     @property
     def version(self) -> int:
-        """The store's write counter; cache keys include it."""
-        return self.store.version
-
-    # ------------------------------------------------- store read protocol
-
-    def get_artifact(self, artifact_id: int) -> Artifact:
-        """Point lookup of one artifact."""
-        try:
-            return self.index.artifacts_by_id[artifact_id]
-        except KeyError:
-            raise NotFoundError(f"artifact id {artifact_id} not found") \
-                from None
-
-    def get_execution(self, execution_id: int) -> Execution:
-        """Point lookup of one execution."""
-        try:
-            return self.index.executions_by_id[execution_id]
-        except KeyError:
-            raise NotFoundError(f"execution id {execution_id} not found") \
-                from None
-
-    def get_context(self, context_id: int) -> Context:
-        """Point lookup of one context."""
-        try:
-            return self.index.contexts_by_id[context_id]
-        except KeyError:
-            raise NotFoundError(f"context id {context_id} not found") \
-                from None
-
-    def get_artifacts(self, type_name: str | None = None) -> list[Artifact]:
-        """All artifacts, optionally filtered by type."""
-        return self.artifacts(type_name=type_name)
-
-    def get_executions(self,
-                       type_name: str | None = None) -> list[Execution]:
-        """All executions, optionally filtered by type."""
-        return self.executions(type_name=type_name)
-
-    def get_contexts(self, type_name: str | None = None) -> list[Context]:
-        """All contexts, optionally filtered by type."""
-        return self.contexts(type_name=type_name)
-
-    def get_artifact_by_name(self, type_name: str, name: str) -> Artifact:
-        """Lookup by the unique (type, name) pair."""
-        index = self.index
-        artifact_id = index.named_nodes.get(("artifact", type_name, name))
-        if artifact_id is None:
-            raise NotFoundError(f"artifact {type_name}/{name} not found")
-        return index.artifacts_by_id[artifact_id]
-
-    def get_events(self) -> list[Event]:
-        """All events (the raw trace edges) in insertion order."""
-        return list(self.index.events)
-
-    def get_input_artifact_ids(self, execution_id: int) -> list[int]:
-        """Artifact ids consumed by an execution (event order)."""
-        return list(self.index.inputs_of.get(execution_id, ()))
-
-    def get_output_artifact_ids(self, execution_id: int) -> list[int]:
-        """Artifact ids produced by an execution (event order)."""
-        return list(self.index.outputs_of.get(execution_id, ()))
-
-    def get_input_artifacts(self, execution_id: int) -> list[Artifact]:
-        """Artifacts consumed by an execution."""
-        index = self.index
-        return [index.artifacts_by_id[i]
-                for i in index.inputs_of.get(execution_id, ())]
-
-    def get_output_artifacts(self, execution_id: int) -> list[Artifact]:
-        """Artifacts produced by an execution."""
-        index = self.index
-        return [index.artifacts_by_id[i]
-                for i in index.outputs_of.get(execution_id, ())]
-
-    def get_consumer_execution_ids(self, artifact_id: int) -> list[int]:
-        """Execution ids that consume an artifact."""
-        return list(self.index.consumers_of.get(artifact_id, ()))
-
-    def get_producer_execution_ids(self, artifact_id: int) -> list[int]:
-        """Execution ids that produced an artifact."""
-        return list(self.index.producers_of.get(artifact_id, ()))
-
-    def get_artifacts_by_id(self,
-                            artifact_ids: Sequence[int]) -> list[Artifact]:
-        """Batched artifact lookup."""
-        return self.get_many("artifact", artifact_ids)
-
-    def get_executions_by_id(self, execution_ids: Sequence[int]
-                             ) -> list[Execution]:
-        """Batched execution lookup."""
-        return self.get_many("execution", execution_ids)
-
-    def get_artifacts_by_context(self, context_id: int) -> list[Artifact]:
-        """All artifacts attributed to a context."""
-        self.get_context(context_id)
-        index = self.index
-        return [index.artifacts_by_id[i]
-                for i in index.artifacts_in_context.get(context_id, ())]
-
-    def get_executions_by_context(self,
-                                  context_id: int) -> list[Execution]:
-        """All executions associated with a context."""
-        self.get_context(context_id)
-        index = self.index
-        return [index.executions_by_id[i]
-                for i in index.executions_in_context.get(context_id, ())]
-
-    def get_contexts_by_execution(self,
-                                  execution_id: int) -> list[Context]:
-        """Contexts an execution belongs to."""
-        index = self.index
-        return [index.contexts_by_id[i]
-                for i in index.contexts_of_execution.get(execution_id, ())]
-
-    def get_contexts_by_artifact(self, artifact_id: int) -> list[Context]:
-        """Contexts an artifact belongs to."""
-        index = self.index
-        return [index.contexts_by_id[i]
-                for i in index.contexts_of_artifact.get(artifact_id, ())]
-
-    def get_attributions(self) -> list[tuple[int, int]]:
-        """All (context_id, artifact_id) membership pairs."""
-        return [(context_id, artifact_id)
-                for context_id, members in
-                self.index.artifacts_in_context.items()
-                for artifact_id in members]
-
-    def get_associations(self) -> list[tuple[int, int]]:
-        """All (context_id, execution_id) membership pairs."""
-        return [(context_id, execution_id)
-                for context_id, members in
-                self.index.executions_in_context.items()
-                for execution_id in members]
-
-    def get_telemetry(self, kind: str | None = None,
-                      name: str | None = None) -> list[TelemetryRecord]:
-        """All telemetry records, optionally filtered by kind and name."""
-        return self.index.get_telemetry(kind, name)
-
-    def get_telemetry_by_execution(self, execution_id: int
-                                   ) -> list[TelemetryRecord]:
-        """Telemetry rows describing one execution."""
-        index = self.index
-        return [index.telemetry_by_id[i]
-                for i in index.telemetry_of_execution.get(execution_id, ())]
-
-    def get_telemetry_by_context(self, context_id: int
-                                 ) -> list[TelemetryRecord]:
-        """Telemetry rows attached to one context."""
-        index = self.index
-        return [index.telemetry_by_id[i]
-                for i in index.telemetry_of_context.get(context_id, ())]
-
-    @property
-    def num_artifacts(self) -> int:
-        """Total artifacts."""
-        return self.index.num_artifacts
-
-    @property
-    def num_executions(self) -> int:
-        """Total executions."""
-        return self.index.num_executions
-
-    @property
-    def num_events(self) -> int:
-        """Total events."""
-        return self.index.num_events
-
-    @property
-    def num_telemetry(self) -> int:
-        """Total telemetry records."""
-        return self.index.num_telemetry
+        """The index's write counter; cache keys include it."""
+        return self.index.version
 
     # ------------------------------------------------- typed filtered reads
 

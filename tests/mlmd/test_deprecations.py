@@ -62,7 +62,7 @@ def test_unfiltered_scans_survive_warning_free(populated, recwarn):
 def test_client_is_the_filtered_replacement(populated):
     client = as_client(populated)
     assert [a.type_name
-            for a in client.get_artifacts("Model")] == ["Model"]
+            for a in client.artifacts(type_name="Model")] == ["Model"]
     assert [e.type_name
-            for e in client.get_executions("Trainer")] == ["Trainer"]
-    assert [c.name for c in client.get_contexts("Pipeline")] == ["p-0"]
+            for e in client.executions(type_name="Trainer")] == ["Trainer"]
+    assert [c.name for c in client.contexts("Pipeline")] == ["p-0"]

@@ -20,6 +20,7 @@ from repro.mlmd.types import (
     ExecutionState,
     TelemetryRecord,
 )
+from repro.obs.metrics import get_registry
 from repro.query import MetadataClient, as_client
 from repro.query import client as client_module
 
@@ -61,7 +62,7 @@ class TestAsClient:
         assert as_client(client) is client
 
     def test_api_version_is_stable(self):
-        assert MetadataClient.API_VERSION == 4
+        assert MetadataClient.API_VERSION == 5
 
 
 #: Every public map of a MetadataStore: the provenance index the client
@@ -204,6 +205,31 @@ class TestReadProtocol:
         assert client.num_events == store.num_events
         assert [(e.artifact_id, e.execution_id) for e in client.get_events()] \
             == [(e.artifact_id, e.execution_id) for e in store.get_events()]
+
+    def test_reads_count_into_the_store_ops(self, store, populated):
+        # A client read is the store's own read: it advances the same
+        # mlmd.ops counters as a read on the store.
+        registry = get_registry()
+        get_node = registry.counter("mlmd.ops", op="get_node")
+        lineage = registry.counter("mlmd.ops", op="lineage")
+        client = as_client(store)
+        nodes, edges = get_node.value, lineage.value
+        client.get_artifact(populated["span_id"])
+        client.get_execution(populated["trainer_id"])
+        client.get_input_artifact_ids(populated["trainer_id"])
+        assert get_node.value == nodes + 2
+        assert lineage.value == edges + 1
+
+    def test_type_filtered_bulk_reads_raise_like_the_store(self, store,
+                                                          populated):
+        # tests/mlmd/test_deprecations.py pins the same on the store.
+        client = as_client(store)
+        with pytest.raises(TypeError):
+            client.get_artifacts("Model")
+        with pytest.raises(TypeError):
+            client.get_executions("Trainer")
+        with pytest.raises(TypeError):
+            client.get_contexts("Pipeline")
 
 
 class TestBatchedReads:

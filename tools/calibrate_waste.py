@@ -9,8 +9,6 @@ into CorpusConfig; kept for reproducibility of the calibration itself.
 import itertools
 import sys
 
-import numpy as np
-
 from repro.analysis import segment_production_pipelines
 from repro.corpus import CorpusConfig
 from repro.fleet import generate_corpus_fleet

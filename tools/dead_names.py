@@ -63,9 +63,7 @@ KEEP = {
     "repro.data.schema.CategoricalDomain.shifted": _DRIFT_REFERENCE,
     "repro.mlmd.sqlite_store.salvage_store":
         "fault recovery for a damaged store file; README documents it",
-    **{f"repro.{owner}.{read}": _MLMD_PARITY
-       for owner in ("mlmd.store.MetadataStore",
-                     "query.client.MetadataClient")
+    **{f"repro.mlmd.store.MetadataReader.{read}": _MLMD_PARITY
        for read in ("get_artifact_by_name", "get_artifacts_by_id",
                     "get_executions_by_id", "get_input_artifacts",
                     "get_output_artifacts", "get_contexts_by_execution",
