@@ -78,16 +78,16 @@ def _scan_neighbors(store, execution_ids, artifact_ids):
 
 def _indexed_neighbors(client, execution_ids, artifact_ids):
     results = {}
-    inputs = client.neighbors_many("inputs", execution_ids)
-    outputs = client.neighbors_many("outputs", execution_ids)
     for execution_id in execution_ids:
-        results[("in", execution_id)] = inputs[execution_id]
-        results[("out", execution_id)] = outputs[execution_id]
-    consumers = client.neighbors_many("consumers", artifact_ids)
-    producers = client.neighbors_many("producers", artifact_ids)
+        results[("in", execution_id)] = \
+            client.get_input_artifact_ids(execution_id)
+        results[("out", execution_id)] = \
+            client.get_output_artifact_ids(execution_id)
     for artifact_id in artifact_ids:
-        results[("consumers", artifact_id)] = consumers[artifact_id]
-        results[("producers", artifact_id)] = producers[artifact_id]
+        results[("consumers", artifact_id)] = \
+            client.get_consumer_execution_ids(artifact_id)
+        results[("producers", artifact_id)] = \
+            client.get_producer_execution_ids(artifact_id)
     return results
 
 

@@ -14,6 +14,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ..query import as_client
 from ..tfx.cost import POST_TRAINER_GROUPS, PRE_TRAINER_GROUPS, OperatorGroup
 from .graphlet import Graphlet
 
@@ -78,8 +79,6 @@ class GraphletShape:
 
 def graphlet_shape(graphlet: Graphlet) -> GraphletShape:
     """Compute the shape summary of one graphlet."""
-    from ..query import as_client
-
     # Executions of one operator, stage and input/output count are
     # counted together; the buckets are filled in first-seen order.
     kinds = Counter(facts[:4] for facts in as_client(

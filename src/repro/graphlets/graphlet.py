@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..mlmd import Execution, ExecutionState, MetadataStore
+from ..query import as_client
 from ..similarity.feature_metric import SpanDigest
 from ..tfx import artifacts as A
 
@@ -156,7 +157,6 @@ class Graphlet:
         cached = getattr(self, "_span_seq_cache", None)
         if cached is not None:
             return cached
-        from ..query import as_client
         client = as_client(self.store)
         spans = [client.get_artifact(a)
                  for a in self.input_span_artifact_ids()]
@@ -218,7 +218,6 @@ class Graphlet:
 
     def _execution_facts(self, execution_ids):
         """Per-execution facts from the store client's memo."""
-        from ..query import as_client
         return as_client(self.store).execution_facts(execution_ids)
 
     @property

@@ -34,6 +34,7 @@ from ..mlmd import MetadataStore
 from ..mlmd.errors import InvalidQueryError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
+from ..query import MetadataClient, as_client
 from .graphlet import STOP_TYPES, Graphlet
 
 
@@ -134,7 +135,6 @@ def _io_artifacts(index: MetadataStore, execution_ids: set[int]
 def segment_trainer(store: MetadataStore, trainer_id: int,
                     pipeline_context_id: int) -> Graphlet:
     """Extract the graphlet of one Trainer execution."""
-    from ..query import as_client
     client = as_client(store)
     trainer = client.get_execution(trainer_id)
     if trainer.type_name != "Trainer":
@@ -162,7 +162,6 @@ def segment_pipeline(store: MetadataStore,
     the computation below runs on cache misses (the client calls back
     in with itself as ``store``).
     """
-    from ..query import MetadataClient, as_client
     if not isinstance(store, MetadataClient):
         return as_client(store).segment_pipeline(pipeline_context_id)
     registry = get_registry()
@@ -182,7 +181,6 @@ def segment_pipeline(store: MetadataStore,
 
 def segment_corpus(store: MetadataStore) -> dict[int, list[Graphlet]]:
     """Graphlets of every pipeline in the store, keyed by context id."""
-    from ..query import as_client
     return as_client(store).segment_corpus()
 
 

@@ -15,7 +15,10 @@ MLMD database).
   once, as columns: one ``json.loads`` per properties column,
   whole-column type checks, enum and id remaps through dicts, and one
   batch insert into the store's maps, with the cyclic garbage collector
-  paused.
+  paused. The loaded store holds each value once where rows repeat it:
+  strings are interned, and equal ints in property lists are shared
+  through a memo that lives for one load (a pipeline's spans share one
+  schema, so their digests repeat the same names and hashes).
 * :class:`SqliteStore` is a read-only handle naming a saved database,
   for callers that pass a file where a store is expected: a
   :class:`~repro.query.MetadataClient` over it reads one
@@ -268,6 +271,9 @@ def append_store(path: str | Path, store: MetadataStore) -> IdMaps:
 #: Property value types of the MLMD set (a value may also be a list of
 #: them); JSON decodes to exactly these types, never to subclasses.
 _SCALARS = frozenset(_ALLOWED_SCALARS)
+#: The item types of the lists whose items the loader shares.
+_STR = frozenset({str})
+_INT = frozenset({int})
 
 #: What a bad row raises while it is checked and built: an unknown enum
 #: value or dangling id (KeyError), a property outside the MLMD set
@@ -346,14 +352,16 @@ def _append(conn: sqlite3.Connection, store: MetadataStore,
     """
     maps = IdMaps()
     map_a, map_e, map_c = maps.artifacts, maps.executions, maps.contexts
+    # The memo that shares equal list ints across this load's rows.
+    ints: dict[int, int] = {}
     # Ids continue the store's sequences: the n-th kept row of a table
     # gets the store's next id plus n.
     artifacts = _node_rows(conn, "artifacts", store._next_artifact_id,
-                           map_a, store, report)
+                           map_a, store, report, ints)
     executions = _node_rows(conn, "executions", store._next_execution_id,
-                            map_e, store, report)
+                            map_e, store, report, ints)
     contexts = _node_rows(conn, "contexts", store._next_context_id,
-                          map_c, store, report)
+                          map_c, store, report, ints)
     _remap_properties(artifacts, ID_VALUED_ARTIFACT_PROPERTIES, map_a,
                       report)
     # Retry provenance (repro.faults) points at the prior attempt.
@@ -388,7 +396,7 @@ def _append(conn: sqlite3.Connection, store: MetadataStore,
                 execution_id=None if row[2] is None else map_e[row[2]],
                 context_id=None if row[3] is None else map_c[row[3]],
                 value=row[4], start_time=row[5], end_time=row[6],
-                properties=_checked(properties)))
+                properties=_checked(properties, ints)))
         except _BAD_ROW as exc:
             _drop(report, "telemetry", exc)
 
@@ -457,8 +465,18 @@ def _decode_column(rows: list[tuple], report: SalvageReport | None
     return column
 
 
-def _checked(properties: dict) -> dict:
-    """``properties`` with its string values interned.
+def _checked(properties: dict, ints: dict[int, int]) -> dict:
+    """``properties`` with its strings interned and its list items
+    shared.
+
+    The items of a list of strings are interned like scalar strings. In
+    a list whose items are all exactly ``int``, each item is replaced by
+    the first equal int that ``ints`` (one load's memo) holds, so equal
+    items across rows are one object. A list of any other make-up is
+    left as decoded: ``True``, ``1`` and ``1.0`` are equal and hash
+    alike, so a bool or float let into the memo would come back as
+    another type, and ``0.0 == -0.0``. Items are shared only once the
+    whole list has passed the MLMD type check.
 
     A value outside the MLMD set sends the row to
     :func:`~repro.mlmd.types.validate_properties`, which raises
@@ -469,15 +487,22 @@ def _checked(properties: dict) -> dict:
         kind = type(value)
         if kind is str:
             properties[key] = sys.intern(value)
-        elif kind not in _SCALARS and (
-                kind is not list or not _SCALARS.issuperset(map(type, value))):
+        elif kind is list:
+            kinds = set(map(type, value))
+            if not _SCALARS.issuperset(kinds):
+                validate_properties(properties)
+            if kinds == _STR:
+                value[:] = map(sys.intern, value)
+            elif kinds == _INT:
+                value[:] = map(ints.setdefault, value, value)
+        elif kind not in _SCALARS:
             validate_properties(properties)
     return properties
 
 
 def _node_rows(conn: sqlite3.Connection, table: str, first_id: int,
                id_map: dict[int, int], store: MetadataStore,
-               report: SalvageReport | None) -> list:
+               report: SalvageReport | None, ints: dict[int, int]) -> list:
     """The nodes of a node table's rows that pass every check, in id
     order, with ids counted from ``first_id`` and entered in
     ``id_map``."""
@@ -489,7 +514,8 @@ def _node_rows(conn: sqlite3.Connection, table: str, first_id: int,
     nodes: list = []
     for row, properties in zip(rows, _decode_column(rows, report)):
         try:
-            node = make(row, first_id + len(nodes), _checked(properties))
+            node = make(row, first_id + len(nodes),
+                        _checked(properties, ints))
             if node.name:
                 key = (kind, node.type_name, node.name)
                 if key in named or key in seen:

@@ -14,6 +14,11 @@ TFX and by the paper's corpus (Section 2.2):
 Property values are restricted to the MLMD-compatible scalar set
 (int, float, str, bool) plus lists thereof, so traces round-trip through
 the SQLite backend without loss.
+
+Every record is a slotted dataclass: a loaded corpus holds its nodes,
+events and telemetry rows by the hundred thousand, and slots spare each
+one a per-instance ``__dict__``. A record takes no attributes beyond its
+fields.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ class EventType(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass
+@dataclass(slots=True)
 class Artifact:
     """An immutable data object in the trace.
 
@@ -96,7 +101,7 @@ class Artifact:
         return self.properties.get(key, default)
 
 
-@dataclass
+@dataclass(slots=True)
 class Execution:
     """One run of an operator.
 
@@ -131,7 +136,7 @@ class Execution:
         return self.properties.get(key, default)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A directed edge between an execution and an artifact.
 
@@ -145,7 +150,7 @@ class Event:
     time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Context:
     """A grouping of artifacts and executions (e.g. one pipeline).
 
@@ -165,7 +170,7 @@ class Context:
         return self.properties.get(key, default)
 
 
-@dataclass
+@dataclass(slots=True)
 class TelemetryRecord:
     """One telemetry measurement persisted alongside the trace.
 

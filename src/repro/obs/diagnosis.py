@@ -155,7 +155,7 @@ def critical_path(graphlet: Graphlet) -> CriticalPath:
 def top_cost_sinks(store: MetadataStore, execution_ids,
                    k: int = 5) -> list[tuple[Execution, float]]:
     """The k most expensive executions, by recorded cpu_hours."""
-    executions = as_client(store).get_many("execution", list(execution_ids))
+    executions = as_client(store).get_executions_by_id(list(execution_ids))
     rows = [(e, float(e.get("cpu_hours", 0.0))) for e in executions]
     rows.sort(key=lambda pair: (-pair[1], pair[0].id))
     return rows[:k]

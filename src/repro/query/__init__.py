@@ -5,19 +5,16 @@ Public surface:
 * :class:`MetadataClient` — versioned query facade (see
   ``MetadataClient.API_VERSION``). It inherits the store's MLMD reads
   (:class:`repro.mlmd.store.MetadataReader`) over the in-memory store's
-  own maps, and adds typed filtered reads, batched ``get_many`` /
-  ``neighbors_many``, an LRU-cached graphlet segmenter and the derived
-  read-side facts (span digests, the shared span-pair memo,
-  :class:`ExecutionFacts`, rule (b)'s consumer map), each kept per
-  store version. Code that needs the raw maps reads them from
+  own maps, and adds typed filtered reads, an LRU-cached graphlet
+  segmenter and the derived read-side facts (span digests, the shared
+  span-pair memo, :class:`ExecutionFacts`, rule (b)'s consumer map),
+  each kept per store version. Code that needs the raw maps reads them from
   :attr:`MetadataClient.index`.
 * :func:`as_client` — accepts a store or a client and returns the
   store's one cached client, for callers that use what the client adds.
 """
 
 from .client import (
-    NODE_KINDS,
-    RELATIONS,
     ExecutionFacts,
     MetadataClient,
     as_client,
@@ -26,7 +23,5 @@ from .client import (
 __all__ = [
     "ExecutionFacts",
     "MetadataClient",
-    "NODE_KINDS",
-    "RELATIONS",
     "as_client",
 ]

@@ -16,7 +16,6 @@ them the client adds
 
 * filtered reads (:meth:`artifacts` / :meth:`executions` /
   :meth:`contexts`), the one spelling of a type or state filter;
-* batched :meth:`get_many` / :meth:`neighbors_many` calls;
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
   ``(context_id, store version)`` so repeated segmentation of an
   unchanged pipeline is a dictionary hit;
@@ -35,10 +34,9 @@ callers that use these additions; it passes clients through untouched.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..mlmd.errors import InvalidQueryError, NotFoundError
 from ..mlmd.sqlite_store import SqliteStore, load_store
 from ..mlmd.store import MetadataReader, MetadataStore
 from ..mlmd.types import Artifact, Context, Execution
@@ -51,12 +49,6 @@ if TYPE_CHECKING:
 #: Attribute under which :func:`as_client` caches the default client on
 #: a raw store instance.
 _CLIENT_ATTR = "_repro_default_client"
-
-#: Valid ``kind`` arguments of :meth:`MetadataClient.get_many`.
-NODE_KINDS = ("artifact", "execution", "context")
-
-#: Valid ``relation`` arguments of :meth:`MetadataClient.neighbors_many`.
-RELATIONS = ("inputs", "outputs", "consumers", "producers")
 
 #: Pipelines whose graphlet lists one client's segmentation cache keeps.
 SEGMENT_CACHE_SIZE = 64
@@ -93,7 +85,7 @@ class MetadataClient(MetadataReader):
 
     #: Version of the query API surface. Bumped on breaking changes;
     #: tools/api_snapshot.py guards the surface itself.
-    API_VERSION = 5
+    API_VERSION = 6
 
     def __init__(self, store: MetadataStore | SqliteStore) -> None:
         self.store = store
@@ -128,56 +120,6 @@ class MetadataClient(MetadataReader):
     def contexts(self, type_name: str | None = None) -> list[Context]:
         """Contexts of one type, in id order (a scan)."""
         return _matching(self.index.contexts_by_id, type_name, None)
-
-    # ------------------------------------------------------- batched reads
-
-    def get_many(self, kind: str, ids: Sequence[int]) -> list:
-        """Batched point lookup of one node kind.
-
-        ``kind`` is one of ``artifact`` / ``execution`` / ``context``;
-        anything else raises :class:`InvalidQueryError`. Missing ids
-        raise :class:`NotFoundError`, like the point lookups.
-        """
-        index = self.index
-        if kind == "artifact":
-            nodes = index.artifacts_by_id
-        elif kind == "execution":
-            nodes = index.executions_by_id
-        elif kind == "context":
-            nodes = index.contexts_by_id
-        else:
-            raise InvalidQueryError(
-                f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
-        try:
-            return [nodes[i] for i in ids]
-        except KeyError as exc:
-            raise NotFoundError(f"{kind} id {exc.args[0]} not found") \
-                from None
-
-    def neighbors_many(self, relation: str,
-                       ids: Sequence[int]) -> dict[int, list[int]]:
-        """Batched adjacency: ``relation`` neighbors of every id.
-
-        ``inputs`` / ``outputs`` take execution ids and return artifact
-        ids; ``consumers`` / ``producers`` take artifact ids and return
-        execution ids. Unknown relations raise
-        :class:`InvalidQueryError`; unknown ids map to empty lists
-        (a node with no edges is indistinguishable from one with none).
-        """
-        index = self.index
-        if relation == "inputs":
-            adjacency = index.inputs_of
-        elif relation == "outputs":
-            adjacency = index.outputs_of
-        elif relation == "consumers":
-            adjacency = index.consumers_of
-        elif relation == "producers":
-            adjacency = index.producers_of
-        else:
-            raise InvalidQueryError(
-                f"unknown relation {relation!r}; expected one of "
-                f"{RELATIONS}")
-        return {i: list(adjacency.get(i, ())) for i in ids}
 
     # ------------------------------------------------- cached segmentation
 
@@ -248,7 +190,7 @@ class MetadataClient(MetadataReader):
                         ) -> list[ExecutionFacts]:
         """The :class:`ExecutionFacts` of each execution, in the given
         order, each read off the store once. Missing ids raise
-        :class:`NotFoundError`."""
+        :class:`~repro.mlmd.errors.NotFoundError`."""
         self._fresh()
         facts = self._facts
         try:

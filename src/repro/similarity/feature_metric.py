@@ -26,6 +26,8 @@ counting: names shared between the spans and per-bucket minima of the
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..data.statistics import SpanStatistics
@@ -99,9 +101,13 @@ class SpanDigest:
         return len(self.names)
 
     def to_properties(self) -> dict:
-        """Flatten to MLMD-compatible list properties (Python natives)."""
+        """Flatten to MLMD-compatible list properties (Python natives).
+
+        The names are interned: a pipeline's spans share one schema, so
+        the stores of a generated corpus hold each name once.
+        """
         return {
-            "digest_names": list(self.names),
+            "digest_names": list(map(sys.intern, self.names)),
             "digest_categorical": self.categorical.tolist(),
             "digest_hashes": self.hashes.tolist(),
         }

@@ -77,16 +77,16 @@ def test_typed_filters_identical(backends):
 
 def test_adjacency_identical(backends):
     memory, sqlite = backends
-    execution_ids = [e.id for e in memory.get_executions()]
-    artifact_ids = [a.id for a in memory.get_artifacts()]
-    assert memory.neighbors_many("inputs", execution_ids) \
-        == sqlite.neighbors_many("inputs", execution_ids)
-    assert memory.neighbors_many("outputs", execution_ids) \
-        == sqlite.neighbors_many("outputs", execution_ids)
-    assert memory.neighbors_many("consumers", artifact_ids) \
-        == sqlite.neighbors_many("consumers", artifact_ids)
-    assert memory.neighbors_many("producers", artifact_ids) \
-        == sqlite.neighbors_many("producers", artifact_ids)
+    for execution in memory.get_executions():
+        assert memory.get_input_artifact_ids(execution.id) \
+            == sqlite.get_input_artifact_ids(execution.id)
+        assert memory.get_output_artifact_ids(execution.id) \
+            == sqlite.get_output_artifact_ids(execution.id)
+    for artifact in memory.get_artifacts():
+        assert memory.get_consumer_execution_ids(artifact.id) \
+            == sqlite.get_consumer_execution_ids(artifact.id)
+        assert memory.get_producer_execution_ids(artifact.id) \
+            == sqlite.get_producer_execution_ids(artifact.id)
 
 
 def test_events_identical(backends):
@@ -124,10 +124,10 @@ def test_batched_reads_identical(backends):
     memory, sqlite = backends
     artifact_ids = [a.id for a in memory.get_artifacts()][:500]
     execution_ids = [e.id for e in memory.get_executions()][:500]
-    assert canon(memory.get_many("artifact", artifact_ids)) \
-        == canon(sqlite.get_many("artifact", artifact_ids))
-    assert canon(memory.get_many("execution", execution_ids)) \
-        == canon(sqlite.get_many("execution", execution_ids))
+    assert canon(memory.get_artifacts_by_id(artifact_ids)) \
+        == canon(sqlite.get_artifacts_by_id(artifact_ids))
+    assert canon(memory.get_executions_by_id(execution_ids)) \
+        == canon(sqlite.get_executions_by_id(execution_ids))
 
 
 def test_segmentation_identical(backends):

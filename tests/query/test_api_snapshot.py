@@ -40,6 +40,6 @@ def test_snapshot_covers_the_query_surface():
     assert "MetadataClient" in surface["repro.query"]
     assert "SqliteStore" in surface["repro.mlmd"]
     client = surface["repro.query"]["MetadataClient"]
-    for operation in ("get_many", "neighbors_many", "segment_pipeline",
-                      "artifacts", "executions", "contexts"):
+    for operation in ("segment_pipeline", "artifacts", "executions",
+                      "contexts"):
         assert operation in client

@@ -10,7 +10,7 @@ from repro.corpus import CorpusConfig
 from repro.fleet import generate_corpus_fleet
 from repro.mlmd import (MetadataStore, downstream_executions,
                         upstream_executions)
-from repro.mlmd.errors import InvalidQueryError, NotFoundError
+from repro.mlmd.errors import NotFoundError
 from repro.mlmd.types import (
     Artifact,
     Context,
@@ -62,7 +62,7 @@ class TestAsClient:
         assert as_client(client) is client
 
     def test_api_version_is_stable(self):
-        assert MetadataClient.API_VERSION == 5
+        assert MetadataClient.API_VERSION == 6
 
 
 #: Every public map of a MetadataStore: the provenance index the client
@@ -230,49 +230,6 @@ class TestReadProtocol:
             client.get_executions("Trainer")
         with pytest.raises(TypeError):
             client.get_contexts("Pipeline")
-
-
-class TestBatchedReads:
-    def test_get_many_kinds(self, store, populated):
-        client = as_client(store)
-        artifacts = client.get_many(
-            "artifact", [populated["span_id"], populated["model_id"]])
-        assert [a.type_name for a in artifacts] == ["DataSpan", "Model"]
-        assert client.get_many("execution",
-                               [populated["trainer_id"]])[0].type_name \
-            == "Trainer"
-        assert client.get_many("context",
-                               [populated["context_id"]])[0].name == "p-0"
-
-    def test_get_many_unknown_kind_raises(self, store, populated):
-        client = as_client(store)
-        with pytest.raises(InvalidQueryError):
-            client.get_many("widget", [1])
-
-    def test_get_many_missing_id_raises(self, store, populated):
-        client = as_client(store)
-        with pytest.raises(NotFoundError):
-            client.get_many("artifact", [populated["span_id"], 999])
-
-    def test_neighbors_many_relations(self, store, populated):
-        client = as_client(store)
-        trainer_id = populated["trainer_id"]
-        assert client.neighbors_many("inputs", [trainer_id]) \
-            == {trainer_id: [populated["span_id"]]}
-        assert client.neighbors_many("outputs", [trainer_id]) \
-            == {trainer_id: [populated["model_id"]]}
-        assert client.neighbors_many(
-            "consumers", [populated["span_id"], populated["model_id"]]) \
-            == {populated["span_id"]: [trainer_id],
-                populated["model_id"]: []}
-        assert client.neighbors_many("producers",
-                                     [populated["model_id"]]) \
-            == {populated["model_id"]: [trainer_id]}
-
-    def test_neighbors_many_unknown_relation_raises(self, store, populated):
-        client = as_client(store)
-        with pytest.raises(InvalidQueryError):
-            client.neighbors_many("friends", [1])
 
 
 class TestSegmentationCache:

@@ -6,7 +6,8 @@ snapshot records, for every ``__all__`` export of the guarded modules,
 
 * functions — the exact ``inspect.signature`` string;
 * classes — every public attribute, mapped to its method signature,
-  ``<property>``, or a value repr for class constants;
+  ``<property>``, or a value repr for class constants and dataclass
+  field defaults;
 * plain values — their repr.
 
 CI runs ``--check`` against the checked-in ``tools/api_snapshot.json``
@@ -24,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -56,8 +58,18 @@ def _describe_value(value) -> str:
 
 def _describe_class(cls) -> dict[str, str]:
     surface = {}
+    # A dataclass field is described by its default, read from
+    # ``dataclasses.fields``: a slotted dataclass holds a member
+    # descriptor under the field's name, a plain one the default itself
+    # (or nothing, for a field without a plain default).
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)} \
+        if dataclasses.is_dataclass(cls) else {}
     for name, value in inspect.getmembers(cls):
         if name.startswith("_") and name != "__init__":
+            continue
+        if name in defaults:
+            if defaults[name] is not dataclasses.MISSING:
+                surface[name] = _stable_repr(defaults[name])
             continue
         try:
             if inspect.isfunction(value) or inspect.ismethod(value):
