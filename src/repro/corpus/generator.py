@@ -19,7 +19,7 @@ deployed model — is applied by :attr:`Corpus.production_records`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,12 +47,8 @@ if TYPE_CHECKING:
 
 _log = get_logger("corpus.generator")
 
-#: Called after each merged shard with ``(done pipelines, total, store)``.
-ProgressCallback = Callable[[int, int, MetadataStore], None]
-
-
 def print_progress(done: int, total: int, store: MetadataStore) -> None:
-    """The classic CLI progress line (a :data:`ProgressCallback`)."""
+    """The classic CLI progress line, printed after each merged shard."""
     print(f"generated {done}/{total} pipelines; "
           f"store: {store.num_executions} executions")
 

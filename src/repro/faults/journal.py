@@ -9,11 +9,11 @@ A fleet run with an output path ``corpus.db`` journals under
     shard-0002.json          outcome entry (driver-written after the fact)
     shard-0002.spans.jsonl   the shard's trace spans (when tracing is on)
     shard-0002.status.json   live heartbeat (:mod:`repro.obs.fleetwatch`)
-    attempts/                per-attempt scratch dirs (worker processes)
     degradation.json         the DegradationReport of a partial run
 
-Workers persist their payload (``.db`` + ``.tallies.json``) the moment
-a shard finishes; the driver records the outcome entry as each result (or
+Every attempt of a shard writes these same names. Workers persist
+their payload (``.db`` + ``.tallies.json``) the moment a shard
+finishes; the driver records the outcome entry as each result (or
 failure) lands. ``shard-NNNN.db`` is both the shard's transport and
 its payload: the driver merges every shard from that file, in the
 same run and on resume alike, while the result pipe carries only what

@@ -37,31 +37,29 @@ The run's one record of what happened to a shard is its journal entry
 Attempts run as dedicated ``multiprocessing.Process`` workers, not a
 process pool: a pool cannot terminate one hung member, which is
 precisely the recovery a supervisor exists to perform, nor say which
-member died. Each attempt gets a private scratch directory under
-``<journal>/attempts/`` for its payload and heartbeat; the winning
-attempt's files are promoted into the canonical journal names. The
-coordinator merges the shard file from there, and ``--resume`` and
+member died. A shard has at most one live attempt, and every attempt
+writes the same bytes, so each writes the shard's canonical journal
+files (payload, heartbeat, spans) directly; ``--resume`` and
 ``fleet-status`` see one layout however the shard ran. When process
-spawn is unavailable (sandbox, ``in_process=True``) the supervisor
-degrades to inline attempts: reschedule and quarantine semantics are
-identical, while stall detection — which requires a concurrently
-observable worker — is naturally inert.
+spawn is unavailable (sandbox, ``in_process=True``) the remaining
+attempts run inline, through the same launch, poll loop and result
+message: reschedule and quarantine semantics are identical, while
+stall detection — which requires a concurrently observable worker —
+is naturally inert for them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import shutil
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from ..corpus.config import CorpusConfig
 from ..faults.journal import ShardJournal
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..obs.fleetwatch import DEFAULT_STALL_AFTER, read_status_file
+from ..obs.fleetwatch import (DEFAULT_STALL_AFTER, read_status_file,
+                              status_path)
 from ..obs.logging import get_logger
 from .workers import ShardFailure, classify_failure, run_shard
 
@@ -78,6 +76,9 @@ _log = get_logger("fleet.supervisor")
 #: Exit code of an injected kill-mode worker crash (see workers.py).
 _KILL_EXIT_CODE = 17
 
+#: Seconds the poll loop sleeps when no attempt resolved.
+_POLL_INTERVAL = 0.05
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -90,7 +91,6 @@ class SupervisorPolicy:
     max_attempts: int = 3
     stall_after: float = DEFAULT_STALL_AFTER
     fault_budget: int | None = None
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -221,27 +221,35 @@ def render_degradation(report: DegradationReport) -> str:
     return "\n".join(lines)
 
 
-def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
-                  retry_policy, attempt_dir, armed, trace_ctx,
-                  attempt) -> None:
-    """Worker-process entry point for one shard attempt.
+def _attempt_message(spec, config, telemetry, exec_cache, fault_plan,
+                     retry_policy, journal_dir, armed, trace_ctx,
+                     attempt) -> tuple:
+    """Run one shard attempt and return its one result message.
 
-    Sends exactly one message on ``conn``: ``("done", shard, attempt,
-    ShardResult)`` or ``("failed", shard, attempt, kind, message)``.
+    ``("done", shard, attempt, ShardResult)`` or ``("failed", shard,
+    attempt, kind, message)`` — the same tuple whether the attempt ran
+    in a worker process or inline in the supervisor.
+    """
+    try:
+        result = run_shard(
+            spec, config, telemetry, exec_cache, fault_plan,
+            retry_policy, journal_dir, armed, trace_ctx=trace_ctx,
+            attempt=attempt)
+    except Exception as exc:  # one attempt lost, never the supervisor
+        return ("failed", spec.shard_index, attempt,
+                *classify_failure(exc))
+    return ("done", spec.shard_index, attempt, result)
+
+
+def _attempt_main(conn, *args) -> None:
+    """Worker-process entry point: send the attempt's message on ``conn``.
+
     A kill-mode injected crash exits the process without sending; an
     injected hang sleeps forever without sending — the supervisor
     reads both from process state, not the pipe.
     """
     try:
-        result = run_shard(
-            spec, config, telemetry, exec_cache, fault_plan,
-            retry_policy, attempt_dir, armed, trace_ctx=trace_ctx,
-            attempt=attempt)
-    except Exception as exc:  # one attempt lost, never the supervisor
-        _send(conn, ("failed", spec.shard_index, attempt,
-                     *classify_failure(exc)))
-    else:
-        _send(conn, ("done", spec.shard_index, attempt, result))
+        _send(conn, _attempt_message(*args))
     finally:
         conn.close()
 
@@ -255,13 +263,17 @@ def _send(conn, message) -> None:
 
 @dataclass
 class _Attempt:
-    """One live (or just-finished) attempt the supervisor tracks."""
+    """One live (or just-finished) attempt the supervisor tracks.
+
+    ``process`` is ``None`` for an inline attempt, which the next
+    :meth:`FleetSupervisor._poll` runs in the supervisor itself.
+    """
 
     spec: object
     attempt: int
+    args: tuple
     process: object
     conn: object
-    directory: Path
     started: float
 
     @property
@@ -293,11 +305,11 @@ class FleetSupervisor:
     """
 
     def __init__(self, config: CorpusConfig, journal: ShardJournal,
-                 policy: SupervisorPolicy, *,
+                 policy: SupervisorPolicy, *, trace_ctx_for,
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 trace_ctx_for=None, in_process: bool = False) -> None:
+                 in_process: bool = False) -> None:
         self.config = config
         self.journal = journal
         self.policy = policy
@@ -305,10 +317,9 @@ class FleetSupervisor:
         self.exec_cache = exec_cache
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.trace_ctx_for = trace_ctx_for or (lambda spec, attempt: None)
+        self.trace_ctx_for = trace_ctx_for
         self.in_process = in_process
         self.used_processes = False
-        self._inline = False
         self.results: dict[int, object] = {}
         self.failures: dict[int, object] = {}
         self._state: dict[int, _ShardState] = {}
@@ -317,10 +328,8 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------ public
 
-    def run(self, to_run, armed: dict[int, bool],
-            planned_pipelines: int | None = None,
-            planned_shards: int | None = None,
-            pre_merged_pipelines: int = 0):
+    def run(self, to_run, armed: dict[int, bool], planned_pipelines: int,
+            planned_shards: int, pre_merged_pipelines: int):
         """Supervise ``to_run`` to completion or quarantine.
 
         ``armed`` says, per shard, whether an injected worker fault may
@@ -337,93 +346,80 @@ class FleetSupervisor:
         self._state = {spec.shard_index: _ShardState(spec=spec)
                        for spec in to_run}
         self._report = DegradationReport(
-            planned_pipelines=planned_pipelines
-            if planned_pipelines is not None
-            else sum(s.n_pipelines for s in to_run),
-            planned_shards=planned_shards if planned_shards is not None
-            else len(to_run),
+            planned_pipelines=planned_pipelines,
+            planned_shards=planned_shards,
+            merged_pipelines=pre_merged_pipelines,
             fault_budget=self.policy.fault_budget)
-        self._report.merged_pipelines = pre_merged_pipelines
-        self._armed_first = dict(armed)
-        if not to_run:
-            return self.results, self.failures, self._finalize()
-        if self.in_process:
-            self._run_inline(to_run)
-        else:
-            self._run_processes(to_run)
-        return self.results, self.failures, self._finalize()
-
-    # ------------------------------------------------------ process mode
-
-    def _run_processes(self, to_run) -> None:
-        launched_any = False
-        try:
-            for spec in to_run:
-                self._launch(spec, attempt=1,
-                             armed=self._armed_first.get(
-                                 spec.shard_index, True))
-                launched_any = True
-        except OSError as exc:
-            # The sandbox denied processes. Terminate anything that did
-            # start, then degrade every unresolved shard to inline.
-            _log.warning("fleet_spawn_unavailable",
-                         reason=type(exc).__name__, fallback="inline")
-            for state in self._state.values():
-                if state.live is not None:
-                    self._reap(state.live, terminate=True)
-                    state.live = None
-            self._cleanup_attempt_dirs()
-            self._run_inline([s.spec for s in self._state.values()
-                              if not s.done and not s.quarantined])
-            return
-        if launched_any:
-            self.used_processes = True
+        for spec in to_run:
+            self._launch(spec, attempt=1,
+                         armed=armed.get(spec.shard_index, True))
         while any(state.live is not None
                   for state in self._state.values()):
             progressed = self._poll()
             self._check_stalls(time.time())
             if not progressed:
-                time.sleep(self.policy.poll_interval)
-        self._cleanup_attempt_dirs()
+                time.sleep(_POLL_INTERVAL)
+        return self.results, self.failures, self._finalize()
+
+    # ---------------------------------------------------------- attempts
 
     def _launch(self, spec, attempt: int, armed: bool) -> None:
-        attempt_dir = (self._journal_dir / "attempts"
-                       / f"shard-{spec.shard_index:04d}-a{attempt}")
-        attempt_dir.mkdir(parents=True, exist_ok=True)
-        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_attempt_main,
-            args=(send_conn, spec, self.config, self.telemetry,
-                  self.exec_cache, self.fault_plan, self.retry_policy,
-                  attempt_dir, armed,
-                  self.trace_ctx_for(spec, attempt), attempt),
-            daemon=True)
-        try:
-            process.start()
-        except BaseException:
-            recv_conn.close()
-            raise
-        finally:
-            send_conn.close()  # Parent keeps only the read end.
+        """Start one attempt: a worker process, or an inline attempt
+        for the next :meth:`_poll` once spawn is unavailable."""
+        args = (spec, self.config, self.telemetry, self.exec_cache,
+                self.fault_plan, self.retry_policy, self._journal_dir,
+                armed, self.trace_ctx_for(spec, attempt), attempt)
+        process = recv_conn = None
+        if not self.in_process:
+            recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_attempt_main, args=(send_conn, *args),
+                daemon=True)
+            try:
+                process.start()
+            except OSError as exc:
+                # The sandbox denied processes: this and every later
+                # attempt runs inline; started workers keep running.
+                recv_conn.close()
+                _log.warning("fleet_spawn_unavailable",
+                             reason=type(exc).__name__, fallback="inline")
+                self.in_process = True
+                process = recv_conn = None
+            except BaseException:
+                recv_conn.close()
+                raise
+            else:
+                self.used_processes = True
+            finally:
+                send_conn.close()  # Parent keeps only the read end.
         state = self._state[spec.shard_index]
         state.attempts_used = max(state.attempts_used, attempt)
         state.live = _Attempt(
-            spec=spec, attempt=attempt, process=process, conn=recv_conn,
-            directory=attempt_dir, started=time.time())
+            spec=spec, attempt=attempt, args=args, process=process,
+            conn=recv_conn, started=time.time())
 
     def _poll(self) -> bool:
-        """Drain attempt outcomes; returns whether anything resolved."""
+        """Drain attempt outcomes; returns whether anything resolved.
+
+        An inline attempt runs here, to its message. Its reschedule is
+        only recorded, and runs at the next poll, so a shard that fails
+        every attempt never recurses.
+        """
         progressed = False
         for state in self._state.values():
             attempt = state.live
             if attempt is None:
                 continue
             message = None
-            try:
-                if attempt.conn.poll():
-                    message = attempt.conn.recv()
-            except (EOFError, OSError):
-                message = None  # Died mid-send: treat as dead below.
+            if attempt.process is None:
+                attempt.started = time.time()
+                message = _attempt_message(*attempt.args)
+            else:
+                try:
+                    if attempt.conn.poll():
+                        message = attempt.conn.recv()
+                except (EOFError, OSError):
+                    message = None  # Died mid-send: treat as dead below.
             if message is not None:
                 progressed = True
                 self._handle_message(state, attempt, message)
@@ -458,10 +454,11 @@ class FleetSupervisor:
             crashed=True)
 
     def _check_stalls(self, now: float) -> None:
-        """Terminate attempts whose heartbeat went silent too long."""
+        """Terminate worker processes whose heartbeat went silent too
+        long (an inline attempt cannot be observed while it runs)."""
         for state in self._state.values():
             attempt = state.live
-            if attempt is None:
+            if attempt is None or attempt.process is None:
                 continue
             last = self._last_heartbeat(attempt)
             if now - last <= self.policy.stall_after:
@@ -477,65 +474,20 @@ class FleetSupervisor:
 
     def _last_heartbeat(self, attempt: _Attempt) -> float:
         beat = read_status_file(
-            attempt.directory
-            / f"shard-{attempt.shard_index:04d}.status.json")
+            status_path(self._journal_dir, attempt.shard_index))
         updated = float(beat.get("updated_unix", 0.0)) if beat else 0.0
         return max(attempt.started, updated)
-
-    # ------------------------------------------------------- inline mode
-
-    def _run_inline(self, to_run) -> None:
-        """Sequential fallback: same reschedule/quarantine semantics.
-
-        Stall detection needs a concurrently observable worker, so it
-        is inert here — an injected hang degrades to
-        :class:`~repro.faults.injector.WorkerHangError` inside
-        ``run_shard`` (inline shards must never hang the driver) and
-        lands in the same ``worker_hang`` failure path. The while loop
-        *is* the rescheduler: ``_attempt_failed`` only decides
-        reschedule vs quarantine, and a shard left neither done nor
-        quarantined is re-attempted.
-        """
-        self._inline = True
-        for spec in to_run:
-            state = self._state[spec.shard_index]
-            armed = self._armed_first.get(spec.shard_index, True)
-            while not state.done and not state.quarantined:
-                attempt = state.attempts_used + 1
-                state.attempts_used = attempt
-                shim = _Attempt(spec=spec, attempt=attempt,
-                                process=None, conn=None,
-                                directory=self._journal_dir,
-                                started=time.time())
-                try:
-                    result = run_shard(
-                        spec, self.config, self.telemetry,
-                        self.exec_cache, self.fault_plan,
-                        self.retry_policy, self._journal_dir, armed,
-                        trace_ctx=self.trace_ctx_for(spec, attempt),
-                        attempt=attempt)
-                except Exception as exc:
-                    kind, message = classify_failure(exc)
-                    self._attempt_failed(state, shim, kind, message,
-                                         crashed=kind != "error")
-                else:
-                    self._complete(state, shim, result, promote=False)
-                # A rescheduled attempt runs disarmed unless the fault
-                # plan says the shard is broken every time.
-                armed = self._repeat_fault(spec.shard_index)
 
     # ------------------------------------------------------- transitions
 
     def _complete(self, state: _ShardState, attempt: _Attempt,
-                  result, promote: bool = True) -> None:
+                  result) -> None:
         state.done = True
         result.transfer_seconds = max(
             0.0, time.time() - result.finished_unix)
         self.results[attempt.shard_index] = result
         rescheduled_from = state.last_failed_attempt \
             if attempt.attempt > 1 else 0
-        if promote:
-            self._promote(attempt)
         self.journal.record_done(attempt.shard_index,
                                  attempt=attempt.attempt,
                                  rescheduled_from=rescheduled_from)
@@ -566,15 +518,10 @@ class FleetSupervisor:
             self._reschedule(state)
 
     def _reschedule(self, state: _ShardState) -> None:
-        next_attempt = state.attempts_used + 1
         self._report.reschedules += 1
-        if self._inline:
-            # The inline while-loop re-attempts any shard left neither
-            # done nor quarantined; launching here would double-run it.
-            return
         # The injected worker fault fired once already; only a
         # ``repeat`` spec (systemically broken shard) re-arms it.
-        self._launch(state.spec, attempt=next_attempt,
+        self._launch(state.spec, attempt=state.attempts_used + 1,
                      armed=self._repeat_fault(state.spec.shard_index))
 
     def _quarantine(self, state: _ShardState, reason: str) -> None:
@@ -627,24 +574,6 @@ class FleetSupervisor:
                 attempt.conn.close()
             except OSError:
                 pass
-
-    def _promote(self, attempt: _Attempt) -> None:
-        """Move the winning attempt's files to canonical journal names.
-
-        After promotion the journal looks exactly like an inline run
-        wrote it — ``--resume`` and ``fleet-status`` need no attempt
-        awareness to read it.
-        """
-        stem = f"shard-{attempt.shard_index:04d}"
-        for suffix in (".db", ".tallies.json", ".spans.jsonl",
-                       ".status.json"):
-            source = attempt.directory / (stem + suffix)
-            if source.exists():
-                os.replace(source, self._journal_dir / (stem + suffix))
-        shutil.rmtree(attempt.directory, ignore_errors=True)
-
-    def _cleanup_attempt_dirs(self) -> None:
-        shutil.rmtree(self._journal_dir / "attempts", ignore_errors=True)
 
     def _finalize(self) -> DegradationReport:
         report = self._report

@@ -40,9 +40,10 @@ Executors: a one-shard plan with something to run calls
 destination store, and nothing is merged (a journal still gets its
 payload). Every other run goes through
 :class:`~repro.fleet.supervisor.FleetSupervisor`, the one code path
-that starts worker processes (or, where spawn is unavailable, runs
-their shards inline), with stall detection, rescheduling and
-quarantine always on.
+that runs shard attempts, with stall detection, rescheduling and
+quarantine always on. Each attempt is a worker process or, where
+spawn is unavailable, runs inline; either way it writes the shard's
+canonical journal files.
 
 Because shard files are the transport, every multi-shard run
 journals: into ``journal_dir`` when given, otherwise into a private
@@ -73,9 +74,8 @@ from pathlib import Path
 from time import perf_counter
 
 from ..corpus.config import CorpusConfig
-from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
-                                pipeline_rng, print_progress,
-                                simulate_pipelines)
+from ..corpus.generator import (Corpus, PipelineRecord, pipeline_rng,
+                                print_progress, simulate_pipelines)
 from ..faults.injector import WorkerCrashError, WorkerHangError
 from ..faults.journal import (ShardJournal, config_fingerprint, shard_db_path,
                               spans_path, write_shard_payload)
@@ -473,7 +473,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                           exec_cache: bool = False,
                           telemetry: bool = False,
                           progress: bool = False,
-                          progress_callback: ProgressCallback | None = None,
                           in_process: bool = False,
                           fault_plan: FaultPlan | None = None,
                           retry_policy: RetryPolicy | None = None,
@@ -503,8 +502,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             run's metrics snapshot is persisted at the end — the input
             ``repro diagnose`` / ``repro dashboard`` query.
         progress: Print the classic progress line per merged shard.
-        progress_callback: Custom progress hook ``(done, total, store)``,
-            called after each shard is merged.
         in_process: Force inline shard execution even for workers > 1
             (deterministic tests without process spawn overhead).
         fault_plan: Seeded :class:`~repro.faults.FaultPlan`; operator
@@ -560,10 +557,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     trace_id = uuid.uuid4().hex[:16] if tracer.enabled else ""
     with span("fleet.run", pipelines=config.n_pipelines,
               workers=workers, trace_id=trace_id) as run_span:
-        if progress_callback is None and progress:
-            # Fleet progress is shard-granular, so report on every merge.
-            progress_callback = print_progress
-
         results: dict[int, ShardResult] = {}
         failures: dict[int, ShardFailure] = {}
         to_run: list[ShardSpec] = []
@@ -719,8 +712,9 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 report.shard_seconds.append(result.elapsed_seconds)
                 report.snapshot_bytes += shard_bytes
                 done += result.spec.n_pipelines
-                if progress_callback is not None:
-                    progress_callback(done, config.n_pipelines, store)
+                if progress:
+                    # Fleet progress is shard-granular: one line per merge.
+                    print_progress(done, config.n_pipelines, store)
 
         with _timed_phase(phases, "finalize"):
             if scratch is not None:

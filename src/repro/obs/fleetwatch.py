@@ -226,9 +226,8 @@ def collect_fleet_status(journal_dir: str | Path,
     itself declared in the manifest's ``meta`` — so ``fleet-status``
     and the run's own supervisor agree on what counts as stalled —
     falling back to :data:`DEFAULT_STALL_AFTER` for older journals.
-    Worker processes' live heartbeats are found under
-    ``attempts/shard-NNNN-aK/`` (the freshest attempt wins); promoted
-    winners land on the canonical path, which takes precedence.
+    Every attempt of a shard, process or inline, heartbeats into the
+    one :func:`status_path`; a quarantined shard's last beat stays there.
     """
     journal_dir = Path(journal_dir)
     manifest_path = journal_dir / "manifest.json"
@@ -263,7 +262,7 @@ def collect_fleet_status(journal_dir: str | Path,
     for shard_index, start, stop in layout:
         shard = ShardStatus(shard_index=shard_index, start=start, stop=stop)
         entry = _read_outcome(journal_dir, shard_index)
-        beat = _freshest_beat(journal_dir, shard_index)
+        beat = read_status_file(status_path(journal_dir, shard_index))
         if beat is not None:
             shard.phase = str(beat.get("phase", ""))
             shard.worker = str(beat.get("worker", ""))
@@ -316,38 +315,6 @@ def collect_fleet_status(journal_dir: str | Path,
     elif remaining == 0:
         status.eta_seconds = 0.0
     return status
-
-
-def _freshest_beat(journal_dir: Path, shard_index: int) -> dict | None:
-    """The shard's most recent heartbeat, canonical or per-attempt.
-
-    A worker process heartbeats into its private attempt directory
-    until the winning attempt is promoted; an inline shard writes the
-    canonical path directly. The canonical file wins when present
-    (it is the promoted, final state); otherwise the freshest attempt
-    beat represents the shard.
-    """
-    beat = read_status_file(status_path(journal_dir, shard_index))
-    if beat is not None:
-        return beat
-    attempts_root = journal_dir / "attempts"
-    prefix = f"shard-{shard_index:04d}-a"
-    best: dict | None = None
-    try:
-        attempt_dirs = sorted(attempts_root.iterdir())
-    except OSError:
-        return None
-    for attempt_dir in attempt_dirs:
-        if not attempt_dir.name.startswith(prefix):
-            continue
-        candidate = read_status_file(
-            attempt_dir / f"shard-{shard_index:04d}.status.json")
-        if candidate is None:
-            continue
-        if best is None or (candidate.get("updated_unix", 0.0)
-                            > best.get("updated_unix", 0.0)):
-            best = candidate
-    return best
 
 
 def _read_outcome(journal_dir: Path, shard_index: int) -> dict | None:

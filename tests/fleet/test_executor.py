@@ -149,3 +149,43 @@ class TestSpawnDenied:
         assert resumed.complete
         assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == baseline
+
+    def test_denied_on_reschedule(self, tmp_path, baseline, monkeypatch):
+        # The first three launches start workers; the kill's reschedule
+        # is denied and runs inline while the started workers finish.
+        start = multiprocessing.Process.start
+        launches = []
+
+        def first_three(process):
+            launches.append(process)
+            if len(launches) > 3:
+                raise BlockingIOError("process spawn denied")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", first_three)
+        plan = FaultPlan.parse("worker_crash:1:1:kill", seed=3)
+        journal_dir = tmp_path / "j"
+        corpus, report = generate_corpus_fleet(
+            _config(), workers=3, fault_plan=plan, journal_dir=journal_dir)
+        assert len(launches) == 4
+        assert report.used_processes is True
+        assert report.complete
+        assert report.degradation.reschedules == 1
+        entry = _entry(journal_dir, 1)
+        assert (entry["status"], entry["attempt"],
+                entry["rescheduled_from"]) == ("done", 2, 1)
+        assert _rows(corpus.store) == baseline
+
+    def test_deep_reschedule_does_not_recurse(self, tmp_path):
+        # Every inline attempt of shard 0 crashes; each reschedule runs
+        # at the next poll, not inside the failed attempt's handler.
+        plan = FaultPlan.parse("worker_crash:0:1:repeat", seed=3)
+        _, report = generate_corpus_fleet(
+            _config(), workers=3, in_process=True, fault_plan=plan,
+            journal_dir=tmp_path / "j", max_attempts=400)
+        d = report.degradation
+        assert [(q.shard_index, q.attempts, q.failure_kind, q.reason)
+                for q in d.quarantined] == [(0, 400, "worker_crash",
+                                             "max_attempts")]
+        assert d.reschedules == 399
+        assert d.merged_pipelines == 4

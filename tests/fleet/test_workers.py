@@ -13,6 +13,7 @@ from repro.fleet import (
     plan_shards,
     run_shard,
 )
+from repro.fleet import workers as fleet_workers
 from repro.graphlets import segment_pipeline
 from repro.mlmd import load_store
 from repro.obs.metrics import get_registry
@@ -142,12 +143,13 @@ class TestCounterAggregation:
         generate_corpus_fleet(_tiny_config(), workers=3, in_process=True)
         assert counter.value == before + 6
 
-    def test_progress_reports_every_shard(self):
+    def test_progress_reports_every_shard(self, monkeypatch):
         seen = []
+        monkeypatch.setattr(
+            fleet_workers, "print_progress",
+            lambda done, total, store: seen.append((done, total)))
         generate_corpus_fleet(
-            _tiny_config(), workers=3, in_process=True,
-            progress_callback=lambda done, total, store:
-                seen.append((done, total)))
+            _tiny_config(), workers=3, in_process=True, progress=True)
         assert seen == [(2, 6), (4, 6), (6, 6)]
 
 
@@ -353,10 +355,13 @@ class TestOneLoader:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         plan = FaultPlan.parse(fault) if fault else None
         during = []
+        monkeypatch.setattr(
+            fleet_workers, "print_progress",
+            lambda done, total, store:
+                during.append(len(list(tmp_path.iterdir()))))
         _, report = generate_corpus_fleet(
             _tiny_config(), workers=3, in_process=True, fault_plan=plan,
-            max_attempts=1, progress_callback=lambda done, total, store:
-                during.append(len(list(tmp_path.iterdir()))))
+            max_attempts=1, progress=True)
         assert during and all(during)  # the run journaled under tmp_path
         assert report.complete is (fault is None)
         assert report.merge_rows > 0

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.corpus import CorpusConfig
+from repro.faults import FaultPlan
+from repro.fleet import generate_corpus_fleet
 from repro.obs.fleetwatch import (
     ShardHeartbeat,
     collect_fleet_status,
@@ -238,23 +241,26 @@ class TestSupervisionStatus:
         assert "quarantined: worker_hang" in rendered
         assert "attempt 3" in rendered
 
-    def test_freshest_attempt_heartbeat_wins(self, tmp_path):
+    def test_quarantined_shard_keeps_its_canonical_beat(self, tmp_path):
+        # Every attempt heartbeats into the shard's one status file, so
+        # a worker killed on its only attempt leaves its last beat
+        # where fleet-status reads it, and no per-attempt directory.
         journal = tmp_path / "run.shards"
-        write_manifest(journal, [[0, 0, 10]])
-        # A supervised run heartbeats in private attempt directories;
-        # with no canonical status file the freshest attempt speaks.
-        for attempt, done in ((1, 3), (2, 6)):
-            attempt_dir = journal / "attempts" / f"shard-0000-a{attempt}"
-            attempt_dir.mkdir(parents=True)
-            ShardHeartbeat(attempt_dir, 0, total=10).beat(
-                "simulate", done, force=True)
-        status = collect_fleet_status(journal)
-        assert status.shards[0].state == "running"
-        assert status.shards[0].pipelines_done == 6
-        # Promotion makes the canonical file authoritative again.
-        ShardHeartbeat(journal, 0, total=10).beat("merge", 10, force=True)
-        promoted = collect_fleet_status(journal)
-        assert promoted.shards[0].pipelines_done == 10
+        _, report = generate_corpus_fleet(
+            CorpusConfig(n_pipelines=6, seed=11,
+                         max_graphlets_per_pipeline=8, max_window_spans=6),
+            workers=3, fault_plan=FaultPlan.parse("worker_crash:1:1:kill"),
+            journal_dir=journal, max_attempts=1)
+        if not report.used_processes:
+            pytest.skip("sandbox denied processes; inline fallback ran")
+        beat = read_status_file(status_path(journal, 1))
+        assert beat is not None
+        assert not (journal / "attempts").exists()
+        shard = collect_fleet_status(journal).shards[1]
+        assert shard.state == "quarantined"
+        assert shard.worker == beat["worker"] == "shard-0001"
+        assert shard.phase == beat["phase"] == "simulate"
+        assert shard.pipelines_done == beat["pipelines_done"]
 
     def test_degradation_report_surfaces(self, tmp_path):
         journal = tmp_path / "run.shards"
