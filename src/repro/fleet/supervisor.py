@@ -455,10 +455,18 @@ class FleetSupervisor:
 
     def _check_stalls(self, now: float) -> None:
         """Terminate worker processes whose heartbeat went silent too
-        long (an inline attempt cannot be observed while it runs)."""
+        long (an inline attempt cannot be observed while it runs).
+
+        A worker that exited or whose result waits in its pipe beats no
+        more but is not hung: the next :meth:`_poll` takes its outcome.
+        That matters after a poll that ran inline attempts, which can
+        outlast ``stall_after`` while workers finish.
+        """
         for state in self._state.values():
             attempt = state.live
             if attempt is None or attempt.process is None:
+                continue
+            if not attempt.process.is_alive() or attempt.conn.poll():
                 continue
             last = self._last_heartbeat(attempt)
             if now - last <= self.policy.stall_after:

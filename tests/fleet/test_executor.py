@@ -8,14 +8,17 @@ partition the plan. These tests pin that contract for inline runs,
 real worker processes, and a sandbox that denies process spawn.
 """
 
+import inspect
 import json
 import multiprocessing
+import sys
+import time
 
 import pytest
 
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan
-from repro.fleet import generate_corpus_fleet
+from repro.fleet import generate_corpus_fleet, supervisor
 
 
 def _config(seed=11):
@@ -176,16 +179,60 @@ class TestSpawnDenied:
                 entry["rescheduled_from"]) == ("done", 2, 1)
         assert _rows(corpus.store) == baseline
 
+    def test_finished_workers_are_not_hung(self, tmp_path, baseline,
+                                           monkeypatch):
+        # Shard 2's start is denied, so it runs inline in the first
+        # poll. Shards 0 and 1 finish meanwhile and beat no more; the
+        # stall check after that poll must leave their results to the
+        # next poll instead of failing them as hung.
+        start = multiprocessing.Process.start
+        started = []
+
+        def first_two(process):
+            if len(started) == 2:
+                raise OSError("process spawn denied")
+            start(process)
+            started.append(process)
+
+        inline = supervisor._attempt_message
+
+        def outlive_workers(*args):
+            if multiprocessing.parent_process() is None:
+                for process in started:
+                    process.join(timeout=30)
+                time.sleep(0.2)  # Their last beats are now stale.
+            return inline(*args)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", first_two)
+        monkeypatch.setattr(supervisor, "_attempt_message", outlive_workers)
+        journal_dir = tmp_path / "j"
+        corpus, report = generate_corpus_fleet(
+            _config(), workers=3, journal_dir=journal_dir, stall_after=0.05)
+        assert report.used_processes is True
+        assert report.complete
+        assert report.degradation.stalls_detected == 0
+        assert report.degradation.reschedules == 0
+        assert [_entry(journal_dir, i)["attempt"] for i in range(3)] \
+            == [1, 1, 1]
+        assert _rows(corpus.store) == baseline
+
     def test_deep_reschedule_does_not_recurse(self, tmp_path):
         # Every inline attempt of shard 0 crashes; each reschedule runs
-        # at the next poll, not inside the failed attempt's handler.
+        # at the next poll, not inside the failed attempt's handler. A
+        # recursive reschedule nests frames per attempt, so 60 attempts
+        # overflow a stack 150 frames deeper than this test.
         plan = FaultPlan.parse("worker_crash:0:1:repeat", seed=3)
-        _, report = generate_corpus_fleet(
-            _config(), workers=3, in_process=True, fault_plan=plan,
-            journal_dir=tmp_path / "j", max_attempts=400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            _, report = generate_corpus_fleet(
+                _config(), workers=3, in_process=True, fault_plan=plan,
+                journal_dir=tmp_path / "j", max_attempts=60)
+        finally:
+            sys.setrecursionlimit(limit)
         d = report.degradation
         assert [(q.shard_index, q.attempts, q.failure_kind, q.reason)
-                for q in d.quarantined] == [(0, 400, "worker_crash",
+                for q in d.quarantined] == [(0, 60, "worker_crash",
                                              "max_attempts")]
-        assert d.reschedules == 399
+        assert d.reschedules == 59
         assert d.merged_pipelines == 4
