@@ -39,7 +39,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..mlmd.sqlite_store import save_store
@@ -258,8 +258,11 @@ class ShardJournal:
 
     def _write_entry(self, entry: ShardEntry) -> None:
         self.entries[entry.shard_index] = entry
+        # Shallow, in field order: ``asdict`` would deep-copy the whole
+        # history on every attempt, and the bytes come out the same.
+        payload = {f.name: getattr(entry, f.name) for f in fields(entry)}
         _atomic_write(self._entry_path(entry.shard_index),
-                      json.dumps(asdict(entry), indent=2).encode())
+                      json.dumps(payload, indent=2).encode())
 
     def entry(self, shard_index: int) -> ShardEntry:
         """This shard's current entry (pending if never recorded)."""

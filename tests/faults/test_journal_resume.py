@@ -8,12 +8,13 @@ the crash spec targets a shard that does not exist).
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan, JournalError, ShardJournal
-from repro.fleet import generate_corpus_fleet
+from repro.fleet import ShardSpec, generate_corpus_fleet
 from repro.obs.fleetwatch import collect_fleet_status, render_fleet_status
 from repro.obs.metrics import MetricsRegistry
 
@@ -216,6 +217,22 @@ class TestJournalLifecycle:
         _, _, journal_dir, _ = crashed_run
         ShardJournal(journal_dir, fingerprint="").cleanup()
         assert not journal_dir.exists()
+
+    def test_entry_bytes_are_those_of_asdict(self, tmp_path):
+        """An entry is written shallowly, as ``asdict`` would write it."""
+        journal = ShardJournal(tmp_path / "j", fingerprint="f")
+        journal.open([ShardSpec(shard_index=0, start=0, stop=3)])
+        entry = journal.entry(0)
+        for attempt in (1, 2, 3):
+            journal.record_failure(0, "worker_crash", f"crash {attempt}",
+                                   crashed=True, attempt=attempt,
+                                   rescheduled_from=attempt - 1)
+            assert journal._entry_path(0).read_bytes() == json.dumps(
+                asdict(entry), indent=2).encode()
+        journal.record_done(0, attempt=4, rescheduled_from=3)
+        assert len(entry.history) == 3
+        assert journal._entry_path(0).read_bytes() == json.dumps(
+            asdict(entry), indent=2).encode()
 
 
 class TestFaultDeterminism:
